@@ -12,10 +12,10 @@ energy inequality (`carleman`), and the experiment CLI (`config`, `reports`,
 from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
                      ContextMismatchError, DegenerateDiagonalizationError,
                      DenseCapError, EllipticityError, GridMismatchError,
-                     RootSolveError, SpdoLabError, StencilError, WindowError)
-from .grid import (SpectralField, TorusGrid, differentiate, forward_transform,
-                   inner, inverse_transform, l2_norm, random_band_limited_field,
-                   sobolev_norm)
+                     NonFiniteError, RootSolveError, SpdoLabError, StencilError,
+                     WindowError)
+from .grid import (SpectralField, TorusGrid, differentiate, inner, l2_norm,
+                   random_band_limited_field, sobolev_norm)
 from .paths import (BrownianPath, PathSlice, Semimartingale, TimeGrid,
                     constant_field_rule, derive_rng, ito_process,
                     parabolic_window, realized_quadratic_variation,

@@ -15,19 +15,23 @@ left-endpoint (Ito) evaluation against realized increments; |dz|^2 and
 (dz, B1 dz) are realized squared increments. Deterministic time integrals
 use the trapezoidal rule. The verdict compares the gap rhs - lhs against
 -3 standard errors; a scan maps the (mu, T) validity region empirically.
+
+Every spatial pairing is taken in Fourier coefficients by Parseval, and the
+weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)} <= 1:
+the unscaled maximum e^{mu T^2} overflows once mu T^2 exceeds about 709. The
+verdict is unchanged by a common positive factor; `log_weight_scale` = mu T^2
+recovers absolute values.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, NonFiniteError
 from .grid import SpectralField, TorusGrid
 from .paths import (Semimartingale, TimeGrid, constant_field_rule, parabolic_window,
                     sample_brownian, sine_window, windowed_ito_process)
@@ -35,14 +39,6 @@ from .operators import LambdaOperator, LinearOperator, SpdoOperator
 from . import catalog, reduction
 
 TERM_LABELS = ("term1", "term2", "term3", "term4", "term5", "term6")
-
-
-def thread_count() -> int:
-    raw = os.environ.get("SPDO_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -55,20 +51,34 @@ class OperatorFamily:
 
     Catalog symbols and deterministic reduction branches carry no explicit
     time or path dependence, so one frozen instance serves the whole grid.
+    The family acts on flattened Fourier coefficients: the zero family and
+    regularity shifts as a diagonal multiplier, every other operator through
+    its coefficient-basis matrix, built once here.
     """
 
     label: str
     grid: TorusGrid
     operator: LinearOperator | None  # None encodes the zero family
+    _multiplier: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
+    _matrix_t: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.operator is None:
+            self._multiplier = np.zeros(self.grid.size)
+        elif isinstance(self.operator, LambdaOperator):
+            self._multiplier = self.operator.multiplier().ravel()
+        else:
+            self._matrix_t = np.ascontiguousarray(self.operator.coefficient_matrix().T)
 
     @property
     def is_zero(self) -> bool:
         return self.operator is None
 
-    def apply_columns(self, values: np.ndarray) -> np.ndarray:
-        if self.operator is None:
-            return np.zeros_like(values)
-        return self.operator.apply_many(values)
+    def apply(self, coefficients: np.ndarray) -> np.ndarray:
+        """Apply to every row of an (N, grid.size) array of flattened coefficients."""
+        if self._matrix_t is None:
+            return coefficients * self._multiplier
+        return coefficients @ self._matrix_t
 
     def adjoint(self) -> "OperatorFamily":
         if self.operator is None:
@@ -127,21 +137,26 @@ def resolve_window(selector: str) -> Callable[[TimeGrid], np.ndarray]:
 def resolve_process(selector: str, window: str, grid: TorusGrid, seed: int,
                     path_index: int, time_grid: TimeGrid) -> Semimartingale:
     """Process selectors: `deterministic-mode:k[,amp]` for z = eta(t) amp e^{ikx},
-    `brownian-mode:amp,k` for the windowed Ito process with dY = amp e^{ikx} dw."""
+    `brownian-mode:amp,k` for the windowed Ito process with dY = amp e^{ikx} dw.
+    In two dimensions the mode runs along the first axis, e^{ikx_1}."""
     name, _, argstr = selector.strip().partition(":")
     args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
     path = sample_brownian(seed, path_index, time_grid)
     eta = resolve_window(window)
+
+    def mode(k):
+        return (int(k),) + (0,) * (grid.dim - 1)
+
     if name == "deterministic-mode":
-        k = int(args[0]) if args else 1
+        k = args[0] if args else 1
         amp = args[1] if len(args) > 1 else 1.0
-        initial = SpectralField.pure_mode(grid, k, amp)
+        initial = SpectralField.pure_mode(grid, mode(k), amp)
         return windowed_ito_process(None, None, eta, path, grid, initial)
     if name == "brownian-mode":
         if len(args) < 2:
             raise ValueError("brownian-mode needs amplitude and mode: brownian-mode:amp,k")
-        amp, k = args[0], int(args[1])
-        g = constant_field_rule(SpectralField.pure_mode(grid, k, amp))
+        amp, k = args[0], args[1]
+        g = constant_field_rule(SpectralField.pure_mode(grid, mode(k), amp))
         return windowed_ito_process(None, g, eta, path, grid, None)
     raise ValueError(
         f"unknown process family {name!r}; choose deterministic-mode or brownian-mode")
@@ -188,6 +203,7 @@ class CarlemanReport:
     horizon: float
     steps: int
     paths: int
+    log_weight_scale: float  # mu T^2: terms are reported times e^{-mu T^2}
     term_means: np.ndarray  # (6,) = lhs terms 1..2, rhs terms 3..6
     term_ses: np.ndarray
     lhs_mean: float
@@ -203,6 +219,7 @@ class CarlemanReport:
     def as_dict(self) -> dict:
         out = {
             "mu": self.mu, "T": self.horizon, "K": self.steps, "P": self.paths,
+            "log_weight_scale": self.log_weight_scale,
             "lhs": self.lhs_mean, "lhs_se": self.lhs_se,
             "rhs": self.rhs_mean, "rhs_se": self.rhs_se,
             "gap": self.gap, "se": self.gap_se,
@@ -221,41 +238,43 @@ class CarlemanReport:
 
 def path_terms(z: Semimartingale, a1: OperatorFamily, b1: OperatorFamily,
                b1_adjoint: OperatorFamily, mu: float) -> np.ndarray:
-    """Six inequality terms along one realized path: (term1, term2, r1..r4)."""
+    """Six inequality terms along one realized path, (term1, term2, r1..r4),
+    with the weight scaled by e^{-mu T^2}."""
     if z.grid != a1.grid or z.grid != b1.grid:
         raise GridMismatchError("process and operator families on different grids")
     tg = z.time_grid
     horizon, dt = tg.horizon, tg.dt
-    nodes = tg.nodes()
-    shift = nodes - horizon
-    weight = np.exp(mu * shift**2)
+    shift = tg.nodes() - horizon
+    weight = np.exp(mu * (shift**2 - horizon**2))
     trap = np.full(tg.steps + 1, dt)
     trap[0] = trap[-1] = dt / 2.0
 
-    values = np.stack([s.values.ravel() for s in z.snapshots])  # (K+1, S)
-    b1_z = b1.apply_columns(values.T).T
-    a1_z = a1.apply_columns(values.T).T
-    badj_z = b1_adjoint.apply_columns(values.T).T
+    coeffs = z.coefficients.reshape(tg.steps + 1, -1)  # (K+1, S)
+    b1_z = b1.apply(coeffs)
 
     def pair(f, g):
-        # spatial L2 pairing per node under the normalized measure
-        return np.mean(f * np.conj(g), axis=1)
+        # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
+        # (vecdot conjugates its first argument)
+        return np.vecdot(g, f)
 
-    norm2 = pair(values, values).real
-    mixed = mu * shift[:, None] * values - b1_z
+    norm2 = pair(coeffs, coeffs).real
+    mixed = mu * shift[:, None] * coeffs - b1_z
     term1 = float(np.sum(trap * weight * norm2))
     term2 = float(np.sum(trap * weight * pair(mixed, mixed).real) / mu)
 
-    dz = values[1:] - values[:-1]
+    dz = coeffs[1:] - coeffs[:-1]
     ks = slice(0, tg.steps)
-    bracket = -1j * dz - dt * a1_z[ks] - 1j * dt * b1_z[ks]
-    comparison = 1j * (mu * shift[ks, None] * values[ks] - b1_z[ks])
-    r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, comparison).real))
-    skew = b1_z[ks] - badj_z[ks]
-    r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
+    bracket = -1j * dz - dt * a1.apply(coeffs[ks]) - 1j * dt * b1_z[ks]
+    # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
+    r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, mixed[ks]).imag))
+    if b1_adjoint.operator is b1.operator:
+        r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
+    else:
+        skew = b1_z[ks] - b1_adjoint.apply(coeffs[ks])
+        r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
     qv = pair(dz, dz).real
     r3 = float(-2.0 * np.sum(shift[ks] * weight[ks] * qv))
-    b1_dz = b1.apply_columns(dz.T).T
+    b1_dz = b1_z[1:] - b1_z[:-1]  # B1 is linear
     r4 = float(-2.0 / mu * np.sum(weight[ks] * pair(dz, b1_dz).real))
     return np.array([term1, term2, r1, r2, r3, r4])
 
@@ -269,20 +288,10 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
     b1_adj = b1.adjoint()
 
     terms = np.zeros((config.paths, 6))
-
-    def run_one(p: int) -> None:
+    for p in range(config.paths):
         z = resolve_process(config.process, config.window, grid, config.seed, p, tg)
         terms[p] = path_terms(z, a1, b1, b1_adj, config.mu)
 
-    workers = thread_count()
-    if workers > 1 and config.paths > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_one, range(config.paths)))
-    else:
-        for p in range(config.paths):
-            run_one(p)
-
-    # fixed-index-order reduction keeps results independent of scheduling
     means = terms.mean(axis=0)
     if config.paths > 1:
         ses = terms.std(axis=0, ddof=1) / math.sqrt(config.paths)
@@ -300,10 +309,15 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
     lhs_mean, lhs_se = mean_se(lhs)
     rhs_mean, rhs_se = mean_se(rhs)
     gap_mean, gap_se = mean_se(gap)
+    aggregates = [*means, *ses, lhs_mean, lhs_se, rhs_mean, rhs_se, gap_mean, gap_se]
+    if not np.all(np.isfinite(aggregates)):
+        raise NonFiniteError(
+            f"non-finite Carleman term or gap at mu = {config.mu:g}, T = {config.horizon:g}")
     labels = {"a1": config.a1, "b1": config.b1, "process": config.process,
               "window": config.window, "seed": config.seed,
               "grid_points": config.grid_points, "dim": config.dim}
     return CarlemanReport(config.mu, config.horizon, config.steps, config.paths,
+                          config.mu * config.horizon**2,
                           means, ses, lhs_mean, lhs_se, rhs_mean, rhs_se,
                           gap_mean, gap_se,
                           verdict=bool(gap_mean >= -3.0 * gap_se),

@@ -3,7 +3,7 @@
     spdo-lab <subcommand> --config <file> [--seed <u64>] [--out <dir>]
 
 Exit status: 0 when every verdict passes, 1 when any verdict fails, 2 on
-configuration or module errors (recorded as a structured entry in
+configuration, module or any other error (recorded as a structured entry in
 report.json). Every run emits its data files, then report.json, then
 manifest.json with sha256 digests of everything else; the manifest is the
 only file carrying a timestamp, so reruns with the same config and seed are
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import carleman, catalog, reduction
@@ -198,7 +199,10 @@ def main(argv=None) -> int:
         files.append(write_json(out / "report.json", report))
         write_manifest(out, subcommand, cfg.values.get("seed", 0), files)
         return 0 if ok else 1
-    except (SpdoLabError, ValueError) as exc:
+    except Exception as exc:
+        # the run's boundary: any failure still leaves report.json and manifest.json
+        if not isinstance(exc, (SpdoLabError, ValueError)):
+            traceback.print_exc()
         record = {
             "command": subcommand,
             "config": cfg.echo() if cfg is not None else None,

@@ -49,6 +49,10 @@ class StencilError(SpdoLabError):
     """Not enough time nodes for the requested finite-difference stencil."""
 
 
+class NonFiniteError(SpdoLabError):
+    """Arithmetic produced a non-finite value where the method guarantees a finite one."""
+
+
 class ConfigError(SpdoLabError):
     """Configuration file is missing, malformed, or violates the schema."""
 

@@ -125,7 +125,7 @@ class SpectralField:
     def pure_mode(cls, grid: TorusGrid, mode: int | tuple[int, ...], amplitude: complex = 1.0) -> "SpectralField":
         """The field amplitude * e^{i mode . x}; `mode` must be retained."""
         if isinstance(mode, int):
-            mode = (mode,) * 1
+            mode = (mode,)
         if len(mode) != grid.dim:
             raise ValueError(f"mode {mode} does not match grid dim {grid.dim}")
         n = grid.frequency_cutoff
@@ -153,9 +153,6 @@ class SpectralField:
             c.setflags(write=False)
             self._coefficients = c
         return self._coefficients
-
-    def has_coefficients(self) -> bool:
-        return self._coefficients is not None
 
     def coefficient_at(self, mode: int | tuple[int, ...]) -> complex:
         if isinstance(mode, int):
@@ -187,18 +184,6 @@ def _check_same_grid(a, b) -> None:
     gb = b.grid if hasattr(b, "grid") else b
     if ga != gb:
         raise GridMismatchError(f"grids differ: {ga} vs {gb}")
-
-
-def forward_transform(f: SpectralField) -> SpectralField:
-    """Return a field with the frequency form populated. Idempotent."""
-    f.coefficients
-    return f
-
-
-def inverse_transform(f: SpectralField) -> SpectralField:
-    """Return a field with the physical form populated. Idempotent."""
-    f.values
-    return f
 
 
 def l2_norm(f: SpectralField) -> float:

@@ -72,6 +72,17 @@ class _OperatorBase:
         hat = np.fft.fftn(cols, axes=axes, norm="forward")
         return hat.reshape(self.grid.size, values.shape[-1])
 
+    def coefficient_matrix(self) -> np.ndarray:
+        """The operator in the Fourier-coefficient basis: column j holds the
+        coefficients of its image of the j-th pure mode (FFT layout, flattened)."""
+        size = self.grid.size
+        if size > DENSE_CAP:
+            raise DenseCapError(f"grid size {size} exceeds dense cap {DENSE_CAP}")
+        axes = tuple(range(self.grid.dim))
+        modes = np.fft.ifftn(np.eye(size).reshape(self.grid.shape + (size,)),
+                             axes=axes, norm="forward")
+        return self._coeff_columns(self.apply_many(modes.reshape(size, size)))
+
 
 @dataclass
 class SpdoOperator(_OperatorBase):
@@ -447,7 +458,7 @@ def parametrix_residual_scan(result: ParametrixResult, op: SpdoOperator,
         frequencies = sorted(set(np.geomspace(8, top, 7).astype(int))) if top >= 8 else [top]
     rows = []
     for k in frequencies:
-        mode = SpectralField.pure_mode(grid, int(k))
+        mode = SpectralField.pure_mode(grid, (int(k),) + (0,) * (grid.dim - 1))
         if side == "left":
             out = result.left.apply(op.apply(mode)) - mode
         else:

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AdaptednessError, WindowError
-from .grid import SpectralField, TorusGrid, l2_norm
+from .grid import SpectralField, TorusGrid
 
 # Stream tags keeping per-purpose randomness disjoint under one global seed.
 STREAM_BROWNIAN = 1
@@ -116,47 +116,52 @@ def sample_brownian(seed: int, path_index: int, time_grid: TimeGrid) -> Brownian
     return BrownianPath(time_grid, values, int(seed), int(path_index))
 
 
-# Drift/diffusion evaluation rules: (t, PathSlice, current state) -> SpectralField.
-FieldRule = Callable[[float, PathSlice, SpectralField], SpectralField]
+# Drift/diffusion evaluation rules: (t, PathSlice, current state coefficients)
+# -> coefficient array of the grid's shape.
+FieldRule = Callable[[float, PathSlice, np.ndarray], np.ndarray]
 
 
 @dataclass
 class Semimartingale:
-    """A simulated L2-valued process: one snapshot per time node along one path."""
+    """A simulated L2-valued process along one path: the Fourier coefficients of
+    every time-node snapshot, stacked as one (K+1, *grid.shape) array."""
 
     time_grid: TimeGrid
     grid: TorusGrid
-    snapshots: tuple[SpectralField, ...]
+    coefficients: np.ndarray
     path: BrownianPath
     drift: FieldRule | None = field(default=None, repr=False)
     diffusion: FieldRule | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.snapshots) != self.time_grid.steps + 1:
-            raise ValueError("need one snapshot per time node")
+        if self.coefficients.shape != (self.time_grid.steps + 1,) + self.grid.shape:
+            raise ValueError(
+                f"coefficient array shape {self.coefficients.shape} does not hold one "
+                f"snapshot of shape {self.grid.shape} per time node")
 
-    def increment(self, k: int) -> SpectralField:
-        return self.snapshots[k + 1] - self.snapshots[k]
+    def snapshot(self, k: int) -> SpectralField:
+        return SpectralField.from_coefficients(self.grid, self.coefficients[k])
 
 
 def ito_process(drift: FieldRule | None, diffusion: FieldRule | None, path: BrownianPath,
                 grid: TorusGrid, initial: SpectralField | None = None) -> Semimartingale:
     """Euler-Maruyama simulation of dY = f dt + g dw along the given path."""
     tg = path.time_grid
-    y = initial if initial is not None else SpectralField.zero(grid)
-    snapshots = [y]
-    w = path.values
+    coeffs = np.zeros((tg.steps + 1,) + grid.shape, dtype=np.complex128)
+    if initial is not None:
+        coeffs[0] = initial.coefficients
+    times = tg.nodes().tolist()
+    dw = np.diff(path.values).tolist()
     for k in range(tg.steps):
-        t = tg.node(k)
         slc = path.slice_at(k)
+        y = coeffs[k]
         step = y
         if drift is not None:
-            step = step + tg.dt * drift(t, slc, y)
+            step = step + tg.dt * drift(times[k], slc, y)
         if diffusion is not None:
-            step = step + float(w[k + 1] - w[k]) * diffusion(t, slc, y)
-        y = step
-        snapshots.append(y)
-    return Semimartingale(tg, grid, tuple(snapshots), path, drift, diffusion)
+            step = step + dw[k] * diffusion(times[k], slc, y)
+        coeffs[k + 1] = step
+    return Semimartingale(tg, grid, coeffs, path, drift, diffusion)
 
 
 def sine_window(time_grid: TimeGrid) -> np.ndarray:
@@ -195,15 +200,18 @@ def windowed_ito_process(drift: FieldRule | None, diffusion: FieldRule | None,
     eta[-1] = 0.0
 
     raw = ito_process(drift, diffusion, path, grid, initial)
-    snapshots = tuple(float(eta[k]) * y for k, y in enumerate(raw.snapshots))
-    return Semimartingale(tg, grid, snapshots, path, drift, diffusion)
+    windowed = eta.reshape((-1,) + (1,) * grid.dim) * raw.coefficients
+    return Semimartingale(tg, grid, windowed, path, drift, diffusion)
 
 
 def realized_quadratic_variation(z: Semimartingale) -> np.ndarray:
-    """Per-step spatially integrated squared increments  ||z_{k+1} - z_k||_{L2}^2."""
-    return np.array([l2_norm(z.increment(k)) ** 2 for k in range(z.time_grid.steps)])
+    """Per-step spatially integrated squared increments  ||z_{k+1} - z_k||_{L2}^2,
+    summed over frequencies by Parseval."""
+    dz = np.diff(z.coefficients, axis=0)
+    return np.sum(np.abs(dz) ** 2, axis=tuple(range(1, dz.ndim)))
 
 
 def constant_field_rule(value: SpectralField) -> FieldRule:
     """Evaluation rule that ignores (t, path, state) and returns a fixed field."""
-    return lambda t, slc, y: value
+    coeffs = value.coefficients
+    return lambda t, slc, y: coeffs

@@ -163,12 +163,13 @@ def test_criterion_08b_self_adjoint_kills_skew_term():
 
 def quadrature_oracle(mu, horizon, nodes):
     """Continuum lhs/rhs for z = sin(pi t/T) e^{ix} under the baseline
-    families, by trapezoid at `nodes` points."""
+    families, by trapezoid at `nodes` points, with the weight scaled by
+    e^{-mu T^2} as the program reports it."""
     t = np.linspace(0.0, horizon, nodes)
     eta = np.sin(np.pi * t / horizon)
     deta = (np.pi / horizon) * np.cos(np.pi * t / horizon)
     s = t - horizon
-    weight = np.exp(mu * s**2)
+    weight = np.exp(mu * (s**2 - horizon**2))
     lam = np.sqrt(2.0)                       # regularity shift on mode 1
     bracket = -1j * deta - eta - 1j * lam * eta
     comparison = 1j * (mu * s * eta - lam * eta)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from spdolab import CarlemanConfig, TorusGrid, scan, verify_inequality
+from spdolab import (CarlemanConfig, NonFiniteError, SpectralField, TorusGrid, scan,
+                     verify_inequality)
+from spdolab import carleman
 from spdolab.carleman import (path_terms, resolve_operator_family, resolve_process,
                               resolve_window)
-from spdolab.paths import TimeGrid, sample_brownian
+from spdolab.paths import Semimartingale, TimeGrid, sample_brownian
 
 T = 0.25
 MU = 64.0 / T**2
@@ -21,12 +23,13 @@ def cfg(**overrides):
 
 
 def quadrature_oracle(mu, horizon, a1_mode, b1_shift, nodes=100001):
-    """Continuum terms for z = sin(pi t/T) e^{ix}: trapezoid at fine resolution."""
+    """Continuum terms for z = sin(pi t/T) e^{ix}: trapezoid at fine resolution,
+    with the weight scaled by e^{-mu T^2} as the program reports it."""
     t = np.linspace(0.0, horizon, nodes)
     eta = np.sin(np.pi * t / horizon)
     deta = (np.pi / horizon) * np.cos(np.pi * t / horizon)
     s = t - horizon
-    e = np.exp(mu * s**2)
+    e = np.exp(mu * (s**2 - horizon**2))
     lam = np.sqrt(1.0 + 1.0) ** b1_shift  # B1 = Lambda^shift on mode 1
     a1 = float(a1_mode)                   # A1 = multiplier xi on mode 1
     term1 = np.trapezoid(e * eta**2, t)
@@ -35,6 +38,45 @@ def quadrature_oracle(mu, horizon, a1_mode, b1_shift, nodes=100001):
     cmp_ = 1j * (mu * s * eta - lam * eta)
     term3 = 4.0 / mu * np.trapezoid(e * (bracket * np.conj(cmp_)).real, t)
     return term1, term2, term3
+
+
+def value_space_terms(z, a1_selector, b1_selector, mu, weight_scaled=True):
+    """The six terms of one path evaluated as on the value grid: snapshot
+    values, value-basis dense matrices and grid-mean pairings."""
+    grid = z.grid
+
+    def dense(selector):
+        op = resolve_operator_family(selector, grid).operator
+        return np.zeros((grid.size, grid.size)) if op is None else op.dense_matrix()
+
+    a1, b1 = dense(a1_selector), dense(b1_selector)
+    tg = z.time_grid
+    spatial = tuple(range(1, z.coefficients.ndim))
+    values = np.fft.ifftn(z.coefficients, axes=spatial, norm="forward")
+    values = values.reshape(tg.steps + 1, -1)
+    shift = tg.nodes() - tg.horizon
+    weight = np.exp(mu * shift**2)
+    if weight_scaled:
+        weight = weight * np.exp(-mu * tg.horizon**2)
+    trap = np.full(tg.steps + 1, tg.dt)
+    trap[0] = trap[-1] = tg.dt / 2.0
+
+    def pair(f, g):
+        return np.mean(f * np.conj(g), axis=1)
+
+    b1_z, a1_z, badj_z = values @ b1.T, values @ a1.T, values @ b1.conj()
+    mixed = mu * shift[:, None] * values - b1_z
+    dz, w = np.diff(values, axis=0), weight[:-1]
+    bracket = -1j * dz - tg.dt * a1_z[:-1] - 1j * tg.dt * b1_z[:-1]
+    comparison = 1j * (mu * shift[:-1, None] * values[:-1] - b1_z[:-1])
+    return np.array([
+        np.sum(trap * weight * pair(values, values).real),
+        np.sum(trap * weight * pair(mixed, mixed).real) / mu,
+        4.0 / mu * np.sum(w * pair(bracket, comparison).real),
+        -2.0 / mu * np.sum(w * pair(bracket, b1_z[:-1] - badj_z[:-1]).imag),
+        -2.0 * np.sum(shift[:-1] * w * pair(dz, dz).real),
+        -2.0 / mu * np.sum(w * pair(dz, dz @ b1.T).real),
+    ])
 
 
 class TestConfigValidation:
@@ -49,15 +91,15 @@ class TestFamilies:
     def test_zero_family(self):
         fam = resolve_operator_family("zero", TorusGrid(1, 16))
         assert fam.is_zero
-        out = fam.apply_columns(np.ones((16, 3), dtype=complex))
+        out = fam.apply(np.ones((3, 16), dtype=complex))
         assert np.all(out == 0.0)
 
     def test_catalog_family(self):
         grid = TorusGrid(1, 16)
         fam = resolve_operator_family("c-dx:2", grid)
-        cols = np.exp(1j * 3 * grid.axis_nodes()).reshape(-1, 1)
-        out = fam.apply_columns(cols)
-        assert np.allclose(out, 6.0 * cols, atol=1e-12)
+        rows = SpectralField.pure_mode(grid, 3).coefficients.reshape(1, -1)
+        out = fam.apply(rows)
+        assert np.allclose(out, 6.0 * rows, atol=1e-12)
 
     def test_lambda_family_self_adjoint(self):
         grid = TorusGrid(1, 16)
@@ -70,9 +112,9 @@ class TestFamilies:
         grid = TorusGrid(1, 16)
         fam = resolve_operator_family("reduction-im:laplace:1", grid)
         k = -5
-        cols = np.exp(1j * k * grid.axis_nodes()).reshape(-1, 1)
-        out = fam.apply_columns(cols)
-        ratio = out[0, 0] / cols[0, 0]
+        rows = SpectralField.pure_mode(grid, k).coefficients.reshape(1, -1)
+        out = fam.apply(rows)
+        ratio = out[0, k % 16] / rows[0, k % 16]
         assert abs(abs(ratio) - abs(k)) <= 1e-9 or abs(ratio) <= 1e-9
 
     def test_path_dependent_family_rejected(self):
@@ -93,9 +135,9 @@ class TestFamilies:
         grid = TorusGrid(1, 16)
         tg = TimeGrid(T, 32)
         z = resolve_process("deterministic-mode:2,0.5", "sine", grid, 0, 0, tg)
-        assert abs(z.snapshots[16].coefficient_at((2,))) > 0.0
+        assert abs(z.coefficients[16, 2]) > 0.0
         z2 = resolve_process("brownian-mode:0.1,1", "parabolic", grid, 0, 0, tg)
-        assert len(z2.snapshots) == 33
+        assert len(z2.coefficients) == 33
         with pytest.raises(ValueError):
             resolve_process("levy-mode:1", "sine", grid, 0, 0, tg)
 
@@ -153,11 +195,26 @@ class TestStochasticAggregation:
         b = verify_inequality(cfg(paths=16, seed=1))
         assert a.gap != b.gap
 
-    def test_threading_does_not_change_bytes(self, monkeypatch):
-        a = verify_inequality(cfg(paths=16))
-        monkeypatch.setenv("SPDO_LAB_THREADS", "4")
-        b = verify_inequality(cfg(paths=16))
-        assert a.gap == b.gap and np.array_equal(a.term_means, b.term_means)
+    def test_path_terms_do_not_depend_on_path_count(self, monkeypatch):
+        # path p's six terms are the same bytes whether the run has 8 or 16
+        # paths, and the aggregated means repeat bitwise on rerun
+        recorded = {}
+        real = carleman.path_terms
+
+        def record(z, *args):
+            terms = real(z, *args)
+            recorded.setdefault(z.path.path_index, []).append(terms.tobytes())
+            return terms
+
+        monkeypatch.setattr(carleman, "path_terms", record)
+        verify_inequality(cfg(b1="mod:1", paths=8))
+        a = verify_inequality(cfg(b1="mod:1", paths=16))
+        b = verify_inequality(cfg(b1="mod:1", paths=16))
+        assert sorted(recorded) == list(range(16))
+        for p in range(8):
+            assert len(set(recorded[p])) == 1 and len(recorded[p]) == 3
+        assert np.array_equal(a.term_means, b.term_means)
+        assert a.gap == b.gap and a.gap_se == b.gap_se
 
     def test_se_positive_for_stochastic_runs(self):
         report = verify_inequality(cfg(paths=16))
@@ -173,6 +230,65 @@ class TestStochasticAggregation:
         terms = path_terms(z, a1, b1, b1, MU)
         assert terms.shape == (6,)
         assert terms[0] > 0.0 and terms[3] == 0.0
+
+
+class TestCoefficientSpace:
+    @pytest.mark.parametrize("a1, b1, dim, m", [("c-dx", "lambda:1", 1, 32),
+                                                ("trig-lambda:2,1,0,1", "mod:1", 1, 32),
+                                                ("trig-lambda:2,1,0,1", "mod:1", 2, 8)])
+    def test_path_terms_match_value_space_dense_evaluation(self, a1, b1, dim, m):
+        grid = TorusGrid(dim, m)
+        tg = TimeGrid(T, 128)
+        fam_a1 = resolve_operator_family(a1, grid)
+        fam_b1 = resolve_operator_family(b1, grid)
+        z = resolve_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
+        # a state on every mode, pinned at both ends, reaches every matrix entry
+        rng = np.random.default_rng(5)
+        shape = (tg.steps + 1,) + grid.shape
+        spread = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spread[0] = spread[-1] = 0.0
+        for z in (z, Semimartingale(tg, grid, 0.01 * spread, z.path)):
+            got = path_terms(z, fam_a1, fam_b1, fam_b1.adjoint(), MU)
+            ref = value_space_terms(z, a1, b1, MU)
+            scale = np.max(np.abs(ref))
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
+            if b1 == "mod:1":
+                assert abs(ref[3]) > 1e-6 * scale  # the skew term is exercised
+
+    def test_kappa_1024_rows_are_finite(self):
+        base = cfg(paths=8, steps=256, grid_points=32)
+        result = scan(base, T_list=(0.25,), kappa_list=(1024.0,))
+        row = result.rows[0].as_dict()
+        assert row["log_weight_scale"] == pytest.approx(1024.0, rel=1e-15)
+        values = [row[k] for k in ("lhs", "rhs", "gap", "se", "lhs_se", "rhs_se")]
+        values += [row[f"term{i}"] for i in range(1, 7)]
+        assert np.all(np.isfinite(values)) and row["se"] > 0.0
+
+    def test_verdicts_unchanged_by_weight_scaling(self):
+        # unscaled weights e^{mu (t-T)^2} on the 3 x 3 baseline grid give the same
+        # verdict and borderline flags, and terms equal to the reported ones
+        # times e^{mu T^2}
+        base = cfg(paths=16, steps=128, grid_points=32)
+        result = scan(base, T_list=(0.0625, 0.125, 0.25), kappa_list=(16.0, 64.0, 256.0))
+        assert len({row.borderline for row in result.rows}) == 2  # both flags occur
+        for row in result.rows:
+            tg = TimeGrid(row.horizon, base.steps)
+            terms = np.array([
+                value_space_terms(resolve_process(base.process, base.window, base.torus(),
+                                                  base.seed, p, tg),
+                                  base.a1, base.b1, row.mu, weight_scaled=False)
+                for p in range(base.paths)])
+            gap = terms[:, 2:].sum(axis=1) - terms[:, :2].sum(axis=1)
+            gap_mean, gap_se = gap.mean(), gap.std(ddof=1) / np.sqrt(base.paths)
+            assert row.verdict == bool(gap_mean >= -3.0 * gap_se)
+            assert row.borderline == bool(abs(gap_mean) <= 3.0 * gap_se)
+            unscaled = row.term_means * np.exp(row.log_weight_scale)
+            scale = np.max(np.abs(terms.mean(axis=0)))
+            assert np.allclose(unscaled, terms.mean(axis=0), rtol=1e-11, atol=1e-11 * scale)
+
+    def test_non_finite_terms_raise(self):
+        with pytest.raises(NonFiniteError):
+            verify_inequality(cfg(process="brownian-mode:1e200,1", paths=2))
 
 
 class TestScan:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spdolab import ConfigError, parse_config
+from spdolab import cli
 from spdolab.cli import main
 from spdolab.reports import format_number, jsonable, sha256_digest, write_csv
 
@@ -191,6 +192,39 @@ class TestCliRuns:
         header = (out / "scan.csv").read_text().splitlines()[0].split(",")
         assert header == ["mu", "T", "K", "P", "lhs", "rhs", "gap", "se", "verdict",
                           "term1", "term2", "term3", "term4", "term5", "term6"]
+
+    def test_parametrix_in_two_dimensions(self, tmp_path):
+        text = ("command = elliptic-parametrix\nsymbol = trig-lambda:2,1,0,1\n"
+                "n = 2\nM = 32\ncutoff = 2\n")
+        code, out = self.run(tmp_path, text, "elliptic-parametrix")
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["results"]["left_slope"] <= -0.9
+        assert len((out / "parametrix.csv").read_text().splitlines()) > 2
+
+    def test_non_finite_scan_exits_two(self, tmp_path):
+        text = ("command = carleman-scan\nK = 64\nP = 2\nM = 16\n"
+                "process = brownian-mode:1e200,1\nT-list = 0.25\nkappa-list = 16\n")
+        code, out = self.run(tmp_path, text, "carleman-scan")
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "NonFiniteError"
+        assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
+                                     KeyError("missing")])
+    def test_unexpected_error_exits_two_with_artifacts(self, tmp_path, monkeypatch, exc):
+        def broken(cfg, out):
+            raise exc
+
+        monkeypatch.setitem(cli.RUNNERS, "roots-check", broken)
+        code, out = self.run(tmp_path, "command = roots-check\nprincipal = wave:2\n",
+                             "roots-check")
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == type(exc).__name__
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"report.json"}
 
     def test_bounded_csv_columns(self, tmp_path):
         text = ("command = bounded-test\nsymbol = xi\ns = 1\n"

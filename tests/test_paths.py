@@ -85,7 +85,7 @@ class TestItoProcess:
         z = ito_process(None, constant_field_rule(g), path, GRID)
         for k in (0, 7, TG.steps):
             expected = float(path.values[k]) * g.values
-            assert np.allclose(z.snapshots[k].values, expected, atol=1e-13)
+            assert np.allclose(z.snapshot(k).values, expected, atol=1e-13)
 
     def test_quadratic_variation_identity(self):
         # for Y = g w the realized QV equals ||g||^2 sum (dw)^2 exactly
@@ -100,13 +100,22 @@ class TestItoProcess:
         drift = constant_field_rule(SpectralField.pure_mode(GRID, 0, 1.0))
         path = sample_brownian(0, 0, TG)
         z = ito_process(drift, None, path, GRID)
-        final = z.snapshots[-1].coefficient_at((0,))
+        final = z.coefficients[-1, 0]
         assert np.isclose(final, TG.horizon, atol=1e-12)
+
+    def test_state_dependent_drift(self):
+        # dY = -Y dt: Euler-Maruyama gives Y_k = (1 - dt)^k Y_0 on every mode
+        path = sample_brownian(0, 0, TG)
+        z = ito_process(lambda t, slc, y: -y, None, path, GRID,
+                        SpectralField.pure_mode(GRID, 3, 2.0))
+        expected = 2.0 * (1.0 - TG.dt) ** np.arange(TG.steps + 1)
+        assert np.allclose(z.coefficients[:, 3], expected, rtol=1e-13, atol=0)
+        assert np.all(np.delete(z.coefficients, 3, axis=1) == 0.0)
 
     def test_snapshot_count_guard(self):
         path = sample_brownian(0, 0, TG)
         with pytest.raises(ValueError):
-            Semimartingale(TG, GRID, (SpectralField.zero(GRID),) * 3, path)
+            Semimartingale(TG, GRID, np.zeros((3,) + GRID.shape, dtype=complex), path)
 
 
 class TestWindows:
@@ -121,8 +130,8 @@ class TestWindows:
         g = SpectralField.pure_mode(GRID, 1, 0.3)
         path = sample_brownian(2, 0, TG)
         z = windowed_ito_process(None, constant_field_rule(g), sine_window, path, GRID)
-        assert l2_norm(z.snapshots[0]) == 0.0
-        assert l2_norm(z.snapshots[-1]) == 0.0
+        assert l2_norm(z.snapshot(0)) == 0.0
+        assert l2_norm(z.snapshot(TG.steps)) == 0.0
 
     def test_non_vanishing_window_rejected(self):
         path = sample_brownian(0, 0, TG)
