@@ -23,9 +23,9 @@ from .paths import (BrownianPath, PathSlice, Semimartingale, TimeGrid,
 from .symbols import (EllipticityReport, HypothesisReport, PrincipalSymbol,
                       Symbol, SymbolOrderReport, characteristic_roots,
                       check_elliptic, check_hypotheses, verify_symbol_order)
-from .operators import (CompositionResult, LambdaOperator, MatrixOperator,
-                        ParametrixResult, SpdoOperator, boundedness_harness,
-                        compose, composition_symbol, parametrix,
+from .operators import (CompositionResult, MatrixOperator, ParametrixResult,
+                        SpdoOperator, boundedness_harness, compose,
+                        composition_symbol, parametrix,
                         parametrix_residual_scan, quantize)
 from .reduction import (CompanionState, Diagonalization, ManufacturedSolution,
                         PrincipalMatrixSymbol, branch_symbol,

@@ -35,7 +35,7 @@ from .errors import GridMismatchError, NonFiniteError
 from .grid import SpectralField, TorusGrid
 from .paths import (Semimartingale, TimeGrid, constant_field_rule, parabolic_window,
                     sample_brownian, sine_window, windowed_ito_process)
-from .operators import LambdaOperator, LinearOperator, SpdoOperator
+from .operators import SpdoOperator, quantize
 from . import catalog, reduction
 
 TERM_LABELS = ("term1", "term2", "term3", "term4", "term5", "term6")
@@ -45,54 +45,15 @@ TERM_LABELS = ("term1", "term2", "term3", "term4", "term5", "term6")
 # operator families
 
 
-@dataclass
-class OperatorFamily:
-    """A frozen operator (or the zero operator) reused across all time nodes.
+def resolve_operator_family(selector: str, grid: TorusGrid) -> SpdoOperator:
+    """Family selectors: any catalog symbol (`zero` and `lambda:s` among them),
+    or `reduction-re:<principal>:<branch>` / `reduction-im:<principal>:<branch>`
+    for the real/imaginary part of a tracked root branch.
 
     Catalog symbols and deterministic reduction branches carry no explicit
-    time or path dependence, so one frozen instance serves the whole grid.
-    The family acts on flattened Fourier coefficients: the zero family and
-    regularity shifts as a diagonal multiplier, every other operator through
-    its coefficient-basis matrix, built once here.
+    time or path dependence, so one frozen operator serves every time node.
     """
-
-    label: str
-    grid: TorusGrid
-    operator: LinearOperator | None  # None encodes the zero family
-    _multiplier: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
-    _matrix_t: np.ndarray | None = dataclass_field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.operator is None:
-            self._multiplier = np.zeros(self.grid.size)
-        elif isinstance(self.operator, LambdaOperator):
-            self._multiplier = self.operator.multiplier().ravel()
-        else:
-            self._matrix_t = np.ascontiguousarray(self.operator.coefficient_matrix().T)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.operator is None
-
-    def apply(self, coefficients: np.ndarray) -> np.ndarray:
-        """Apply to every row of an (N, grid.size) array of flattened coefficients."""
-        if self._matrix_t is None:
-            return coefficients * self._multiplier
-        return coefficients @ self._matrix_t
-
-    def adjoint(self) -> "OperatorFamily":
-        if self.operator is None:
-            return self
-        return OperatorFamily(f"adj[{self.label}]", self.grid, self.operator.adjoint())
-
-
-def resolve_operator_family(selector: str, grid: TorusGrid) -> OperatorFamily:
-    """Family selectors: `zero`, `lambda:s`, any catalog symbol, or
-    `reduction-re:<principal>:<branch>` / `reduction-im:<principal>:<branch>`
-    for the real/imaginary part of a tracked root branch."""
     selector = selector.strip()
-    if selector == "zero":
-        return OperatorFamily("zero", grid, None)
     if selector.startswith("reduction-re:") or selector.startswith("reduction-im:"):
         head, _, rest = selector.partition(":")
         principal_sel, _, branch_txt = rest.rpartition(":")
@@ -108,18 +69,13 @@ def resolve_operator_family(selector: str, grid: TorusGrid) -> OperatorFamily:
         if not 0 <= branch < ps.m:
             raise ValueError(f"branch {branch} out of range for m = {ps.m}")
         part = "re" if head.endswith("re") else "im"
-        sym = reduction.branch_symbol(split, branch, part)
-        return OperatorFamily(selector, grid, SpdoOperator(sym, grid))
-    name = selector.partition(":")[0]
-    if name == "lambda":
-        arg = selector.partition(":")[2]
-        return OperatorFamily(selector, grid, LambdaOperator(float(arg or 0.0), grid))
+        return quantize(reduction.branch_symbol(split, branch, part), grid)
     sym = catalog.make_symbol(selector)
     if sym.requires_path:
         raise ValueError(
             f"operator family {selector!r} depends on the driving path and "
             "cannot be frozen across simulated paths")
-    return OperatorFamily(selector, grid, SpdoOperator(sym, grid))
+    return quantize(sym, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +192,8 @@ class CarlemanReport:
 # per-path evaluation
 
 
-def path_terms(z: Semimartingale, a1: OperatorFamily, b1: OperatorFamily,
-               b1_adjoint: OperatorFamily, mu: float) -> np.ndarray:
+def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
+               b1_adjoint: SpdoOperator, mu: float) -> np.ndarray:
     """Six inequality terms along one realized path, (term1, term2, r1..r4),
     with the weight scaled by e^{-mu T^2}."""
     if z.grid != a1.grid or z.grid != b1.grid:
@@ -250,7 +206,7 @@ def path_terms(z: Semimartingale, a1: OperatorFamily, b1: OperatorFamily,
     trap[0] = trap[-1] = dt / 2.0
 
     coeffs = z.coefficients.reshape(tg.steps + 1, -1)  # (K+1, S)
-    b1_z = b1.apply(coeffs)
+    b1_z = b1.apply_coefficients(coeffs)
 
     def pair(f, g):
         # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
@@ -264,13 +220,13 @@ def path_terms(z: Semimartingale, a1: OperatorFamily, b1: OperatorFamily,
 
     dz = coeffs[1:] - coeffs[:-1]
     ks = slice(0, tg.steps)
-    bracket = -1j * dz - dt * a1.apply(coeffs[ks]) - 1j * dt * b1_z[ks]
+    bracket = -1j * dz - dt * a1.apply_coefficients(coeffs[ks]) - 1j * dt * b1_z[ks]
     # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
     r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, mixed[ks]).imag))
-    if b1_adjoint.operator is b1.operator:
+    if b1_adjoint is b1:
         r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
     else:
-        skew = b1_z[ks] - b1_adjoint.apply(coeffs[ks])
+        skew = b1_z[ks] - b1_adjoint.apply_coefficients(coeffs[ks])
         r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
     qv = pair(dz, dz).real
     r3 = float(-2.0 * np.sum(shift[ks] * weight[ks] * qv))

@@ -13,7 +13,7 @@ CATALOG_PRINCIPALS for the registry.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ def _const_like(x: Coords, xi: Coords, value: complex) -> np.ndarray:
 
 def _bare_constant(value: complex, name: str | None = None) -> Symbol:
     return Symbol(name or f"const[{value}]", 0.0,
-                  lambda t, slc, x, xi: _const_like(x, xi, value))
+                  lambda t, slc, x, xi: _const_like(x, xi, value), x_dependent=False)
 
 
 def constant(value: complex, name: str | None = None) -> Symbol:
@@ -62,12 +62,12 @@ def lambda_symbol(s: float) -> Symbol:
     def fn(t, slc, x, xi):
         return _const_like(x, (), 1.0) * (1.0 + abs2(xi)) ** (s / 2.0)
 
-    sym = Symbol(f"lambda[{s}]", s, fn)
+    sym = Symbol(f"lambda[{s}]", s, fn, x_dependent=False)
     if s != 0.0:
         def partial(axis):
             def dfn(t, slc, x, xi, axis=axis):
                 return _const_like(x, (), s) * xi[axis] * (1.0 + abs2(xi)) ** ((s - 2.0) / 2.0)
-            return Symbol(f"d_xi{axis} lambda[{s}]", s - 1.0, dfn)
+            return Symbol(f"d_xi{axis} lambda[{s}]", s - 1.0, dfn, x_dependent=False)
         sym.xi_partials = (partial(0), partial(1))
     else:
         z = zero_symbol()
@@ -81,7 +81,7 @@ def xi_symbol(axis: int = 0) -> Symbol:
     def fn(t, slc, x, xi, axis=axis):
         return _const_like(x, (), 1.0) * xi[axis].astype(complex)
 
-    sym = Symbol(f"xi{axis}", 1.0, fn, homogeneity_degree=1.0)
+    sym = Symbol(f"xi{axis}", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
     parts = [zero_symbol(), zero_symbol()]
     parts[axis] = one()
     sym.xi_partials = tuple(parts)
@@ -99,7 +99,8 @@ def xi_power(degree: int, axis: int = 0) -> Symbol:
     def fn(t, slc, x, xi, axis=axis):
         return _const_like(x, (), 1.0) * xi[axis].astype(complex) ** degree
 
-    sym = Symbol(f"xi{axis}^{degree}", float(degree), fn, homogeneity_degree=float(degree))
+    sym = Symbol(f"xi{axis}^{degree}", float(degree), fn, homogeneity_degree=float(degree),
+                 x_dependent=False)
     parts = [zero_symbol(), zero_symbol()]
     parts[axis] = symbol_scale(float(degree), xi_power(degree - 1, axis))
     sym.xi_partials = tuple(parts)
@@ -114,7 +115,7 @@ def xi_magnitude() -> Symbol:
     def fn(t, slc, x, xi):
         return _const_like(x, (), 1.0) * magnitude(xi).astype(complex)
 
-    sym = Symbol("abs-xi", 1.0, fn, homogeneity_degree=1.0)
+    sym = Symbol("abs-xi", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
 
     def partial(axis):
         def dfn(t, slc, x, xi, axis=axis):
@@ -122,7 +123,7 @@ def xi_magnitude() -> Symbol:
             with np.errstate(invalid="ignore", divide="ignore"):
                 v = np.where(r > 0, xi[axis] / np.where(r > 0, r, 1.0), 0.0)
             return _const_like(x, (), 1.0) * v.astype(complex)
-        return Symbol(f"d_xi{axis} abs-xi", 0.0, dfn)
+        return Symbol(f"d_xi{axis} abs-xi", 0.0, dfn, x_dependent=False)
 
     sym.xi_partials = (partial(0), partial(1))
     z = zero_symbol()
@@ -179,7 +180,8 @@ def brownian_affine(gamma: float) -> Symbol:
         w = 0.0 if slc is None else slc.value(t)
         return _const_like(x, xi, 1.0 + gamma * w)
 
-    sym = Symbol(f"affine-w[{gamma}]", 0.0, fn, requires_path=gamma != 0.0)
+    sym = Symbol(f"affine-w[{gamma}]", 0.0, fn, requires_path=gamma != 0.0,
+                 x_dependent=False)
     z = zero_symbol()
     sym.xi_partials = (z, z)
     sym.x_partials = (z, z)
@@ -199,7 +201,7 @@ def symbol_scale(c: complex, a: Symbol, name: str | None = None) -> Symbol:
                  lambda t, slc, x, xi: c * a.fn(t, slc, x, xi),
                  integrability=a.integrability,
                  homogeneity_degree=a.homogeneity_degree,
-                 requires_path=a.requires_path)
+                 requires_path=a.requires_path, x_dependent=a.x_dependent)
     if a.xi_partials is not None:
         sym.xi_partials = tuple(None if p is None else symbol_scale(c, p) for p in a.xi_partials)
     if a.x_partials is not None:
@@ -211,7 +213,8 @@ def symbol_sum(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
     sym = Symbol(name or f"({a.name}+{b.name})", max(a.order, b.order),
                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) + b.fn(t, slc, x, xi),
                  integrability=min(a.integrability, b.integrability),
-                 requires_path=a.requires_path or b.requires_path)
+                 requires_path=a.requires_path or b.requires_path,
+                 x_dependent=a.x_dependent or b.x_dependent)
     if a.homogeneity_degree is not None and a.homogeneity_degree == b.homogeneity_degree:
         sym.homogeneity_degree = a.homogeneity_degree
     if a.xi_partials is not None and b.xi_partials is not None:
@@ -229,7 +232,8 @@ def symbol_product(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
     sym = Symbol(name or f"{a.name}*{b.name}", a.order + b.order,
                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) * b.fn(t, slc, x, xi),
                  integrability=min(a.integrability, b.integrability),
-                 requires_path=a.requires_path or b.requires_path)
+                 requires_path=a.requires_path or b.requires_path,
+                 x_dependent=a.x_dependent or b.x_dependent)
     if a.homogeneity_degree is not None and b.homogeneity_degree is not None:
         sym.homogeneity_degree = a.homogeneity_degree + b.homogeneity_degree
     if a.xi_partials is not None and b.xi_partials is not None:
@@ -252,7 +256,7 @@ def symbol_conjugate(a: Symbol) -> Symbol:
                  lambda t, slc, x, xi: np.conj(a.fn(t, slc, x, xi)),
                  integrability=a.integrability,
                  homogeneity_degree=a.homogeneity_degree,
-                 requires_path=a.requires_path)
+                 requires_path=a.requires_path, x_dependent=a.x_dependent)
     if a.xi_partials is not None:
         sym.xi_partials = tuple(None if p is None else symbol_conjugate(p) for p in a.xi_partials)
     if a.x_partials is not None:
@@ -262,8 +266,7 @@ def symbol_conjugate(a: Symbol) -> Symbol:
 
 def with_declared_order(a: Symbol, order: float) -> Symbol:
     """Same evaluation rule with a (possibly wrong) declared order, for auditing."""
-    return Symbol(a.name, order, a.fn, a.integrability, a.homogeneity_degree,
-                  a.requires_path, a.xi_partials, a.x_partials)
+    return dataclasses.replace(a, order=order)
 
 
 # ---------------------------------------------------------------------------

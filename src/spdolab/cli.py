@@ -127,8 +127,9 @@ def run_reduce(cfg: ExperimentConfig, out: Path):
 
 
 def run_carleman_scan(cfg: ExperimentConfig, out: Path):
+    # every horizon comes from T-list, so the base horizon is never read
     base = carleman.CarlemanConfig(
-        mu=1.0, horizon=float(cfg["T"]), steps=cfg["K"], paths=cfg["P"],
+        mu=1.0, steps=cfg["K"], paths=cfg["P"],
         grid_points=cfg["M"], dim=cfg["n"], a1=cfg["a1"], b1=cfg["b1"],
         process=cfg["process"], window=cfg["window"], seed=cfg["seed"])
     result = carleman.scan(base, mu_list=cfg.get("mu-list"),

@@ -97,7 +97,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "num-x": Key("int", 8, check=_at_least(1)),
     },
     "carleman-scan": {
-        **_COMMON,
+        # the horizons come from T-list alone, so T is not a key here
+        **{k: v for k, v in _COMMON.items() if k != "T"},
         "K": Key("int", 512, check=_at_least(16)),
         "a1": Key("str", "zero"),
         "b1": Key("str", "zero"),

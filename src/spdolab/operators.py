@@ -2,22 +2,26 @@
 
 An operator acts on spectral fields by the left-quantization sum
 (Au)(x) = sum_xi e^{i x.xi} a(t, w, x, xi) u_hat(xi) over all retained
-frequencies. Operators are frozen at a (t, path-slice) context; dense
-matrices realize the same sum exactly in the value basis and serve as the
-oracle for adjoints and exact composition. Cost is O(size^2) per
-application, accepted at desk scale.
+frequencies, frozen at a (t, path-slice) context. A symbol declared free of
+x quantizes to a Fourier multiplier m(xi), so applying the operator or its
+adjoint is one diagonal multiply by m or conj(m) in coefficients. Any other
+symbol acts through its modulation table e^{i x.xi} a(x, xi) at O(size^2)
+per application, accepted at desk scale; the table is cached up to
+_MOD_CACHE_MAX points and streamed in frequency blocks above. An adjoint is
+the same operator with a flag, never a dense matrix. Dense value-basis
+matrices remain the oracle for tests and for exact composition.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContextMismatchError, DenseCapError, EllipticityError, GridMismatchError
-from .grid import SpectralField, TorusGrid, l2_norm, sobolev_norm
+from .grid import SpectralField, TorusGrid, sobolev_norm
 from .paths import PathSlice, derive_rng, STREAM_TRIAL_FIELDS
 from .symbols import EllipticityReport, Symbol, check_elliptic
 from . import catalog
@@ -36,7 +40,7 @@ def _flat_frequencies(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     return tuple(g.ravel() for g in grid.frequency_grids())
 
 
-def _same_context(a: "SpdoOperator", b: "SpdoOperator") -> bool:
+def _same_context(a, b) -> bool:
     if a.t != b.t:
         return False
     if a.slc is None and b.slc is None:
@@ -47,58 +51,60 @@ def _same_context(a: "SpdoOperator", b: "SpdoOperator") -> bool:
             and a.slc.cutoff_index == b.slc.cutoff_index)
 
 
-class _OperatorBase:
-    """Shared field/array plumbing; concrete classes define apply_many."""
+def _check_grid(grid: TorusGrid, u: SpectralField) -> None:
+    if u.grid != grid:
+        raise GridMismatchError(f"field on {u.grid} does not match operator grid {grid}")
 
-    grid: TorusGrid
 
-    def _check_grid(self, u: SpectralField) -> None:
-        if u.grid != self.grid:
-            raise GridMismatchError(
-                f"field on {u.grid} does not match operator grid {self.grid}")
+def _check_dense_cap(grid: TorusGrid) -> None:
+    if grid.size > DENSE_CAP:
+        raise DenseCapError(f"grid size {grid.size} exceeds dense cap {DENSE_CAP}")
 
-    def apply(self, u: SpectralField) -> SpectralField:
-        self._check_grid(u)
-        out = self.apply_many(u.values.reshape(-1, 1))[:, 0]
-        return SpectralField.from_values(self.grid, out.reshape(self.grid.shape))
 
-    def apply_many(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+def _analysis(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Forward-normalized transform of each column of a (size, n) value array."""
+    cols = values.reshape(grid.shape + (values.shape[-1],))
+    hat = np.fft.fftn(cols, axes=tuple(range(grid.dim)), norm="forward")
+    return hat.reshape(grid.size, values.shape[-1])
 
-    def _coeff_columns(self, values: np.ndarray) -> np.ndarray:
-        """Forward-normalized transform of each column, flattened back."""
-        cols = values.reshape(self.grid.shape + (values.shape[-1],))
-        axes = tuple(range(self.grid.dim))
-        hat = np.fft.fftn(cols, axes=axes, norm="forward")
-        return hat.reshape(self.grid.size, values.shape[-1])
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """The operator in the Fourier-coefficient basis: column j holds the
-        coefficients of its image of the j-th pure mode (FFT layout, flattened)."""
-        size = self.grid.size
-        if size > DENSE_CAP:
-            raise DenseCapError(f"grid size {size} exceeds dense cap {DENSE_CAP}")
-        axes = tuple(range(self.grid.dim))
-        modes = np.fft.ifftn(np.eye(size).reshape(self.grid.shape + (size,)),
-                             axes=axes, norm="forward")
-        return self._coeff_columns(self.apply_many(modes.reshape(size, size)))
+def _synthesis(grid: TorusGrid, hat: np.ndarray, norm: str = "forward") -> np.ndarray:
+    """Inverse of `_analysis` per column; norm="backward" adds the 1/size factor."""
+    cols = hat.reshape(grid.shape + (hat.shape[-1],))
+    values = np.fft.ifftn(cols, axes=tuple(range(grid.dim)), norm=norm)
+    return values.reshape(grid.size, hat.shape[-1])
 
 
 @dataclass
-class SpdoOperator(_OperatorBase):
-    """Symbol frozen at a (t, path-slice) context, acting on one grid."""
+class SpdoOperator:
+    """Symbol frozen at a (t, path-slice) context, acting on one grid.
+
+    With `adjointed` set it is the L2 adjoint of that quantization. An
+    operator and its adjoint share one cache: the multiplier, the modulation
+    table, the coefficient-row matrix and the dense oracle.
+    """
 
     symbol: Symbol
     grid: TorusGrid
     t: float = 0.0
     slc: PathSlice | None = None
-    dense_cap: int = DENSE_CAP
-    _mod: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    adjointed: bool = False
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def order(self) -> float:
         return self.symbol.order
+
+    def _multiplier(self) -> np.ndarray:
+        """m(xi) = a(t, w, 0, xi) over the flattened frequencies; real when it can be."""
+        if "m" not in self._cache:
+            x0 = tuple(np.zeros((1, 1)) for _ in range(self.grid.dim))
+            xi = tuple(c.reshape(1, -1) for c in _flat_frequencies(self.grid))
+            vals = np.asarray(self.symbol.fn(self.t, self.slc, x0, xi), dtype=complex)
+            m = np.broadcast_to(vals, (1, self.grid.size)).ravel()
+            self._cache["m"] = m.real.copy() if not np.any(m.imag) else m
+        m = self._cache["m"]
+        return np.conj(m) if self.adjointed else m
 
     def _mod_blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
         """Modulation-table blocks  e^{i x.xi} a(x, xi)  over frequency slabs."""
@@ -115,52 +121,84 @@ class SpdoOperator(_OperatorBase):
                 phase.shape)
             yield sel, np.exp(1j * phase) * vals
 
-    def _modulation_table(self) -> np.ndarray:
-        if self._mod is None:
-            table = np.empty((self.grid.size, self.grid.size), dtype=complex)
-            for sel, block in self._mod_blocks():
-                table[:, sel] = block
-            self._mod = table
-        return self._mod
+    def _table_blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
+        """The whole cached table as one block up to _MOD_CACHE_MAX, streamed above."""
+        if self.grid.size > _MOD_CACHE_MAX:
+            yield from self._mod_blocks()
+            return
+        if "table" not in self._cache:
+            self._cache["table"] = np.hstack([block for _, block in self._mod_blocks()])
+        yield slice(None), self._cache["table"]
+
+    def apply(self, u: SpectralField) -> SpectralField:
+        _check_grid(self.grid, u)
+        if not self.symbol.x_dependent:
+            m = self._multiplier().reshape(self.grid.shape)
+            return SpectralField.from_coefficients(self.grid, u.coefficients * m)
+        out = self.apply_many(u.values.reshape(-1, 1))
+        return SpectralField.from_values(self.grid, out.reshape(self.grid.shape))
 
     def apply_many(self, values: np.ndarray) -> np.ndarray:
-        hat = self._coeff_columns(values)
-        if self.grid.size <= _MOD_CACHE_MAX:
-            return self._modulation_table() @ hat
+        """Apply to every column of a (size, n) array of grid values."""
+        if not self.symbol.x_dependent:
+            hat = _analysis(self.grid, values)
+            return _synthesis(self.grid, self._multiplier()[:, None] * hat)
+        if self.adjointed:
+            # A = T F with T the table and F the analysis, so A* v = F^H (T^H v),
+            # and F^H is the backward-normalized inverse transform
+            vh = values.conj().T
+            w = np.empty((self.grid.size, values.shape[-1]), dtype=complex)
+            for sel, block in self._table_blocks():
+                w[sel] = (vh @ block).conj().T
+            return _synthesis(self.grid, w, norm="backward")
+        hat = _analysis(self.grid, values)
         out = np.zeros_like(hat)
-        for sel, block in self._mod_blocks():
+        for sel, block in self._table_blocks():
             out += block @ hat[sel]
         return out
 
+    def apply_coefficients(self, rows: np.ndarray) -> np.ndarray:
+        """Apply to every row of an (n, size) array of flattened Fourier coefficients."""
+        if not self.symbol.x_dependent:
+            return rows * self._multiplier()
+        if "rows" not in self._cache:
+            # C[eta, xi] is coefficient eta of the image of e^{i x.xi}; rows take C^T
+            _check_dense_cap(self.grid)
+            c_t = np.empty((self.grid.size, self.grid.size), dtype=complex)
+            for sel, block in self._table_blocks():
+                c_t[sel] = _analysis(self.grid, block).T
+            self._cache["rows"] = c_t
+        if not self.adjointed:
+            return rows @ self._cache["rows"]
+        if "rows-adj" not in self._cache:
+            self._cache["rows-adj"] = np.ascontiguousarray(self._cache["rows"].T.conj())
+        return rows @ self._cache["rows-adj"]
+
+    def adjoint(self) -> "SpdoOperator":
+        if not self.symbol.x_dependent and not np.iscomplexobj(self._multiplier()):
+            return self  # a real multiplier is exactly self-adjoint in the discrete pairing
+        return replace(self, adjointed=not self.adjointed)
+
     def dense_matrix(self) -> np.ndarray:
-        """Value-basis matrix: modulation table times the analysis transform."""
-        if self._dense is None:
+        """Value-basis matrix, the test oracle: modulation table times the analysis."""
+        if "dense" not in self._cache:
+            _check_dense_cap(self.grid)
             size = self.grid.size
-            if size > self.dense_cap:
-                raise DenseCapError(
-                    f"grid size {size} exceeds dense cap {self.dense_cap}")
             xs = _flat_nodes(self.grid)
             qs = _flat_frequencies(self.grid)
             phase = sum(np.outer(q, x) for q, x in zip(qs, xs))
             analysis = np.exp(-1j * phase) / size
-            if size <= _MOD_CACHE_MAX:
-                self._dense = self._modulation_table() @ analysis
-            else:
-                dense = np.zeros((size, size), dtype=complex)
-                for sel, block in self._mod_blocks():
-                    dense += block @ analysis[sel]
-                self._dense = dense
-        return self._dense
-
-    def adjoint(self) -> "MatrixOperator":
-        return MatrixOperator(self.grid, self.dense_matrix().conj().T,
-                              name=f"adj[{self.symbol.name}]", t=self.t, slc=self.slc,
-                              order=self.symbol.order)
+            dense = np.zeros((size, size), dtype=complex)
+            for sel, block in self._table_blocks():
+                dense += block @ analysis[sel]
+            self._cache["dense"] = dense
+        dense = self._cache["dense"]
+        return dense.conj().T if self.adjointed else dense
 
 
 @dataclass
-class MatrixOperator(_OperatorBase):
-    """Explicit value-basis matrix; closed under adjoint and product."""
+class MatrixOperator:
+    """Explicit value-basis matrix: the result of exact composition, a test oracle."""
 
     grid: TorusGrid
     matrix: np.ndarray
@@ -174,66 +212,13 @@ class MatrixOperator(_OperatorBase):
             raise GridMismatchError(
                 f"matrix shape {self.matrix.shape} does not fit grid size {self.grid.size}")
 
-    def apply_many(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ values
+    def apply(self, u: SpectralField) -> SpectralField:
+        _check_grid(self.grid, u)
+        return SpectralField.from_values(
+            self.grid, (self.matrix @ u.values.ravel()).reshape(self.grid.shape))
 
     def dense_matrix(self) -> np.ndarray:
         return self.matrix
-
-    def adjoint(self) -> "MatrixOperator":
-        return MatrixOperator(self.grid, self.matrix.conj().T, f"adj[{self.name}]",
-                              self.t, self.slc, self.order)
-
-
-@dataclass
-class LambdaOperator(_OperatorBase):
-    """Diagonal regularity shift: multiplier (1 + |xi|^2)^(s/2) in frequency."""
-
-    s: float
-    grid: TorusGrid
-    t: float = 0.0
-    slc: PathSlice | None = None
-
-    @property
-    def symbol(self) -> Symbol:
-        return catalog.lambda_symbol(self.s)
-
-    @property
-    def order(self) -> float:
-        return self.s
-
-    def multiplier(self) -> np.ndarray:
-        return (1.0 + self.grid.frequency_magnitude() ** 2) ** (self.s / 2.0)
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        self._check_grid(u)
-        return SpectralField.from_coefficients(self.grid, u.coefficients * self.multiplier())
-
-    def apply_many(self, values: np.ndarray) -> np.ndarray:
-        hat = self._coeff_columns(values)
-        m = self.multiplier().ravel()
-        shaped = (m[:, None] * hat).reshape(self.grid.shape + (values.shape[-1],))
-        axes = tuple(range(self.grid.dim))
-        return np.fft.ifftn(shaped, axes=axes, norm="forward").reshape(values.shape)
-
-    def dense_matrix(self) -> np.ndarray:
-        size = self.grid.size
-        if size > DENSE_CAP:
-            raise DenseCapError(f"grid size {size} exceeds dense cap {DENSE_CAP}")
-        xs = _flat_nodes(self.grid)
-        qs = _flat_frequencies(self.grid)
-        phase = sum(np.outer(x, q) for x, q in zip(xs, qs))
-        m = self.multiplier().ravel()
-        synthesis = np.exp(1j * phase) * m[None, :]
-        analysis = np.exp(-1j * phase.T) / size
-        return synthesis @ analysis
-
-    def adjoint(self) -> "LambdaOperator":
-        # real even multiplier: exactly self-adjoint in the discrete pairing
-        return self
-
-
-LinearOperator = Union[SpdoOperator, MatrixOperator, LambdaOperator]
 
 
 def quantize(symbol: Symbol, grid: TorusGrid, t: float = 0.0,
@@ -261,7 +246,7 @@ def _fd_partial(sym: Symbol, kind: str, axis: int, rel_step: float = 1e-5) -> Sy
 
     drop = 1.0 if kind == "xi" else 0.0
     return Symbol(f"fd-d{kind}{axis}[{sym.name}]", sym.order - drop, dfn,
-                  requires_path=sym.requires_path)
+                  requires_path=sym.requires_path, x_dependent=sym.x_dependent)
 
 
 def composition_symbol(a: Symbol, b: Symbol, dim: int) -> Symbol:
@@ -279,32 +264,26 @@ def composition_symbol(a: Symbol, b: Symbol, dim: int) -> Symbol:
 
 @dataclass
 class CompositionResult:
-    operator: LinearOperator
+    operator: SpdoOperator | MatrixOperator
     mode: str
     symbol: Symbol | None = None
 
 
-def compose(a: LinearOperator, b: LinearOperator, mode: str = "exact") -> CompositionResult:
+def compose(a: SpdoOperator, b: SpdoOperator, mode: str = "exact") -> CompositionResult:
     if a.grid != b.grid:
         raise GridMismatchError("operators live on different grids")
-    if isinstance(a, SpdoOperator) and isinstance(b, SpdoOperator) and not _same_context(a, b):
+    if not _same_context(a, b):
         raise ContextMismatchError("operators frozen at different (t, path) contexts")
     if mode == "exact":
         product = a.dense_matrix() @ b.dense_matrix()
-        t = getattr(a, "t", 0.0)
-        slc = getattr(a, "slc", None)
         return CompositionResult(
-            MatrixOperator(a.grid, product, "compose-exact", t, slc,
+            MatrixOperator(a.grid, product, "compose-exact", a.t, a.slc,
                            order=a.order + b.order), mode)
     if mode == "asymptotic-1":
-        sa = getattr(a, "symbol", None)
-        sb = getattr(b, "symbol", None)
-        if sa is None or sb is None:
-            raise ValueError("asymptotic composition needs symbol-backed operators")
-        sigma = composition_symbol(sa, sb, a.grid.dim)
-        t = getattr(a, "t", 0.0)
-        slc = getattr(a, "slc", None)
-        return CompositionResult(SpdoOperator(sigma, a.grid, t, slc), mode, sigma)
+        if not all(isinstance(op, SpdoOperator) and not op.adjointed for op in (a, b)):
+            raise ValueError("asymptotic composition needs quantized symbols, not adjoints")
+        sigma = composition_symbol(a.symbol, b.symbol, a.grid.dim)
+        return CompositionResult(SpdoOperator(sigma, a.grid, a.t, a.slc), mode, sigma)
     raise ValueError(f"unknown composition mode {mode!r}")
 
 
@@ -397,13 +376,14 @@ def parametrix_symbol(a: Symbol, lower: float) -> Symbol:
         safe = np.where(live, vals, 1.0)
         return np.where(live, chi / safe, 0.0)
 
-    return Symbol(f"parametrix[{a.name}]", -a.order, fn, requires_path=a.requires_path)
+    return Symbol(f"parametrix[{a.name}]", -a.order, fn, requires_path=a.requires_path,
+                  x_dependent=a.x_dependent)
 
 
 @dataclass
 class ParametrixResult:
     left: SpdoOperator
-    right: MatrixOperator
+    right: SpdoOperator
     ellipticity: EllipticityReport
     lower_frequency_bound: float
 
@@ -456,14 +436,14 @@ def parametrix_residual_scan(result: ParametrixResult, op: SpdoOperator,
     if frequencies is None:
         top = grid.frequency_cutoff // 2
         frequencies = sorted(set(np.geomspace(8, top, 7).astype(int))) if top >= 8 else [top]
-    rows = []
-    for k in frequencies:
-        mode = SpectralField.pure_mode(grid, (int(k),) + (0,) * (grid.dim - 1))
-        if side == "left":
-            out = result.left.apply(op.apply(mode)) - mode
-        else:
-            out = op.apply(result.right.apply(mode)) - mode
-        rows.append(ResidualRow(int(k), l2_norm(out)))
+    modes = np.stack([SpectralField.pure_mode(grid, (int(k),) + (0,) * (grid.dim - 1))
+                      .values.ravel() for k in frequencies], axis=1)
+    if side == "left":
+        out = result.left.apply_many(op.apply_many(modes)) - modes
+    else:
+        out = op.apply_many(result.right.apply_many(modes)) - modes
+    norms = np.sqrt(np.mean(np.abs(out) ** 2, axis=0))
+    rows = [ResidualRow(int(k), float(r)) for k, r in zip(frequencies, norms)]
     ks = np.array([r.frequency for r in rows], dtype=float)
     rs = np.array([r.residual_norm for r in rows])
     live = rs > 1e-13

@@ -61,15 +61,6 @@ def exponential_profile(rate: complex, amplitude: complex = 1.0) -> TimeProfile:
     return TimeProfile(f"exp[{rate}t]", rule)
 
 
-def polynomial_profile(coeffs: Sequence[complex]) -> TimeProfile:
-    c = tuple(coeffs)
-
-    def rule(j, t):
-        return sum(c[d] * math.factorial(d) / math.factorial(d - j) * t ** (d - j)
-                   for d in range(j, len(c)))
-    return TimeProfile(f"poly{list(c)}", rule)
-
-
 @dataclass(frozen=True)
 class ManufacturedSolution:
     """Finite mode sum  u(t, x) = sum_r phi_r(t) e^{i k_r . x}."""
@@ -121,10 +112,6 @@ class CompanionState:
 
     def field(self, component: int, node: int) -> SpectralField:
         return SpectralField.from_coefficients(self.grid, self.stacks[component][node])
-
-    def vector_at(self, node: int) -> np.ndarray:
-        """(m, size) coefficient rows of every component at one time node."""
-        return np.stack([s[node].ravel() for s in self.stacks])
 
 
 def build_companion_state(snapshots: Sequence[SpectralField], m: int,
@@ -385,7 +372,7 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
 
     label = {"re": "Re", "im": "Im", "full": ""}[part]
     return Symbol(f"branch{branch}-{label}[{ps.name}]", 1.0, fn,
-                  homogeneity_degree=1.0)
+                  homogeneity_degree=1.0, x_dependent=False)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +393,8 @@ def _last_row_operators(ps: PrincipalSymbol, grid: TorusGrid, t: float,
             return val * lam
 
         # c_{j-1} has frequency degree m - j + 1, the bracket adds j - m
-        ops.append(SpdoOperator(Symbol(f"row[{ps.name};{j}]", 1.0, sym_fn), grid, t, slc))
+        sym = Symbol(f"row[{ps.name};{j}]", 1.0, sym_fn, x_dependent=ps.x_dependent)
+        ops.append(SpdoOperator(sym, grid, t, slc))
     return ops
 
 
@@ -441,7 +429,8 @@ def _scalar_defect(man: ManufacturedSolution, ps: PrincipalSymbol, grid: TorusGr
         def sym_fn(tt, ss, x, xi, rule=rule):
             return np.asarray(rule(tt, ss, x, xi), dtype=complex)
 
-        op = SpdoOperator(Symbol(f"coef{k}", float(m - k), sym_fn), grid, t, slc)
+        sym = Symbol(f"coef{k}", float(m - k), sym_fn, x_dependent=ps.x_dependent)
+        op = SpdoOperator(sym, grid, t, slc)
         out = out - op.apply(man.dt_field(k, t))
     for k, sym in lower_order:
         op = SpdoOperator(sym, grid, t, slc)

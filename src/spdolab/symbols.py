@@ -51,7 +51,9 @@ class Symbol:
 
     `xi_partials` / `x_partials` optionally hold closed-form first derivatives
     per axis (used by asymptotic composition); verification never relies on
-    them and differentiates numerically instead.
+    them and differentiates numerically instead. `x_dependent = False`
+    declares that the value does not change with x, so quantization is a
+    Fourier multiplier.
     """
 
     name: str
@@ -60,6 +62,7 @@ class Symbol:
     integrability: float = math.inf
     homogeneity_degree: float | None = None
     requires_path: bool = False
+    x_dependent: bool = True
     xi_partials: tuple["Symbol", ...] | None = field(default=None, repr=False)
     x_partials: tuple["Symbol", ...] | None = field(default=None, repr=False)
 
@@ -162,7 +165,6 @@ class SymbolOrderReport:
     declared_order: float
     tolerance: float
     entries: list[SymbolOrderEntry]
-    m_time_estimates: dict[float, float]
     integrability: float
     integrable_on_sample: bool
 
@@ -245,7 +247,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
     else:
         p = symbol.integrability
         integ_ok = math.isfinite(sum(v**p for v in m_time.values()))
-    return SymbolOrderReport(symbol.name, symbol.order, tolerance, entries, m_time,
+    return SymbolOrderReport(symbol.name, symbol.order, tolerance, entries,
                              symbol.integrability, integ_ok)
 
 

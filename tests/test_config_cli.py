@@ -37,6 +37,13 @@ class TestConfigParsing:
         assert err.value.key == "T"
         assert "T" in str(err.value)
 
+    def test_carleman_scan_rejects_horizon(self, tmp_path):
+        # the scan takes every horizon from T-list, so a T key would do nothing
+        text = "command = carleman-scan\nb1 = lambda:1\nT = 0.5\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert err.value.key == "T" and err.value.line == 3
+
     def test_unknown_key_carries_line(self, tmp_path):
         text = "command = roots-check\nprincipal = wave:2\nwavelet = 3\n"
         with pytest.raises(ConfigError) as err:

@@ -1,14 +1,19 @@
 """Quantization, adjoints, composition, boundedness, and parametrix checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdolab import (DenseCapError, EllipticityError, GridMismatchError,
-                     LambdaOperator, SpectralField, TorusGrid, boundedness_harness,
-                     compose, inner, l2_norm, parametrix, parametrix_residual_scan,
-                     quantize, random_band_limited_field)
-from spdolab.catalog import make_symbol
+                     SpdoOperator, SpectralField, TimeGrid, TorusGrid,
+                     boundedness_harness, compose, inner, l2_norm, parametrix,
+                     parametrix_residual_scan, quantize, random_band_limited_field,
+                     sample_brownian)
+from spdolab import operators
+from spdolab.catalog import CATALOG_SYMBOLS, make_principal, make_symbol, symbol_scale
+from spdolab.reduction import branch_symbol, split_roots
 
 GRID = TorusGrid(1, 32)
 N = GRID.frequency_cutoff
@@ -82,21 +87,25 @@ class TestQuantization:
             op.apply(SpectralField.pure_mode(TorusGrid(1, 64), 1))
 
 
+def lambda_operator(s, grid):
+    return quantize(make_symbol(f"lambda:{s}"), grid)
+
+
 class TestLambdaOperator:
     def test_inverse_pair(self):
-        up = LambdaOperator(1.0, GRID)
-        down = LambdaOperator(-1.0, GRID)
+        up = lambda_operator(1.0, GRID)
+        down = lambda_operator(-1.0, GRID)
         u = band_field(GRID, 3)
         assert l2_norm(down.apply(up.apply(u)) - u) <= 1e-12
 
     def test_matches_quantized_symbol(self):
         op = quantize(make_symbol("lambda:2"), GRID)
-        lam = LambdaOperator(2.0, GRID)
+        lam = lambda_operator(2.0, GRID)
         u = band_field(GRID, 5)
         assert l2_norm(op.apply(u) - lam.apply(u)) <= 1e-11
 
     def test_self_adjoint(self):
-        lam = LambdaOperator(1.0, GRID)
+        lam = lambda_operator(1.0, GRID)
         u, v = band_field(GRID, 1), band_field(GRID, 2)
         assert abs(inner(lam.apply(u), v) - inner(u, lam.apply(v))) <= 1e-12
 
@@ -115,6 +124,86 @@ class TestAdjoint:
         u = band_field(GRID, 9)
         back = op.adjoint().adjoint()
         assert l2_norm(back.apply(u) - op.apply(u)) <= 1e-11
+
+
+class TestStreamedAdjoint:
+    """Above _MOD_CACHE_MAX points the table is streamed, for the adjoint too."""
+
+    def test_pairing_and_double_adjoint(self, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("the streamed adjoint must not build a dense matrix")
+
+        monkeypatch.setattr(SpdoOperator, "dense_matrix", no_dense)
+        # 64^2 is the smallest two-dimensional power-of-two grid above the cache size
+        grid = TorusGrid(2, 64)
+        assert grid.size > operators._MOD_CACHE_MAX
+        op = quantize(make_symbol("trig-lambda:2,1,0,1"), grid)
+        u, v = band_field(grid, 21), band_field(grid, 22)
+        au = op.apply(u)
+        assert abs(inner(au, v) - inner(u, op.adjoint().apply(v))) <= 1e-11
+        back = op.adjoint().adjoint()
+        assert l2_norm(back.apply(u) - au) <= 1e-11
+
+
+# one argument list per catalog entry; reduction branches are added per grid
+CATALOG_SAMPLES = {
+    "one": "one", "zero": "zero", "const": "const:2.5", "lambda": "lambda:1",
+    "xi": "xi", "c-dx": "c-dx:2", "xi2": "xi2", "xi-poly": "xi-poly:1,2,3",
+    "abs-xi": "abs-xi", "trig": "trig:2,1,0.5", "trig-lambda": "trig-lambda:2,1,0,1",
+    "mod": "mod:3", "mod-xi": "mod-xi:2", "affine-w": "affine-w:0.5",
+    "brownian-lambda": "brownian-lambda:0.5,1",
+}
+X_FREE = {"one", "zero", "const", "lambda", "xi", "c-dx", "xi2", "xi-poly", "abs-xi",
+          "affine-w", "brownian-lambda"}
+
+
+def x_free_symbols(dim):
+    syms = [make_symbol(sel) for sel in CATALOG_SAMPLES.values()]
+    syms.append(branch_symbol(split_roots(make_principal("laplace"), dim), 1, "im"))
+    syms.append(symbol_scale(1j, make_symbol("xi")))  # a complex multiplier
+    return [sym for sym in syms if not sym.x_dependent]
+
+
+class TestXFreeDeclarations:
+    """A symbol declared free of x quantizes to a multiplier: a wrong flag
+    would silently give a wrong operator."""
+
+    tg = TimeGrid(0.25, 16)
+    t, slc = tg.node(8), sample_brownian(3, 0, tg).slice_at(8)
+
+    def test_samples_cover_the_catalog(self):
+        assert set(CATALOG_SAMPLES) == set(CATALOG_SYMBOLS)
+        declared = {name for name, sel in CATALOG_SAMPLES.items()
+                    if not make_symbol(sel).x_dependent}
+        assert declared == X_FREE
+
+    @pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)])
+    def test_values_do_not_change_with_x(self, dim, m):
+        grid = TorusGrid(dim, m)
+        xi = tuple(g.reshape(1, -1) for g in grid.frequency_grids())
+        rng = np.random.default_rng(8)
+        for sym in x_free_symbols(dim):
+            vals = []
+            for x in rng.uniform(0.0, 2.0 * np.pi, size=(8, dim)):
+                x_t = tuple(np.full((1, 1), c) for c in x)
+                out = np.asarray(sym.fn(self.t, self.slc, x_t, xi), dtype=complex)
+                vals.append(np.broadcast_to(out, (1, grid.size)))
+            assert all(np.array_equal(v, vals[0]) for v in vals), sym.name
+
+    @pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)])
+    def test_multiplier_matches_table_path(self, dim, m):
+        grid = TorusGrid(dim, m)
+        u = random_band_limited_field(grid, np.random.default_rng(dim)).values.reshape(-1, 1)
+        rows = np.fft.fftn(u.reshape(grid.shape), norm="forward").reshape(1, -1)
+        for sym in x_free_symbols(dim):
+            fast = quantize(sym, grid, self.t, self.slc)
+            general = quantize(dataclasses.replace(sym, x_dependent=True), grid,
+                               self.t, self.slc)
+            for a, b in ((fast, general), (fast.adjoint(), general.adjoint())):
+                ref_values, ref_rows = b.apply_many(u), b.apply_coefficients(rows)
+                scale = max(1.0, np.max(np.abs(ref_values)))
+                assert np.max(np.abs(a.apply_many(u) - ref_values)) <= 1e-12 * scale, sym.name
+                assert np.max(np.abs(a.apply_coefficients(rows) - ref_rows)) <= 1e-12 * scale
 
 
 class TestComposition:
