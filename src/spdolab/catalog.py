@@ -3,8 +3,9 @@
 Symbols are assembled from three kinds of factors: polynomial/bracket factors
 in the frequency variable, trigonometric profiles or complex modulations in
 the spatial variable, and affine multipliers in the driving path value w(t).
-Each catalog entry carries closed-form first derivatives in xi and x so that
-asymptotic composition does not fall back to finite differences.
+An entry is only an evaluation rule with its declared metadata; whoever needs
+a derivative (order verification, asymptotic composition) takes it
+numerically from the rule.
 
 Entries are addressable by selector strings of the form `name` or
 `name:arg1,arg2,...` (all arguments numeric); see CATALOG_SYMBOLS and
@@ -33,19 +34,9 @@ def _const_like(x: Coords, xi: Coords, value: complex) -> np.ndarray:
 # elementary symbols
 
 
-def _bare_constant(value: complex, name: str | None = None) -> Symbol:
+def constant(value: complex, name: str | None = None) -> Symbol:
     return Symbol(name or f"const[{value}]", 0.0,
                   lambda t, slc, x, xi: _const_like(x, xi, value), x_dependent=False)
-
-
-def constant(value: complex, name: str | None = None) -> Symbol:
-    # partials are bare (derivative-less) zeros: composition is first-order,
-    # so derivative symbols only need to be evaluable, not differentiable
-    sym = _bare_constant(value, name)
-    z = _bare_constant(0.0, "zero")
-    sym.xi_partials = (z, z)
-    sym.x_partials = (z, z)
-    return sym
 
 
 def one() -> Symbol:
@@ -62,32 +53,14 @@ def lambda_symbol(s: float) -> Symbol:
     def fn(t, slc, x, xi):
         return _const_like(x, (), 1.0) * (1.0 + abs2(xi)) ** (s / 2.0)
 
-    sym = Symbol(f"lambda[{s}]", s, fn, x_dependent=False)
-    if s != 0.0:
-        def partial(axis):
-            def dfn(t, slc, x, xi, axis=axis):
-                return _const_like(x, (), s) * xi[axis] * (1.0 + abs2(xi)) ** ((s - 2.0) / 2.0)
-            return Symbol(f"d_xi{axis} lambda[{s}]", s - 1.0, dfn, x_dependent=False)
-        sym.xi_partials = (partial(0), partial(1))
-    else:
-        z = zero_symbol()
-        sym.xi_partials = (z, z)
-    z = zero_symbol()
-    sym.x_partials = (z, z)
-    return sym
+    return Symbol(f"lambda[{s}]", s, fn, x_dependent=False)
 
 
 def xi_symbol(axis: int = 0) -> Symbol:
     def fn(t, slc, x, xi, axis=axis):
         return _const_like(x, (), 1.0) * xi[axis].astype(complex)
 
-    sym = Symbol(f"xi{axis}", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
-    parts = [zero_symbol(), zero_symbol()]
-    parts[axis] = one()
-    sym.xi_partials = tuple(parts)
-    z = zero_symbol()
-    sym.x_partials = (z, z)
-    return sym
+    return Symbol(f"xi{axis}", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
 
 
 def xi_power(degree: int, axis: int = 0) -> Symbol:
@@ -99,78 +72,36 @@ def xi_power(degree: int, axis: int = 0) -> Symbol:
     def fn(t, slc, x, xi, axis=axis):
         return _const_like(x, (), 1.0) * xi[axis].astype(complex) ** degree
 
-    sym = Symbol(f"xi{axis}^{degree}", float(degree), fn, homogeneity_degree=float(degree),
-                 x_dependent=False)
-    parts = [zero_symbol(), zero_symbol()]
-    parts[axis] = symbol_scale(float(degree), xi_power(degree - 1, axis))
-    sym.xi_partials = tuple(parts)
-    z = zero_symbol()
-    sym.x_partials = (z, z)
-    return sym
+    return Symbol(f"xi{axis}^{degree}", float(degree), fn, homogeneity_degree=float(degree),
+                  x_dependent=False)
 
 
 def xi_magnitude() -> Symbol:
-    """|xi|, order 1. The xi = 0 kink is routed to derivative 0 by convention."""
+    """|xi|, order 1."""
 
     def fn(t, slc, x, xi):
         return _const_like(x, (), 1.0) * magnitude(xi).astype(complex)
 
-    sym = Symbol("abs-xi", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
-
-    def partial(axis):
-        def dfn(t, slc, x, xi, axis=axis):
-            r = magnitude(xi)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                v = np.where(r > 0, xi[axis] / np.where(r > 0, r, 1.0), 0.0)
-            return _const_like(x, (), 1.0) * v.astype(complex)
-        return Symbol(f"d_xi{axis} abs-xi", 0.0, dfn, x_dependent=False)
-
-    sym.xi_partials = (partial(0), partial(1))
-    z = zero_symbol()
-    sym.x_partials = (z, z)
-    return sym
-
-
-def _trig_raw(c0: float, c_sin: float, c_cos: float, k: int, axis: int) -> Symbol:
-    def fn(t, slc, x, xi, axis=axis):
-        v = c0 + c_sin * np.sin(k * x[axis]) + c_cos * np.cos(k * x[axis])
-        return _const_like((), xi, 1.0) * np.asarray(v, dtype=complex)
-
-    sym = Symbol(f"trig[{c0},{c_sin},{c_cos};k={k}]", 0.0, fn)
-    z = zero_symbol()
-    sym.xi_partials = (z, z)
-    return sym
+    return Symbol("abs-xi", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
 
 
 def trig_profile(c0: float, c_sin: float, c_cos: float, k: int = 1, axis: int = 0) -> Symbol:
     """x-dependent order-0 factor c0 + c_sin*sin(kx) + c_cos*cos(kx)."""
-    sym = _trig_raw(c0, c_sin, c_cos, k, axis)
-    parts = [zero_symbol(), zero_symbol()]
-    if c_sin or c_cos:
-        # one derivative level is enough for first-order composition
-        parts[axis] = _trig_raw(0.0, -k * c_cos, k * c_sin, k, axis)
-    sym.x_partials = tuple(parts)
-    return sym
 
-
-def _modulation_raw(k: int, axis: int) -> Symbol:
     def fn(t, slc, x, xi, axis=axis):
-        return _const_like((), xi, 1.0) * np.exp(1j * k * np.asarray(x[axis]))
+        v = c0 + c_sin * np.sin(k * x[axis]) + c_cos * np.cos(k * x[axis])
+        return _const_like((), xi, 1.0) * np.asarray(v, dtype=complex)
 
-    sym = Symbol(f"mod[{k}]", 0.0, fn)
-    z = zero_symbol()
-    sym.xi_partials = (z, z)
-    return sym
+    return Symbol(f"trig[{c0},{c_sin},{c_cos};k={k}]", 0.0, fn)
 
 
 def modulation(k: int, axis: int = 0) -> Symbol:
     """Complex modulation e^{i k x}; shifts Fourier modes by k under quantization."""
-    sym = _modulation_raw(k, axis)
-    parts = [zero_symbol(), zero_symbol()]
-    if k:
-        parts[axis] = symbol_scale(1j * k, _modulation_raw(k, axis))
-    sym.x_partials = tuple(parts)
-    return sym
+
+    def fn(t, slc, x, xi, axis=axis):
+        return _const_like((), xi, 1.0) * np.exp(1j * k * np.asarray(x[axis]))
+
+    return Symbol(f"mod[{k}]", 0.0, fn)
 
 
 def brownian_affine(gamma: float) -> Symbol:
@@ -180,33 +111,20 @@ def brownian_affine(gamma: float) -> Symbol:
         w = 0.0 if slc is None else slc.value(t)
         return _const_like(x, xi, 1.0 + gamma * w)
 
-    sym = Symbol(f"affine-w[{gamma}]", 0.0, fn, requires_path=gamma != 0.0,
-                 x_dependent=False)
-    z = zero_symbol()
-    sym.xi_partials = (z, z)
-    sym.x_partials = (z, z)
-    return sym
+    return Symbol(f"affine-w[{gamma}]", 0.0, fn, requires_path=gamma != 0.0,
+                  x_dependent=False)
 
 
 # ---------------------------------------------------------------------------
 # combinators
 
 
-def _both(a: Symbol | None, b: Symbol | None):
-    return a is not None and b is not None
-
-
 def symbol_scale(c: complex, a: Symbol, name: str | None = None) -> Symbol:
-    sym = Symbol(name or f"{c}*{a.name}", a.order,
-                 lambda t, slc, x, xi: c * a.fn(t, slc, x, xi),
-                 integrability=a.integrability,
-                 homogeneity_degree=a.homogeneity_degree,
-                 requires_path=a.requires_path, x_dependent=a.x_dependent)
-    if a.xi_partials is not None:
-        sym.xi_partials = tuple(None if p is None else symbol_scale(c, p) for p in a.xi_partials)
-    if a.x_partials is not None:
-        sym.x_partials = tuple(None if p is None else symbol_scale(c, p) for p in a.x_partials)
-    return sym
+    return Symbol(name or f"{c}*{a.name}", a.order,
+                  lambda t, slc, x, xi: c * a.fn(t, slc, x, xi),
+                  integrability=a.integrability,
+                  homogeneity_degree=a.homogeneity_degree,
+                  requires_path=a.requires_path, x_dependent=a.x_dependent)
 
 
 def symbol_sum(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
@@ -217,14 +135,6 @@ def symbol_sum(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
                  x_dependent=a.x_dependent or b.x_dependent)
     if a.homogeneity_degree is not None and a.homogeneity_degree == b.homogeneity_degree:
         sym.homogeneity_degree = a.homogeneity_degree
-    if a.xi_partials is not None and b.xi_partials is not None:
-        sym.xi_partials = tuple(
-            symbol_sum(pa, pb) if _both(pa, pb) else None
-            for pa, pb in zip(a.xi_partials, b.xi_partials))
-    if a.x_partials is not None and b.x_partials is not None:
-        sym.x_partials = tuple(
-            symbol_sum(pa, pb) if _both(pa, pb) else None
-            for pa, pb in zip(a.x_partials, b.x_partials))
     return sym
 
 
@@ -236,32 +146,15 @@ def symbol_product(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
                  x_dependent=a.x_dependent or b.x_dependent)
     if a.homogeneity_degree is not None and b.homogeneity_degree is not None:
         sym.homogeneity_degree = a.homogeneity_degree + b.homogeneity_degree
-    if a.xi_partials is not None and b.xi_partials is not None:
-        parts = []
-        for pa, pb in zip(a.xi_partials, b.xi_partials):
-            parts.append(symbol_sum(symbol_product(pa, b), symbol_product(a, pb))
-                         if _both(pa, pb) else None)
-        sym.xi_partials = tuple(parts)
-    if a.x_partials is not None and b.x_partials is not None:
-        parts = []
-        for pa, pb in zip(a.x_partials, b.x_partials):
-            parts.append(symbol_sum(symbol_product(pa, b), symbol_product(a, pb))
-                         if _both(pa, pb) else None)
-        sym.x_partials = tuple(parts)
     return sym
 
 
 def symbol_conjugate(a: Symbol) -> Symbol:
-    sym = Symbol(f"conj[{a.name}]", a.order,
-                 lambda t, slc, x, xi: np.conj(a.fn(t, slc, x, xi)),
-                 integrability=a.integrability,
-                 homogeneity_degree=a.homogeneity_degree,
-                 requires_path=a.requires_path, x_dependent=a.x_dependent)
-    if a.xi_partials is not None:
-        sym.xi_partials = tuple(None if p is None else symbol_conjugate(p) for p in a.xi_partials)
-    if a.x_partials is not None:
-        sym.x_partials = tuple(None if p is None else symbol_conjugate(p) for p in a.x_partials)
-    return sym
+    return Symbol(f"conj[{a.name}]", a.order,
+                  lambda t, slc, x, xi: np.conj(a.fn(t, slc, x, xi)),
+                  integrability=a.integrability,
+                  homogeneity_degree=a.homogeneity_degree,
+                  requires_path=a.requires_path, x_dependent=a.x_dependent)
 
 
 def with_declared_order(a: Symbol, order: float) -> Symbol:

@@ -76,7 +76,7 @@ def run_elliptic_parametrix(cfg: ExperimentConfig, out: Path):
     sym = catalog.make_symbol(cfg["symbol"])
     grid = TorusGrid(cfg["n"], cfg["M"])
     op = quantize(sym, grid)
-    built = parametrix(op, lower_frequency_bound=float(cfg["cutoff"]))
+    built = parametrix(op, lower_frequency_bound=float(cfg["cutoff"]), seed=cfg["seed"])
     left = parametrix_residual_scan(built, op, side="left")
     right = parametrix_residual_scan(built, op, side="right")
     rows = [(r.frequency, r.residual_norm, left.fitted_slope) for r in left.rows]

@@ -55,51 +55,59 @@ def _all_positive(xs) -> str | None:
     return None if all(v > 0 for v in xs) else f"entries must be positive, got {xs}"
 
 
-_COMMON = {
+_SHARED = {
     "command": Key("str", required=True),
     "seed": Key("int", 0, check=_nonnegative),
     "n": Key("int", 1, check=_dim),
     "M": Key("int", 128, check=_power_of_two),
-    "T": Key("float", 0.25, check=_positive),
-    "K": Key("int", 512, check=_at_least(2)),
-    "P": Key("int", 256, check=_at_least(1)),
 }
+
+
+def _shared(*keys: str) -> dict[str, Key]:
+    """`command` and `seed`, which every runner reads, plus the named shared keys.
+
+    A schema holds only the keys its runner reads, so any other is rejected.
+    """
+    return {key: _SHARED[key] for key in ("command", "seed", *keys)}
+
 
 SCHEMAS: dict[str, dict[str, Key]] = {
     "symbol-verify": {
-        **_COMMON,
+        **_shared("n"),
         "symbol": Key("str", required=True),
         "l": Key("float"),  # optional declared-order override
     },
     "bounded-test": {
-        **_COMMON,
+        # the harness always runs in one dimension
+        **_shared(),
         "symbol": Key("str", required=True),
         "s": Key("float", 1.0),
         "cutoffs": Key("int-list", (32, 64, 128), check=_all_positive),
         "trials": Key("int", 10, check=_at_least(1)),
     },
     "elliptic-parametrix": {
-        **_COMMON,
+        **_shared("n", "M"),
         "symbol": Key("str", required=True),
         "cutoff": Key("float", 1.0, check=_positive),
     },
     "roots-check": {
-        **_COMMON,
+        **_shared("n"),
         "principal": Key("str", required=True),
         "epsilon": Key("float", 0.1, check=_positive),
         "num-angles": Key("int", 64, check=_at_least(1)),
         "num-x": Key("int", 8, check=_at_least(1)),
     },
     "reduce": {
-        **_COMMON,
+        **_shared("n"),
         "principal": Key("str", required=True),
         "num-angles": Key("int", 64, check=_at_least(1)),
         "num-x": Key("int", 8, check=_at_least(1)),
     },
     "carleman-scan": {
         # the horizons come from T-list alone, so T is not a key here
-        **{k: v for k, v in _COMMON.items() if k != "T"},
+        **_shared("n", "M"),
         "K": Key("int", 512, check=_at_least(16)),
+        "P": Key("int", 256, check=_at_least(1)),
         "a1": Key("str", "zero"),
         "b1": Key("str", "zero"),
         "process": Key("str", "brownian-mode:0.1,1"),

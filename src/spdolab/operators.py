@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContextMismatchError, DenseCapError, EllipticityError, GridMismatchError
 from .grid import SpectralField, TorusGrid, sobolev_norm
 from .paths import PathSlice, derive_rng, STREAM_TRIAL_FIELDS
-from .symbols import EllipticityReport, Symbol, check_elliptic
+from .symbols import EllipticityReport, Symbol, check_elliptic, magnitude
 from . import catalog
 
 DENSE_CAP = 4096
@@ -230,31 +230,33 @@ def quantize(symbol: Symbol, grid: TorusGrid, t: float = 0.0,
 # composition
 
 
-def _fd_partial(sym: Symbol, kind: str, axis: int, rel_step: float = 1e-5) -> Symbol:
-    """Central-difference fallback derivative for symbols without closed forms."""
+def _fd_partial(sym: Symbol, kind: str, axis: int) -> Symbol:
+    """First derivative of `sym` along one xi or x axis, by the fourth-order
+    central stencil (8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h, with
+    h = 1e-3 (1 + |xi|) in xi and h = 1e-3 in x."""
 
     def dfn(t, slc, x, xi):
-        if kind == "xi":
-            h = rel_step * (1.0 + np.sqrt(sum(np.asarray(c) ** 2 for c in xi)))
-            up = tuple(c + h if ax == axis else c for ax, c in enumerate(xi))
-            dn = tuple(c - h if ax == axis else c for ax, c in enumerate(xi))
-            return (sym.fn(t, slc, x, up) - sym.fn(t, slc, x, dn)) / (2.0 * h)
-        h = rel_step
-        up = tuple(c + h if ax == axis else c for ax, c in enumerate(x))
-        dn = tuple(c - h if ax == axis else c for ax, c in enumerate(x))
-        return (sym.fn(t, slc, up, xi) - sym.fn(t, slc, dn, xi)) / (2.0 * h)
+        h = 1e-3 * (1.0 + magnitude(xi)) if kind == "xi" else 1e-3
+
+        def f(step):
+            def shift(cs):
+                return tuple(c + step if ax == axis else c for ax, c in enumerate(cs))
+            return sym.fn(t, slc, x, shift(xi)) if kind == "xi" else sym.fn(t, slc, shift(x), xi)
+
+        return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
 
     drop = 1.0 if kind == "xi" else 0.0
-    return Symbol(f"fd-d{kind}{axis}[{sym.name}]", sym.order - drop, dfn,
+    return Symbol(f"d{kind}{axis}[{sym.name}]", sym.order - drop, dfn,
                   requires_path=sym.requires_path, x_dependent=sym.x_dependent)
 
 
 def composition_symbol(a: Symbol, b: Symbol, dim: int) -> Symbol:
-    """One-term asymptotic composition: a.b + sum_axis d_xi a . D_x b."""
+    """One-term asymptotic composition: a.b + sum_axis d_xi a . D_x b, with
+    D_x = -i d_x and both derivatives taken numerically by `_fd_partial`."""
     total = catalog.symbol_product(a, b)
     for axis in range(dim):
-        da = a.xi_partial(axis) or _fd_partial(a, "xi", axis)
-        db = b.x_partial(axis) or _fd_partial(b, "x", axis)
+        da = _fd_partial(a, "xi", axis)
+        db = _fd_partial(b, "x", axis)
         term = catalog.symbol_product(da, catalog.symbol_scale(-1j, db))
         total = catalog.symbol_sum(total, term)
     total.name = f"comp1[{a.name};{b.name}]"

@@ -460,22 +460,6 @@ def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
 
     lam1 = _bracket_multiplier(grid, 1.0)
     state = exact_companion_state(man, m, time_grid)
-    row_ops = {}  # frozen last-row operators per node index
-
-    def last_row_apply(k: int) -> np.ndarray:
-        if k not in row_ops:
-            row_ops[k] = _last_row_operators(ps, grid, float(nodes[k]), slc)
-        total = np.zeros(grid.shape, dtype=complex)
-        for j, op in enumerate(row_ops[k], start=1):
-            total = total + op.apply(state.field(j - 1, k)).coefficients
-        return total
-
-    def f_stack(k: int) -> np.ndarray:
-        total = np.zeros(grid.shape, dtype=complex)
-        for kk, sym in lower_order:
-            op = SpdoOperator(sym, grid, float(nodes[k]), slc)
-            total = total + op.apply(man.dt_field(kk, float(nodes[k]))).coefficients
-        return total
 
     # closed-form system defect rows at every node
     row_defect_norms = [0.0] * (m - 1)
@@ -488,7 +472,8 @@ def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
             gap = SpectralField.from_coefficients(grid, lhs - rhs)
             row_defect_norms[j - 1] = max(row_defect_norms[j - 1], l2_norm(gap))
         lhs_m = man_component_derivative(man, m, m, t)
-        defect = lhs_m - last_row_apply(k) - f_stack(k)
+        defect = (lhs_m - _last_row_apply(ps, state, k, t, slc)
+                  - _f_stack_at(man, grid, t, slc, lower_order))
         system_norm = max(system_norm,
                           l2_norm(SpectralField.from_coefficients(grid, defect)))
 
@@ -502,10 +487,7 @@ def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
         for k in range(tg.steps):
             t = float(fine_nodes[k])
             dM = (fine.stacks[m - 1][k + 1] - fine.stacks[m - 1][k]) / tg.dt
-            ops = _last_row_operators(ps, grid, t, slc)
-            rhs = np.zeros(grid.shape, dtype=complex)
-            for j, op in enumerate(ops, start=1):
-                rhs = rhs + op.apply(fine.field(j - 1, k)).coefficients
+            rhs = _last_row_apply(ps, fine, k, t, slc)
             defect = -1j * dM - rhs - _f_stack_at(man, grid, t, slc, lower_order)
             scalar_here = _scalar_defect(man, ps, grid, t, slc, lower_order)
             diff = SpectralField.from_coefficients(grid, defect) - scalar_here
@@ -529,6 +511,15 @@ def man_component_derivative(man: ManufacturedSolution, m: int, j: int,
     grid = man.grid
     mult = _bracket_multiplier(grid, m - j)
     return man.dt_field(j, t).coefficients * mult
+
+
+def _last_row_apply(ps: PrincipalSymbol, state: CompanionState, k: int, t: float,
+                    slc: PathSlice | None) -> np.ndarray:
+    """Companion last row frozen at (t, slc), applied to the state at node k."""
+    total = np.zeros(state.grid.shape, dtype=complex)
+    for j, op in enumerate(_last_row_operators(ps, state.grid, t, slc), start=1):
+        total = total + op.apply(state.field(j - 1, k)).coefficients
+    return total
 
 
 def _f_stack_at(man: ManufacturedSolution, grid: TorusGrid, t: float,

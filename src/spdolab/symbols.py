@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -49,9 +49,8 @@ def magnitude(xi: Coords) -> np.ndarray:
 class Symbol:
     """Evaluation rule with declared order and integrability index.
 
-    `xi_partials` / `x_partials` optionally hold closed-form first derivatives
-    per axis (used by asymptotic composition); verification never relies on
-    them and differentiates numerically instead. `x_dependent = False`
+    A symbol carries no derivatives: order verification and asymptotic
+    composition differentiate its rule numerically. `x_dependent = False`
     declares that the value does not change with x, so quantization is a
     Fourier multiplier.
     """
@@ -63,21 +62,9 @@ class Symbol:
     homogeneity_degree: float | None = None
     requires_path: bool = False
     x_dependent: bool = True
-    xi_partials: tuple["Symbol", ...] | None = field(default=None, repr=False)
-    x_partials: tuple["Symbol", ...] | None = field(default=None, repr=False)
 
     def evaluate(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
         return np.asarray(self.fn(t, slc, as_coords(x), as_coords(xi)), dtype=complex)
-
-    def xi_partial(self, axis: int) -> "Symbol | None":
-        if self.xi_partials is None or axis >= len(self.xi_partials):
-            return None
-        return self.xi_partials[axis]
-
-    def x_partial(self, axis: int) -> "Symbol | None":
-        if self.x_partials is None or axis >= len(self.x_partials):
-            return None
-        return self.x_partials[axis]
 
 
 # ---------------------------------------------------------------------------

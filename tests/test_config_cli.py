@@ -20,22 +20,24 @@ def write(tmp_path, text, name="exp.cfg"):
 
 class TestConfigParsing:
     def test_minimal_defaults_filled(self, tmp_path):
+        cfg = parse_config(write(tmp_path, "command = carleman-scan\n"))
+        assert cfg.command == "carleman-scan"
+        assert cfg["M"] == 128 and cfg["K"] == 512 and cfg["P"] == 256
+        assert cfg["T-list"] == (0.0625, 0.125, 0.25) and cfg["seed"] == 0
         cfg = parse_config(write(tmp_path, "command = roots-check\nprincipal = wave:2\n"))
         assert cfg.command == "roots-check"
-        assert cfg["M"] == 128 and cfg["K"] == 512 and cfg["P"] == 256
-        assert cfg["T"] == 0.25 and cfg["seed"] == 0
-        assert cfg["epsilon"] == 0.1
+        assert cfg["epsilon"] == 0.1 and cfg["seed"] == 0
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# experiment\n\ncommand = roots-check  # trailing\nprincipal = laplace\n"
         assert parse_config(write(tmp_path, text))["principal"] == "laplace"
 
     def test_negative_horizon_names_key(self, tmp_path):
-        text = "command = roots-check\nprincipal = wave:2\nT = -0.5\n"
+        text = "command = carleman-scan\nT-list = 0.125, -0.5\n"
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
-        assert err.value.key == "T"
-        assert "T" in str(err.value)
+        assert err.value.key == "T-list"
+        assert "T-list" in str(err.value)
 
     def test_carleman_scan_rejects_horizon(self, tmp_path):
         # the scan takes every horizon from T-list, so a T key would do nothing
@@ -43,6 +45,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(write(tmp_path, text))
         assert err.value.key == "T" and err.value.line == 3
+
+    @pytest.mark.parametrize("command, key", [
+        *[(c, k) for c in ("symbol-verify", "roots-check", "reduce") for k in "MTKP"],
+        *[("bounded-test", k) for k in "nMTKP"],
+        *[("elliptic-parametrix", k) for k in "TKP"],
+    ])
+    def test_key_the_runner_ignores_is_rejected(self, tmp_path, command, key):
+        # every value here would pass the key's old check, so only the schema rejects it
+        required = "principal = wave:2" if command in ("roots-check", "reduce") else "symbol = xi"
+        text = f"command = {command}\n{required}\n{key} = 2\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write(tmp_path, text))
+        assert err.value.key == key and err.value.line == 3
+        assert f"line 3: key '{key}'" in str(err.value)
 
     def test_unknown_key_carries_line(self, tmp_path):
         text = "command = roots-check\nprincipal = wave:2\nwavelet = 3\n"
@@ -72,9 +88,9 @@ class TestConfigParsing:
 
     def test_type_violations(self, tmp_path):
         with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, "command = roots-check\nprincipal = w\nK = ten\n"))
+            parse_config(write(tmp_path, "command = carleman-scan\nK = ten\n"))
         with pytest.raises(ConfigError):
-            parse_config(write(tmp_path, "command = roots-check\nprincipal = w\nM = 100\n"))
+            parse_config(write(tmp_path, "command = carleman-scan\nM = 100\n"))
 
     def test_list_values(self, tmp_path):
         text = ("command = carleman-scan\nT-list = 0.125, 0.25\n"
@@ -89,11 +105,11 @@ class TestConfigParsing:
 
     def test_echo_round_trip(self, tmp_path):
         text = ("command = roots-check\nprincipal = wave:2\nepsilon = 1.0\n"
-                "seed = 7\nM = 64\n")
+                "seed = 7\nn = 2\n")
         echo = parse_config(write(tmp_path, text)).echo()
         assert echo == {"command": "roots-check", "principal": "wave:2",
-                        "epsilon": 1.0, "seed": 7, "M": 64, "n": 1, "T": 0.25,
-                        "K": 512, "P": 256, "num-angles": 64, "num-x": 8}
+                        "epsilon": 1.0, "seed": 7, "n": 2,
+                        "num-angles": 64, "num-x": 8}
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -199,6 +215,17 @@ class TestCliRuns:
         header = (out / "scan.csv").read_text().splitlines()[0].split(",")
         assert header == ["mu", "T", "K", "P", "lhs", "rhs", "gap", "se", "verdict",
                           "term1", "term2", "term3", "term4", "term5", "term6"]
+
+    def test_parametrix_seed_changes_ellipticity_sample(self, tmp_path):
+        text = "command = elliptic-parametrix\nsymbol = brownian-lambda:0.5,1\ncutoff = 8\n"
+        constants = []
+        for seed in (0, 1):
+            code, out = self.run(tmp_path, text, "elliptic-parametrix", out_name=f"s{seed}",
+                                 extra=["--seed", str(seed)])
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            constants.append(report["results"]["ellipticity_constant"])
+        assert constants[0] != constants[1]
 
     def test_parametrix_in_two_dimensions(self, tmp_path):
         text = ("command = elliptic-parametrix\nsymbol = trig-lambda:2,1,0,1\n"

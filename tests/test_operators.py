@@ -1,6 +1,7 @@
 """Quantization, adjoints, composition, boundedness, and parametrix checks."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -247,6 +248,75 @@ class TestComposition:
         b = quantize(make_symbol("xi"), GRID)
         result = compose(a, b, mode="asymptotic-1")
         assert result.symbol.order == 2.0
+
+
+class TestCompositionSymbol:
+    """The one-term symbol a.b - i sum_j d_xi_j a . d_x_j b against closed-form
+    derivatives, in 1-D and 2-D, with a path-dependent factor under a real slice."""
+
+    tg = TimeGrid(0.25, 16)
+    t, slc = tg.node(8), sample_brownian(5, 0, tg).slice_at(8)
+    w = slc.value(tg.node(8))
+
+    @staticmethod
+    def closed_forms(w):
+        # selector -> (a, [d_xi_j a], [d_x_j a]) as functions of (x, xi, j)
+        def bracket(xi, p):
+            return (1.0 + sum(c**2 for c in xi)) ** p
+
+        def mag(xi):
+            return np.sqrt(sum(c**2 for c in xi))
+
+        def e(x):
+            return np.exp(2j * x[0])
+
+        def zero(x, xi, j):
+            return 0.0 * x[0] * xi[0]
+
+        def axis0(f):
+            return lambda x, xi, j: f(x, xi) if j == 0 else 0.0 * x[0] * xi[0]
+
+        return {
+            "lambda:1.5": (lambda x, xi: bracket(xi, 0.75),
+                           lambda x, xi, j: 1.5 * xi[j] * bracket(xi, -0.25), zero),
+            "xi-poly:1,-2,0.5": (lambda x, xi: 1.0 - 2.0 * xi[0] + 0.5 * xi[0] ** 2,
+                                 axis0(lambda x, xi: -2.0 + xi[0]), zero),
+            "abs-xi": (lambda x, xi: mag(xi), lambda x, xi, j: xi[j] / mag(xi), zero),
+            "trig:2,1,-0.5": (lambda x, xi: 2.0 + np.sin(x[0]) - 0.5 * np.cos(x[0]), zero,
+                              axis0(lambda x, xi: np.cos(x[0]) + 0.5 * np.sin(x[0]))),
+            "mod-xi:2": (lambda x, xi: e(x) * xi[0], axis0(lambda x, xi: e(x)),
+                         axis0(lambda x, xi: 2j * e(x) * xi[0])),
+            "brownian-lambda:0.5,1": (lambda x, xi: (1.0 + 0.5 * w) * bracket(xi, 0.5),
+                                      lambda x, xi, j: (1.0 + 0.5 * w) * xi[j] * bracket(xi, -0.5),
+                                      zero),
+        }
+
+    @staticmethod
+    def samples(dim):
+        rng = np.random.default_rng(dim)
+        xi = rng.uniform(-64.0, 64.0, size=(dim, 24))
+        if dim == 1:
+            xi = np.concatenate([xi, [[1.0, -1.0, 37.0, -500.0]]], axis=1)
+        else:
+            # frequencies on each axis, where one component vanishes
+            on_axes = [[3.0, -40.0, 0.0, 0.0, 1.0], [0.0, 0.0, 7.0, -0.5, 1.0]]
+            xi = np.concatenate([xi, on_axes], axis=1)
+        x = rng.uniform(0.0, 2.0 * np.pi, size=(dim, xi.shape[1]))
+        return tuple(x), tuple(xi)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_closed_form_derivatives(self, dim):
+        forms = self.closed_forms(self.w)
+        x, xi = self.samples(dim)
+        assert self.w != 0.0
+        for (sel_a, (a, dxi_a, _)), (sel_b, (b, _, dx_b)) in itertools.product(
+                forms.items(), repeat=2):
+            expected = a(x, xi) * b(x, xi) - 1j * sum(
+                dxi_a(x, xi, j) * dx_b(x, xi, j) for j in range(dim))
+            sigma = operators.composition_symbol(make_symbol(sel_a), make_symbol(sel_b), dim)
+            got = sigma.evaluate(self.t, self.slc, x, xi)
+            err = np.max(np.abs(got - expected))
+            assert err <= 1e-10 * np.max(np.abs(expected)), (sel_a, sel_b, err)
 
 
 class TestBoundedness:
