@@ -172,6 +172,14 @@ class CarlemanReport:
     borderline: bool
     labels: dict = dataclass_field(default_factory=dict)
 
+    @property
+    def cancellation_ratio(self) -> float:
+        """sum_i |term_i| / |gap|, the condition number of the gap as a sum of
+        the six term means: at least 1, and large when the gap is a small
+        difference of large terms, so that rounding noise can decide it."""
+        total = float(np.sum(np.abs(self.term_means)))
+        return total / abs(self.gap) if self.gap != 0.0 else math.inf
+
     def as_dict(self) -> dict:
         out = {
             "mu": self.mu, "T": self.horizon, "K": self.steps, "P": self.paths,
@@ -180,6 +188,7 @@ class CarlemanReport:
             "rhs": self.rhs_mean, "rhs_se": self.rhs_se,
             "gap": self.gap, "se": self.gap_se,
             "verdict": bool(self.verdict), "borderline": bool(self.borderline),
+            "cancellation_ratio": self.cancellation_ratio,
         }
         for name, mean, se in zip(TERM_LABELS, self.term_means, self.term_ses):
             out[name] = float(mean)
@@ -192,8 +201,20 @@ class CarlemanReport:
 # per-path evaluation
 
 
+class _PathArrays:
+    """The (K+1, S) and (K, S) arrays in which one path's terms are computed.
+    A cell computes all its paths in one set: allocating and freeing arrays of
+    this size on every path costs page faults whenever the allocator hands the
+    freed memory back to the operating system."""
+
+    def __init__(self, steps: int, size: int):
+        self.b1_z, self.mixed = (np.empty((steps + 1, size), complex) for _ in range(2))
+        self.dz, self.bracket, self.work = (np.empty((steps, size), complex) for _ in range(3))
+
+
 def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
-               b1_adjoint: SpdoOperator, mu: float) -> np.ndarray:
+               b1_adjoint: SpdoOperator, mu: float,
+               arrays: _PathArrays | None = None) -> np.ndarray:
     """Six inequality terms along one realized path, (term1, term2, r1..r4),
     with the weight scaled by e^{-mu T^2}."""
     if z.grid != a1.grid or z.grid != b1.grid:
@@ -206,7 +227,9 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
     trap[0] = trap[-1] = dt / 2.0
 
     coeffs = z.coefficients.reshape(tg.steps + 1, -1)  # (K+1, S)
-    b1_z = b1.apply_coefficients(coeffs)
+    if arrays is None:
+        arrays = _PathArrays(tg.steps, coeffs.shape[1])
+    b1_z = b1.apply_coefficients(coeffs, out=arrays.b1_z)
 
     def pair(f, g):
         # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
@@ -214,23 +237,30 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
         return np.vecdot(g, f)
 
     norm2 = pair(coeffs, coeffs).real
-    mixed = mu * shift[:, None] * coeffs - b1_z
+    mixed = np.multiply(mu * shift[:, None], coeffs, out=arrays.mixed)
+    mixed -= b1_z
     term1 = float(np.sum(trap * weight * norm2))
     term2 = float(np.sum(trap * weight * pair(mixed, mixed).real) / mu)
 
-    dz = coeffs[1:] - coeffs[:-1]
+    dz = np.subtract(coeffs[1:], coeffs[:-1], out=arrays.dz)
     ks = slice(0, tg.steps)
-    bracket = -1j * dz - dt * a1.apply_coefficients(coeffs[ks]) - 1j * dt * b1_z[ks]
+    # bracket = -i dz - dt A1 z - i dt B1 z, one operand at a time in `work`
+    bracket = np.multiply(-1j, dz, out=arrays.bracket)
+    work = a1.apply_coefficients(coeffs[ks], out=arrays.work)
+    work *= dt
+    bracket -= work
+    bracket -= np.multiply(b1_z[ks], 1j * dt, out=work)
     # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
     r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, mixed[ks]).imag))
     if b1_adjoint is b1:
         r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
     else:
-        skew = b1_z[ks] - b1_adjoint.apply_coefficients(coeffs[ks])
+        skew = np.subtract(b1_z[ks], b1_adjoint.apply_coefficients(coeffs[ks], out=work),
+                           out=work)
         r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
     qv = pair(dz, dz).real
     r3 = float(-2.0 * np.sum(shift[ks] * weight[ks] * qv))
-    b1_dz = b1_z[1:] - b1_z[:-1]  # B1 is linear
+    b1_dz = np.subtract(b1_z[1:], b1_z[:-1], out=work)  # B1 is linear
     r4 = float(-2.0 / mu * np.sum(weight[ks] * pair(dz, b1_dz).real))
     return np.array([term1, term2, r1, r2, r3, r4])
 
@@ -244,9 +274,10 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
     b1_adj = b1.adjoint()
 
     terms = np.zeros((config.paths, 6))
+    arrays = _PathArrays(tg.steps, grid.size)
     for p in range(config.paths):
         z = resolve_process(config.process, config.window, grid, config.seed, p, tg)
-        terms[p] = path_terms(z, a1, b1, b1_adj, config.mu)
+        terms[p] = path_terms(z, a1, b1, b1_adj, config.mu, arrays)
 
     means = terms.mean(axis=0)
     if config.paths > 1:

@@ -3,9 +3,11 @@
 Symbols are assembled from three kinds of factors: polynomial/bracket factors
 in the frequency variable, trigonometric profiles or complex modulations in
 the spatial variable, and affine multipliers in the driving path value w(t).
-An entry is only an evaluation rule with its declared metadata; whoever needs
-a derivative (order verification, asymptotic composition) takes it
-numerically from the rule.
+Every entry is given in separated form, a short sum of terms f_r(t, w, x)
+g_r(t, w, xi) (`Symbol.separated`), from which its evaluation rule is
+derived; quantization applies each term by FFT. Whoever needs a derivative
+(order verification, asymptotic composition) takes it numerically from the
+rule.
 
 Entries are addressable by selector strings of the form `name` or
 `name:arg1,arg2,...` (all arguments numeric); see CATALOG_SYMBOLS and
@@ -30,13 +32,22 @@ def _const_like(x: Coords, xi: Coords, value: complex) -> np.ndarray:
     return np.full(_broadcast_shape(x, xi), value, dtype=complex)
 
 
+def _ones(t, slc, coords):
+    return _const_like((), coords, 1.0)
+
+
+def _x_free(name: str, order: float, g, **meta) -> Symbol:
+    """A symbol with no x-dependence: the one-term separated form (1, g)."""
+    return Symbol(name, order, separated=((None, g),), **meta)
+
+
 # ---------------------------------------------------------------------------
 # elementary symbols
 
 
 def constant(value: complex, name: str | None = None) -> Symbol:
-    return Symbol(name or f"const[{value}]", 0.0,
-                  lambda t, slc, x, xi: _const_like(x, xi, value), x_dependent=False)
+    return _x_free(name or f"const[{value}]", 0.0,
+                   lambda t, slc, xi: _const_like((), xi, value))
 
 
 def one() -> Symbol:
@@ -49,18 +60,12 @@ def zero_symbol() -> Symbol:
 
 def lambda_symbol(s: float) -> Symbol:
     """Bracket multiplier (1 + |xi|^2)^(s/2) of order s."""
-
-    def fn(t, slc, x, xi):
-        return _const_like(x, (), 1.0) * (1.0 + abs2(xi)) ** (s / 2.0)
-
-    return Symbol(f"lambda[{s}]", s, fn, x_dependent=False)
+    return _x_free(f"lambda[{s}]", s, lambda t, slc, xi: (1.0 + abs2(xi)) ** (s / 2.0))
 
 
 def xi_symbol(axis: int = 0) -> Symbol:
-    def fn(t, slc, x, xi, axis=axis):
-        return _const_like(x, (), 1.0) * xi[axis].astype(complex)
-
-    return Symbol(f"xi{axis}", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
+    return _x_free(f"xi{axis}", 1.0, lambda t, slc, xi: xi[axis].astype(complex),
+                   homogeneity_degree=1.0)
 
 
 def xi_power(degree: int, axis: int = 0) -> Symbol:
@@ -68,93 +73,114 @@ def xi_power(degree: int, axis: int = 0) -> Symbol:
         return one()
     if degree == 1:
         return xi_symbol(axis)
-
-    def fn(t, slc, x, xi, axis=axis):
-        return _const_like(x, (), 1.0) * xi[axis].astype(complex) ** degree
-
-    return Symbol(f"xi{axis}^{degree}", float(degree), fn, homogeneity_degree=float(degree),
-                  x_dependent=False)
+    return _x_free(f"xi{axis}^{degree}", float(degree),
+                   lambda t, slc, xi: xi[axis].astype(complex) ** degree,
+                   homogeneity_degree=float(degree))
 
 
 def xi_magnitude() -> Symbol:
     """|xi|, order 1."""
-
-    def fn(t, slc, x, xi):
-        return _const_like(x, (), 1.0) * magnitude(xi).astype(complex)
-
-    return Symbol("abs-xi", 1.0, fn, homogeneity_degree=1.0, x_dependent=False)
+    return _x_free("abs-xi", 1.0, lambda t, slc, xi: magnitude(xi).astype(complex),
+                   homogeneity_degree=1.0)
 
 
 def trig_profile(c0: float, c_sin: float, c_cos: float, k: int = 1, axis: int = 0) -> Symbol:
     """x-dependent order-0 factor c0 + c_sin*sin(kx) + c_cos*cos(kx)."""
 
-    def fn(t, slc, x, xi, axis=axis):
+    def f(t, slc, x):
         v = c0 + c_sin * np.sin(k * x[axis]) + c_cos * np.cos(k * x[axis])
-        return _const_like((), xi, 1.0) * np.asarray(v, dtype=complex)
+        return np.asarray(v, dtype=complex)
 
-    return Symbol(f"trig[{c0},{c_sin},{c_cos};k={k}]", 0.0, fn)
+    return Symbol(f"trig[{c0},{c_sin},{c_cos};k={k}]", 0.0, separated=((f, _ones),))
 
 
 def modulation(k: int, axis: int = 0) -> Symbol:
     """Complex modulation e^{i k x}; shifts Fourier modes by k under quantization."""
-
-    def fn(t, slc, x, xi, axis=axis):
-        return _const_like((), xi, 1.0) * np.exp(1j * k * np.asarray(x[axis]))
-
-    return Symbol(f"mod[{k}]", 0.0, fn)
+    return Symbol(f"mod[{k}]", 0.0,
+                  separated=((lambda t, slc, x: np.exp(1j * k * np.asarray(x[axis])), _ones),))
 
 
 def brownian_affine(gamma: float) -> Symbol:
     """Path-dependent multiplier 1 + gamma * w(t), adapted by construction."""
 
-    def fn(t, slc, x, xi):
+    def g(t, slc, xi):
         w = 0.0 if slc is None else slc.value(t)
-        return _const_like(x, xi, 1.0 + gamma * w)
+        return _const_like((), xi, 1.0 + gamma * w)
 
-    return Symbol(f"affine-w[{gamma}]", 0.0, fn, requires_path=gamma != 0.0,
-                  x_dependent=False)
+    return _x_free(f"affine-w[{gamma}]", 0.0, g, requires_path=gamma != 0.0)
 
 
 # ---------------------------------------------------------------------------
 # combinators
+#
+# Each keeps the separated form when its arguments have one: a scale scales
+# every g_r, a sum concatenates the terms, a product multiplies them out, and
+# the conjugate conjugates both factors. Factor rules take (t, slc, coords),
+# with None meaning 1.
+
+
+def _times(p, q):
+    if p is None or q is None:
+        return q if p is None else p
+    return lambda t, slc, c: p(t, slc, c) * q(t, slc, c)
+
+
+def _conj(p):
+    return None if p is None else (lambda t, slc, c: np.conj(p(t, slc, c)))
+
+
+def _scaled(c: complex, g):
+    return lambda t, slc, xi: c * g(t, slc, xi)
 
 
 def symbol_scale(c: complex, a: Symbol, name: str | None = None) -> Symbol:
+    separated = (None if a.separated is None
+                 else tuple((f, _scaled(c, g)) for f, g in a.separated))
     return Symbol(name or f"{c}*{a.name}", a.order,
                   lambda t, slc, x, xi: c * a.fn(t, slc, x, xi),
                   integrability=a.integrability,
                   homogeneity_degree=a.homogeneity_degree,
-                  requires_path=a.requires_path, x_dependent=a.x_dependent)
+                  requires_path=a.requires_path, x_dependent=a.x_dependent,
+                  separated=separated)
 
 
 def symbol_sum(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
+    both = a.separated is not None and b.separated is not None
     sym = Symbol(name or f"({a.name}+{b.name})", max(a.order, b.order),
                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) + b.fn(t, slc, x, xi),
                  integrability=min(a.integrability, b.integrability),
                  requires_path=a.requires_path or b.requires_path,
-                 x_dependent=a.x_dependent or b.x_dependent)
+                 x_dependent=a.x_dependent or b.x_dependent,
+                 separated=a.separated + b.separated if both else None)
     if a.homogeneity_degree is not None and a.homogeneity_degree == b.homogeneity_degree:
         sym.homogeneity_degree = a.homogeneity_degree
     return sym
 
 
 def symbol_product(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
+    both = a.separated is not None and b.separated is not None
+    separated = (tuple((_times(fa, fb), _times(ga, gb))
+                       for fa, ga in a.separated for fb, gb in b.separated)
+                 if both else None)
     sym = Symbol(name or f"{a.name}*{b.name}", a.order + b.order,
                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) * b.fn(t, slc, x, xi),
                  integrability=min(a.integrability, b.integrability),
                  requires_path=a.requires_path or b.requires_path,
-                 x_dependent=a.x_dependent or b.x_dependent)
+                 x_dependent=a.x_dependent or b.x_dependent, separated=separated)
     if a.homogeneity_degree is not None and b.homogeneity_degree is not None:
         sym.homogeneity_degree = a.homogeneity_degree + b.homogeneity_degree
     return sym
 
 
 def symbol_conjugate(a: Symbol) -> Symbol:
+    separated = (None if a.separated is None
+                 else tuple((_conj(f), _conj(g)) for f, g in a.separated))
     return Symbol(f"conj[{a.name}]", a.order,
                   lambda t, slc, x, xi: np.conj(a.fn(t, slc, x, xi)),
                   integrability=a.integrability,
                   homogeneity_degree=a.homogeneity_degree,
-                  requires_path=a.requires_path, x_dependent=a.x_dependent)
+                  requires_path=a.requires_path, x_dependent=a.x_dependent,
+                  separated=separated)
 
 
 def with_declared_order(a: Symbol, order: float) -> Symbol:

@@ -110,9 +110,10 @@ def run_reduce(cfg: ExperimentConfig, out: Path):
     rows = reduction.reduction_table(ps, dim=cfg["n"], num_angles=cfg["num-angles"],
                                      num_x=cfg["num-x"], seed=cfg["seed"])
     files = [write_csv(out / "reduce.csv",
-                       ["t", "x", "angle", "branch", "re_lambda", "im_lambda", "resid"],
+                       ["t", "x", "angle", "branch", "re_lambda", "im_lambda", "resid",
+                        "cond"],
                        [(r.t, r.x, r.angle, r.branch, r.re_lambda, r.im_lambda,
-                         r.resid) for r in rows])]
+                         r.resid, r.cond) for r in rows])]
     max_resid = max((r.resid for r in rows), default=0.0)
     ok = max_resid <= REDUCE_RESID_TOL
     results = {

@@ -2,14 +2,21 @@
 
 An operator acts on spectral fields by the left-quantization sum
 (Au)(x) = sum_xi e^{i x.xi} a(t, w, x, xi) u_hat(xi) over all retained
-frequencies, frozen at a (t, path-slice) context. A symbol declared free of
-x quantizes to a Fourier multiplier m(xi), so applying the operator or its
-adjoint is one diagonal multiply by m or conj(m) in coefficients. Any other
-symbol acts through its modulation table e^{i x.xi} a(x, xi) at O(size^2)
-per application, accepted at desk scale; the table is cached up to
-_MOD_CACHE_MAX points and streamed in frequency blocks above. An adjoint is
-the same operator with a flag, never a dense matrix. Dense value-basis
-matrices remain the oracle for tests and for exact composition.
+frequencies, frozen at a (t, path-slice) context. It takes one of two routes.
+
+- Separated: a symbol given as a short sum a = sum_r f_r(x) g_r(xi)
+  (`Symbol.separated`, set by every catalog builder) applies as
+  sum_r f_r * IFFT(g_r * FFT u), at O(R S log S) on S grid points, and its
+  adjoint as sum_r conj(g_r)(D)[conj(f_r) v]. The factors are evaluated once,
+  over S points each. With every f_r = 1 the operator is a Fourier
+  multiplier m = sum_r g_r: one diagonal multiply in coefficients.
+- Table: a symbol with no separated form acts through its modulation table
+  e^{i x.xi} a(x, xi) at O(S^2) per application, cached up to
+  _MOD_CACHE_MAX points and streamed in frequency blocks above.
+
+An adjoint is the same operator with a flag, never a dense matrix. The dense
+value-basis matrix is always built from the table, so it stays an oracle
+independent of the separated route, for tests and for exact composition.
 """
 
 from __future__ import annotations
@@ -61,27 +68,26 @@ def _check_dense_cap(grid: TorusGrid) -> None:
         raise DenseCapError(f"grid size {grid.size} exceeds dense cap {DENSE_CAP}")
 
 
-def _analysis(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Forward-normalized transform of each column of a (size, n) value array."""
-    cols = values.reshape(grid.shape + (values.shape[-1],))
-    hat = np.fft.fftn(cols, axes=tuple(range(grid.dim)), norm="forward")
-    return hat.reshape(grid.size, values.shape[-1])
-
-
-def _synthesis(grid: TorusGrid, hat: np.ndarray, norm: str = "forward") -> np.ndarray:
-    """Inverse of `_analysis` per column; norm="backward" adds the 1/size factor."""
-    cols = hat.reshape(grid.shape + (hat.shape[-1],))
-    values = np.fft.ifftn(cols, axes=tuple(range(grid.dim)), norm=norm)
-    return values.reshape(grid.size, hat.shape[-1])
+def _transform(grid: TorusGrid, rows: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Forward-normalized analysis of every row of a C-contiguous complex
+    (n, size) array of grid values, or with `inverse` the synthesis of
+    coefficient rows, in place; returns `rows`."""
+    if not rows.flags.c_contiguous:
+        raise ValueError("an in-place transform needs a C-contiguous array")
+    cube = rows.reshape((-1,) + grid.shape)
+    fft = np.fft.ifftn if inverse else np.fft.fftn
+    fft(cube, axes=tuple(range(1, grid.dim + 1)), norm="forward", out=cube)
+    return rows
 
 
 @dataclass
 class SpdoOperator:
     """Symbol frozen at a (t, path-slice) context, acting on one grid.
 
-    With `adjointed` set it is the L2 adjoint of that quantization. An
-    operator and its adjoint share one cache: the multiplier, the modulation
-    table, the coefficient-row matrix and the dense oracle.
+    A symbol with a separated form takes the separated route, any other the
+    table route. With `adjointed` set it is the L2 adjoint of that
+    quantization. An operator and its adjoint share one cache: the evaluated
+    factors, the modulation table and the dense oracle.
     """
 
     symbol: Symbol
@@ -95,15 +101,36 @@ class SpdoOperator:
     def order(self) -> float:
         return self.symbol.order
 
-    def _multiplier(self) -> np.ndarray:
-        """m(xi) = a(t, w, 0, xi) over the flattened frequencies; real when it can be."""
-        if "m" not in self._cache:
-            x0 = tuple(np.zeros((1, 1)) for _ in range(self.grid.dim))
-            xi = tuple(c.reshape(1, -1) for c in _flat_frequencies(self.grid))
-            vals = np.asarray(self.symbol.fn(self.t, self.slc, x0, xi), dtype=complex)
-            m = np.broadcast_to(vals, (1, self.grid.size)).ravel()
-            self._cache["m"] = m.real.copy() if not np.any(m.imag) else m
-        m = self._cache["m"]
+    def _terms(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """(f_r over the flattened nodes or None, g_r over the flattened
+        frequencies), evaluated once. With every f_r = 1 the terms collapse to
+        one multiplier sum_r g_r, stored real when it is real."""
+        if "terms" not in self._cache:
+            size = self.grid.size
+            xs, qs = _flat_nodes(self.grid), _flat_frequencies(self.grid)
+
+            def over(rule, coords):
+                vals = np.asarray(rule(self.t, self.slc, coords), dtype=complex)
+                return np.broadcast_to(vals, (size,))
+
+            terms = [(None if f is None else over(f, xs), over(g, qs))
+                     for f, g in self.symbol.separated]
+            if all(f is None for f, _ in terms):
+                m = terms[0][1]
+                for _, g in terms[1:]:
+                    m = m + g
+                terms = [(None, m.real.copy() if not np.any(m.imag) else m)]
+            self._cache["terms"] = terms
+        return self._cache["terms"]
+
+    def _multiplier(self) -> np.ndarray | None:
+        """m(xi) (conj m for the adjoint) when the operator is a Fourier multiplier."""
+        if self.symbol.separated is None:
+            return None
+        terms = self._terms()
+        if len(terms) > 1 or terms[0][0] is not None:
+            return None
+        m = terms[0][1]
         return np.conj(m) if self.adjointed else m
 
     def _mod_blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
@@ -130,57 +157,94 @@ class SpdoOperator:
             self._cache["table"] = np.hstack([block for _, block in self._mod_blocks()])
         yield slice(None), self._cache["table"]
 
+    def _forward(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Values of Op(a) applied to every row of an (n, size) coefficient
+        array, written to `out` when it is given."""
+        if self.symbol.separated is None:
+            if out is None:
+                out = np.empty(hat.shape, dtype=complex)
+            out[...] = 0.0
+            for sel, block in self._table_blocks():
+                out += hat[:, sel] @ block.T
+            return out
+        for r, (f, g) in enumerate(self._terms()):
+            term = _transform(self.grid, np.multiply(hat, g, out=out if r == 0 else None),
+                              inverse=True)
+            if f is not None:
+                term *= f
+            if r == 0:
+                out = term
+            else:
+                out += term
+        return out
+
+    def _backward(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of Op(a)* applied to every row of a C-contiguous complex
+        (n, size) value array, sum_r conj(g_r) FFT(conj(f_r) v) on the separated
+        route. `values` is overwritten, and holds the result for one term."""
+        if self.symbol.separated is None:
+            # A = T F with T the table and F the analysis, so A* v = F^H (T^H v),
+            # and F^H is the synthesis divided by the grid size
+            w = np.empty(values.shape, dtype=complex)
+            for sel, block in self._table_blocks():
+                w[:, sel] = (values.conj() @ block).conj()
+            return w / self.grid.size
+        out = None
+        terms = self._terms()
+        for r, (f, g) in enumerate(terms):
+            # the last term may overwrite the input, which no caller reads again
+            term = values if r == len(terms) - 1 else values.copy()
+            if f is not None:
+                term *= np.conj(f)
+            term = _transform(self.grid, term)
+            term *= np.conj(g)
+            if out is None:
+                out = term
+            else:
+                out += term
+        return out
+
     def apply(self, u: SpectralField) -> SpectralField:
         _check_grid(self.grid, u)
-        if not self.symbol.x_dependent:
-            m = self._multiplier().reshape(self.grid.shape)
-            return SpectralField.from_coefficients(self.grid, u.coefficients * m)
+        m = self._multiplier()
+        if m is not None:
+            return SpectralField.from_coefficients(
+                self.grid, u.coefficients * m.reshape(self.grid.shape))
         out = self.apply_many(u.values.reshape(-1, 1))
         return SpectralField.from_values(self.grid, out.reshape(self.grid.shape))
 
     def apply_many(self, values: np.ndarray) -> np.ndarray:
         """Apply to every column of a (size, n) array of grid values."""
-        if not self.symbol.x_dependent:
-            hat = _analysis(self.grid, values)
-            return _synthesis(self.grid, self._multiplier()[:, None] * hat)
+        rows = np.array(values.T, dtype=complex, order="C")
         if self.adjointed:
-            # A = T F with T the table and F the analysis, so A* v = F^H (T^H v),
-            # and F^H is the backward-normalized inverse transform
-            vh = values.conj().T
-            w = np.empty((self.grid.size, values.shape[-1]), dtype=complex)
-            for sel, block in self._table_blocks():
-                w[sel] = (vh @ block).conj().T
-            return _synthesis(self.grid, w, norm="backward")
-        hat = _analysis(self.grid, values)
-        out = np.zeros_like(hat)
-        for sel, block in self._table_blocks():
-            out += block @ hat[sel]
-        return out
+            return _transform(self.grid, self._backward(rows), inverse=True).T
+        return self._forward(_transform(self.grid, rows)).T
 
-    def apply_coefficients(self, rows: np.ndarray) -> np.ndarray:
-        """Apply to every row of an (n, size) array of flattened Fourier coefficients."""
-        if not self.symbol.x_dependent:
-            return rows * self._multiplier()
-        if "rows" not in self._cache:
-            # C[eta, xi] is coefficient eta of the image of e^{i x.xi}; rows take C^T
-            _check_dense_cap(self.grid)
-            c_t = np.empty((self.grid.size, self.grid.size), dtype=complex)
-            for sel, block in self._table_blocks():
-                c_t[sel] = _analysis(self.grid, block).T
-            self._cache["rows"] = c_t
+    def apply_coefficients(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply to every row of an (n, size) array of flattened Fourier
+        coefficients, writing to `out` (C-contiguous complex) when it is given."""
+        m = self._multiplier()
+        if m is not None:
+            return np.multiply(rows, m, out=out)
         if not self.adjointed:
-            return rows @ self._cache["rows"]
-        if "rows-adj" not in self._cache:
-            self._cache["rows-adj"] = np.ascontiguousarray(self._cache["rows"].T.conj())
-        return rows @ self._cache["rows-adj"]
+            return _transform(self.grid, self._forward(rows, out))
+        values = np.empty(rows.shape, dtype=complex) if out is None else out
+        values[...] = rows
+        result = self._backward(_transform(self.grid, values, inverse=True))
+        if out is not None and result is not out:
+            out[...] = result  # several terms accumulate outside `out`
+            return out
+        return result
 
     def adjoint(self) -> "SpdoOperator":
-        if not self.symbol.x_dependent and not np.iscomplexobj(self._multiplier()):
+        m = self._multiplier()
+        if m is not None and not np.iscomplexobj(m):
             return self  # a real multiplier is exactly self-adjoint in the discrete pairing
         return replace(self, adjointed=not self.adjointed)
 
     def dense_matrix(self) -> np.ndarray:
-        """Value-basis matrix, the test oracle: modulation table times the analysis."""
+        """Value-basis matrix, the test oracle: modulation table times the
+        analysis, built from the table on either route."""
         if "dense" not in self._cache:
             _check_dense_cap(self.grid)
             size = self.grid.size
@@ -367,18 +431,33 @@ def frequency_taper(r: np.ndarray, lower: float) -> np.ndarray:
     return np.where(r <= lower, 0.0, np.where(r >= 2.0 * lower, 1.0, ramp))
 
 
+def _tapered_reciprocal(vals: np.ndarray, xi, lower: float) -> np.ndarray:
+    r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in xi))
+    chi, vals = np.broadcast_arrays(frequency_taper(r, lower), np.asarray(vals, dtype=complex))
+    live = chi > 0
+    safe = np.where(live, vals, 1.0)
+    return np.where(live, chi / safe, 0.0)
+
+
 def parametrix_symbol(a: Symbol, lower: float) -> Symbol:
-    """One-term approximate-inverse symbol: tapered reciprocal of `a`."""
+    """One-term approximate-inverse symbol: tapered reciprocal chi / a of `a`.
+
+    A one-term separated symbol f(x) g(xi) keeps its form as (1/f, chi/g)."""
+    name = f"parametrix[{a.name}]"
+    if a.separated is not None and len(a.separated) == 1:
+        (f, g), = a.separated
+
+        def inv_g(t, slc, xi):
+            return _tapered_reciprocal(g(t, slc, xi), xi, lower)
+
+        inv_f = None if f is None else (lambda t, slc, x: 1.0 / f(t, slc, x))
+        return Symbol(name, -a.order, requires_path=a.requires_path,
+                      separated=((inv_f, inv_g),))
 
     def fn(t, slc, x, xi):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in xi))
-        chi, vals = np.broadcast_arrays(
-            frequency_taper(r, lower), np.asarray(a.fn(t, slc, x, xi), dtype=complex))
-        live = chi > 0
-        safe = np.where(live, vals, 1.0)
-        return np.where(live, chi / safe, 0.0)
+        return _tapered_reciprocal(a.fn(t, slc, x, xi), xi, lower)
 
-    return Symbol(f"parametrix[{a.name}]", -a.order, fn, requires_path=a.requires_path,
+    return Symbol(name, -a.order, fn, requires_path=a.requires_path,
                   x_dependent=a.x_dependent)
 
 

@@ -200,7 +200,8 @@ def windowed_ito_process(drift: FieldRule | None, diffusion: FieldRule | None,
     eta[-1] = 0.0
 
     raw = ito_process(drift, diffusion, path, grid, initial)
-    windowed = eta.reshape((-1,) + (1,) * grid.dim) * raw.coefficients
+    windowed = raw.coefficients
+    windowed *= eta.reshape((-1,) + (1,) * grid.dim)
     return Semimartingale(tg, grid, windowed, path, drift, diffusion)
 
 

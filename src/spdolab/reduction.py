@@ -545,6 +545,7 @@ class ReductionRow:
     re_lambda: float
     im_lambda: float
     resid: float
+    cond: float  # condition number of the sample's eigenvector matrix
 
 
 def reduction_table(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
@@ -566,5 +567,5 @@ def reduction_table(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
                     lam = split.table[it, ix, ia, k]
                     rows.append(ReductionRow(float(t), float(np.asarray(x[0])), angle,
                                              k, float(lam.real), float(lam.imag),
-                                             diag.residual))
+                                             diag.residual, diag.condition_number))
     return rows

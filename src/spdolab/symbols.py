@@ -25,6 +25,10 @@ from .paths import PathSlice, TimeGrid, derive_rng, sample_brownian, STREAM_SAMP
 ArrayLike = np.ndarray | float
 Coords = tuple[np.ndarray, ...]
 SymbolFn = Callable[[float, PathSlice | None, Coords, Coords], np.ndarray]
+# a factor of a separated symbol: (t, slc, x) or (t, slc, xi) -> values
+FactorFn = Callable[[float, PathSlice | None, Coords], np.ndarray]
+# one term f_r(t, w, x) g_r(t, w, xi); f_r = None means 1
+SeparatedTerm = tuple[FactorFn | None, FactorFn]
 
 # A root counts as complex when its imaginary part clears this relative floor.
 COMPLEX_ROOT_REL_TOL = 1e-8
@@ -45,23 +49,63 @@ def magnitude(xi: Coords) -> np.ndarray:
     return np.sqrt(abs2(xi))
 
 
+def _separated_rule(terms: tuple[SeparatedTerm, ...]) -> SymbolFn:
+    """The evaluation rule sum_r f_r(t, w, x) g_r(t, w, xi) of a separated form."""
+
+    def fn(t, slc, x, xi):
+        total = None
+        for f, g in terms:
+            term = np.asarray(g(t, slc, xi), dtype=complex)
+            if f is not None:
+                term = f(t, slc, x) * term
+            total = term if total is None else total + term
+        shape = np.broadcast(*x, *xi).shape
+        if total.shape == shape:
+            return total
+        out = np.empty(shape, dtype=complex)
+        out[...] = total
+        return out
+
+    return fn
+
+
 @dataclass
 class Symbol:
     """Evaluation rule with declared order and integrability index.
 
     A symbol carries no derivatives: order verification and asymptotic
-    composition differentiate its rule numerically. `x_dependent = False`
-    declares that the value does not change with x, so quantization is a
-    Fourier multiplier.
+    composition differentiate its rule numerically.
+
+    `separated`, when set, is the symbol as a short sum of terms
+    f_r(t, w, x) g_r(t, w, xi) (f_r = None meaning 1). The rule `fn` is then
+    derived from it, so the two cannot disagree, and `x_dependent` says
+    whether any f_r is present. Without it the rule is all there is;
+    `x_dependent = False` declares that its value does not change with x,
+    which makes it the one-term form (1, a(t, w, 0, xi)).
     """
 
     name: str
     order: float
-    fn: SymbolFn
+    fn: SymbolFn | None = None
     integrability: float = math.inf
     homogeneity_degree: float | None = None
     requires_path: bool = False
     x_dependent: bool = True
+    separated: tuple[SeparatedTerm, ...] | None = None
+
+    def __post_init__(self):
+        if self.separated is not None:
+            self.fn = _separated_rule(self.separated)
+            self.x_dependent = any(f is not None for f, _ in self.separated)
+        elif self.fn is None:
+            raise ValueError(f"symbol {self.name!r} needs a rule or a separated form")
+        elif not self.x_dependent:
+            rule = self.fn
+
+            def at_origin(t, slc, xi):
+                return rule(t, slc, tuple(np.zeros(()) for _ in xi), xi)
+
+            self.separated = ((None, at_origin),)
 
     def evaluate(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
         return np.asarray(self.fn(t, slc, as_coords(x), as_coords(xi)), dtype=complex)

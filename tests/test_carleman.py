@@ -304,6 +304,15 @@ class TestScan:
         result = scan(base, mu_list=(100.0, 400.0), T_list=(0.25,))
         assert [r.mu for r in result.rows] == [100.0, 400.0]
 
+    def test_cancellation_ratio_on_baseline_grid(self):
+        base = cfg(paths=16, steps=128, grid_points=32)
+        result = scan(base, T_list=(0.0625, 0.125, 0.25), kappa_list=(16.0, 64.0, 256.0))
+        assert len(result.rows) == 9
+        for row in result.rows:
+            ratio = row.as_dict()["cancellation_ratio"]
+            assert np.isfinite(ratio) and ratio >= 1.0
+            assert ratio == np.sum(np.abs(row.term_means)) / abs(row.gap)
+
     def test_summary_fields(self):
         base = cfg(paths=4, steps=64, grid_points=16)
         result = scan(base, T_list=(0.25,), kappa_list=(16.0, 64.0))

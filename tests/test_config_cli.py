@@ -1,5 +1,6 @@
 """Config parsing, CLI exit codes, report formats, manifests, reproducibility."""
 
+import csv
 import json
 import math
 
@@ -274,8 +275,27 @@ class TestCliRuns:
         code, out = self.run(tmp_path, text, "reduce")
         assert code == 0
         lines = (out / "reduce.csv").read_text().splitlines()
-        assert lines[0] == "t,x,angle,branch,re_lambda,im_lambda,resid"
+        assert lines[0] == "t,x,angle,branch,re_lambda,im_lambda,resid,cond"
         assert len(lines) == 19  # 18 samples + header
+
+    @pytest.mark.parametrize("principal", ["laplace", "mixed-cubic"])
+    def test_reduce_csv_conditioning_is_finite(self, tmp_path, principal):
+        text = f"command = reduce\nprincipal = {principal}\nnum-angles = 8\nn = 2\n"
+        code, out = self.run(tmp_path, text, "reduce")
+        assert code == 0
+        with open(out / "reduce.csv") as fh:
+            conds = [float(row["cond"]) for row in csv.DictReader(fh)]
+        assert conds and all(math.isfinite(c) and c >= 1.0 for c in conds)
+
+    def test_scan_rows_carry_cancellation_ratio(self, tmp_path):
+        text = ("command = carleman-scan\nK = 64\nP = 4\nM = 16\n"
+                "T-list = 0.25\nkappa-list = 16,64\n")
+        code, out = self.run(tmp_path, text, "carleman-scan")
+        rows = json.loads((out / "report.json").read_text())["results"]["rows"]
+        assert code in (0, 1) and len(rows) == 2
+        for row in rows:
+            terms = [abs(row[f"term{i}"]) for i in range(1, 7)]
+            assert row["cancellation_ratio"] == pytest.approx(sum(terms) / abs(row["gap"]))
 
 
 class TestManifest:
