@@ -16,8 +16,8 @@ from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
                      WindowError)
 from .grid import (SpectralField, TorusGrid, differentiate, inner, l2_norm,
                    random_band_limited_field, sobolev_norm)
-from .paths import (BrownianPath, PathSlice, Semimartingale, TimeGrid,
-                    constant_field_rule, derive_rng, ito_process,
+from .paths import (BrownianPath, ConstantRule, PathSlice, Semimartingale,
+                    TimeGrid, constant_field_rule, derive_rng, ito_process,
                     parabolic_window, realized_quadratic_variation,
                     sample_brownian, sine_window, windowed_ito_process)
 from .symbols import (EllipticityReport, HypothesisReport, PrincipalSymbol,

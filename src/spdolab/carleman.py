@@ -202,21 +202,34 @@ class CarlemanReport:
 
 
 class _PathArrays:
-    """The (K+1, S) and (K, S) arrays in which one path's terms are computed.
-    A cell computes all its paths in one set: allocating and freeing arrays of
-    this size on every path costs page faults whenever the allocator hands the
-    freed memory back to the operating system."""
+    """The (K+1, S) and (K, S) arrays in which one path's terms are computed,
+    S being the number of coefficient columns in use. A cell computes all its
+    paths in one set: allocating and freeing arrays of this size on every path
+    costs page faults whenever the allocator hands the freed memory back to
+    the operating system."""
 
-    def __init__(self, steps: int, size: int):
-        self.b1_z, self.mixed = (np.empty((steps + 1, size), complex) for _ in range(2))
-        self.dz, self.bracket, self.work = (np.empty((steps, size), complex) for _ in range(3))
+    shape: tuple[int, int] | None = None
+
+    def sized(self, steps: int, width: int) -> "_PathArrays":
+        if self.shape != (steps, width):
+            self.shape = (steps, width)
+            self.b1_z, self.mixed = (np.empty((steps + 1, width), complex) for _ in range(2))
+            self.dz, self.bracket, self.work = (np.empty((steps, width), complex)
+                                                for _ in range(3))
+        return self
+
+
+def _multiply_by(m: np.ndarray) -> Callable[..., np.ndarray]:
+    return lambda rows, out=None: np.multiply(rows, m, out=out)
 
 
 def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
                b1_adjoint: SpdoOperator, mu: float,
                arrays: _PathArrays | None = None) -> np.ndarray:
     """Six inequality terms along one realized path, (term1, term2, r1..r4),
-    with the weight scaled by e^{-mu T^2}."""
+    with the weight scaled by e^{-mu T^2}. When z has a support and A1, B1
+    and B1* are Fourier multipliers, only the support columns are summed;
+    otherwise every column is."""
     if z.grid != a1.grid or z.grid != b1.grid:
         raise GridMismatchError("process and operator families on different grids")
     tg = z.time_grid
@@ -227,9 +240,18 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
     trap[0] = trap[-1] = dt / 2.0
 
     coeffs = z.coefficients.reshape(tg.steps + 1, -1)  # (K+1, S)
-    if arrays is None:
-        arrays = _PathArrays(tg.steps, coeffs.shape[1])
-    b1_z = b1.apply_coefficients(coeffs, out=arrays.b1_z)
+    ops = (a1, b1, b1_adjoint)
+    multipliers = [op.multiplier() for op in ops]
+    if z.support is None or any(m is None for m in multipliers):
+        apply_a1, apply_b1, apply_b1_adjoint = (op.apply_coefficients for op in ops)
+    else:
+        # multipliers map the support into itself, and over the other columns
+        # every Parseval sum would add exact zeros
+        coeffs = coeffs[:, z.support]
+        apply_a1, apply_b1, apply_b1_adjoint = (_multiply_by(m[z.support])
+                                                for m in multipliers)
+    arrays = (arrays or _PathArrays()).sized(tg.steps, coeffs.shape[1])
+    b1_z = apply_b1(coeffs, out=arrays.b1_z)
 
     def pair(f, g):
         # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
@@ -246,7 +268,7 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
     ks = slice(0, tg.steps)
     # bracket = -i dz - dt A1 z - i dt B1 z, one operand at a time in `work`
     bracket = np.multiply(-1j, dz, out=arrays.bracket)
-    work = a1.apply_coefficients(coeffs[ks], out=arrays.work)
+    work = apply_a1(coeffs[ks], out=arrays.work)
     work *= dt
     bracket -= work
     bracket -= np.multiply(b1_z[ks], 1j * dt, out=work)
@@ -255,7 +277,7 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
     if b1_adjoint is b1:
         r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
     else:
-        skew = np.subtract(b1_z[ks], b1_adjoint.apply_coefficients(coeffs[ks], out=work),
+        skew = np.subtract(b1_z[ks], apply_b1_adjoint(coeffs[ks], out=work),
                            out=work)
         r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
     qv = pair(dz, dz).real
@@ -274,7 +296,7 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
     b1_adj = b1.adjoint()
 
     terms = np.zeros((config.paths, 6))
-    arrays = _PathArrays(tg.steps, grid.size)
+    arrays = _PathArrays()
     for p in range(config.paths):
         z = resolve_process(config.process, config.window, grid, config.seed, p, tg)
         terms[p] = path_terms(z, a1, b1, b1_adj, config.mu, arrays)

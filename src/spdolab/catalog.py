@@ -64,8 +64,7 @@ def lambda_symbol(s: float) -> Symbol:
 
 
 def xi_symbol(axis: int = 0) -> Symbol:
-    return _x_free(f"xi{axis}", 1.0, lambda t, slc, xi: xi[axis].astype(complex),
-                   homogeneity_degree=1.0)
+    return _x_free(f"xi{axis}", 1.0, lambda t, slc, xi: xi[axis].astype(complex))
 
 
 def xi_power(degree: int, axis: int = 0) -> Symbol:
@@ -74,14 +73,12 @@ def xi_power(degree: int, axis: int = 0) -> Symbol:
     if degree == 1:
         return xi_symbol(axis)
     return _x_free(f"xi{axis}^{degree}", float(degree),
-                   lambda t, slc, xi: xi[axis].astype(complex) ** degree,
-                   homogeneity_degree=float(degree))
+                   lambda t, slc, xi: xi[axis].astype(complex) ** degree)
 
 
 def xi_magnitude() -> Symbol:
     """|xi|, order 1."""
-    return _x_free("abs-xi", 1.0, lambda t, slc, xi: magnitude(xi).astype(complex),
-                   homogeneity_degree=1.0)
+    return _x_free("abs-xi", 1.0, lambda t, slc, xi: magnitude(xi).astype(complex))
 
 
 def trig_profile(c0: float, c_sin: float, c_cos: float, k: int = 1, axis: int = 0) -> Symbol:
@@ -139,22 +136,18 @@ def symbol_scale(c: complex, a: Symbol, name: str | None = None) -> Symbol:
     return Symbol(name or f"{c}*{a.name}", a.order,
                   lambda t, slc, x, xi: c * a.fn(t, slc, x, xi),
                   integrability=a.integrability,
-                  homogeneity_degree=a.homogeneity_degree,
                   requires_path=a.requires_path, x_dependent=a.x_dependent,
                   separated=separated)
 
 
 def symbol_sum(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
     both = a.separated is not None and b.separated is not None
-    sym = Symbol(name or f"({a.name}+{b.name})", max(a.order, b.order),
-                 lambda t, slc, x, xi: a.fn(t, slc, x, xi) + b.fn(t, slc, x, xi),
-                 integrability=min(a.integrability, b.integrability),
-                 requires_path=a.requires_path or b.requires_path,
-                 x_dependent=a.x_dependent or b.x_dependent,
-                 separated=a.separated + b.separated if both else None)
-    if a.homogeneity_degree is not None and a.homogeneity_degree == b.homogeneity_degree:
-        sym.homogeneity_degree = a.homogeneity_degree
-    return sym
+    return Symbol(name or f"({a.name}+{b.name})", max(a.order, b.order),
+                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) + b.fn(t, slc, x, xi),
+                  integrability=min(a.integrability, b.integrability),
+                  requires_path=a.requires_path or b.requires_path,
+                  x_dependent=a.x_dependent or b.x_dependent,
+                  separated=a.separated + b.separated if both else None)
 
 
 def symbol_product(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
@@ -162,14 +155,11 @@ def symbol_product(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
     separated = (tuple((_times(fa, fb), _times(ga, gb))
                        for fa, ga in a.separated for fb, gb in b.separated)
                  if both else None)
-    sym = Symbol(name or f"{a.name}*{b.name}", a.order + b.order,
-                 lambda t, slc, x, xi: a.fn(t, slc, x, xi) * b.fn(t, slc, x, xi),
-                 integrability=min(a.integrability, b.integrability),
-                 requires_path=a.requires_path or b.requires_path,
-                 x_dependent=a.x_dependent or b.x_dependent, separated=separated)
-    if a.homogeneity_degree is not None and b.homogeneity_degree is not None:
-        sym.homogeneity_degree = a.homogeneity_degree + b.homogeneity_degree
-    return sym
+    return Symbol(name or f"{a.name}*{b.name}", a.order + b.order,
+                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) * b.fn(t, slc, x, xi),
+                  integrability=min(a.integrability, b.integrability),
+                  requires_path=a.requires_path or b.requires_path,
+                  x_dependent=a.x_dependent or b.x_dependent, separated=separated)
 
 
 def symbol_conjugate(a: Symbol) -> Symbol:
@@ -178,7 +168,6 @@ def symbol_conjugate(a: Symbol) -> Symbol:
     return Symbol(f"conj[{a.name}]", a.order,
                   lambda t, slc, x, xi: np.conj(a.fn(t, slc, x, xi)),
                   integrability=a.integrability,
-                  homogeneity_degree=a.homogeneity_degree,
                   requires_path=a.requires_path, x_dependent=a.x_dependent,
                   separated=separated)
 

@@ -53,11 +53,6 @@ class TorusGrid:
     def size(self) -> int:
         return self.points_per_axis**self.dim
 
-    @property
-    def cell_volume(self) -> float:
-        """Quadrature weight of one node under the normalized measure."""
-        return 1.0 / self.size
-
     def axis_nodes(self) -> np.ndarray:
         m = self.points_per_axis
         return 2.0 * np.pi * np.arange(m) / m

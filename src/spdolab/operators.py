@@ -123,7 +123,7 @@ class SpdoOperator:
             self._cache["terms"] = terms
         return self._cache["terms"]
 
-    def _multiplier(self) -> np.ndarray | None:
+    def multiplier(self) -> np.ndarray | None:
         """m(xi) (conj m for the adjoint) when the operator is a Fourier multiplier."""
         if self.symbol.separated is None:
             return None
@@ -206,7 +206,7 @@ class SpdoOperator:
 
     def apply(self, u: SpectralField) -> SpectralField:
         _check_grid(self.grid, u)
-        m = self._multiplier()
+        m = self.multiplier()
         if m is not None:
             return SpectralField.from_coefficients(
                 self.grid, u.coefficients * m.reshape(self.grid.shape))
@@ -223,7 +223,7 @@ class SpdoOperator:
     def apply_coefficients(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Apply to every row of an (n, size) array of flattened Fourier
         coefficients, writing to `out` (C-contiguous complex) when it is given."""
-        m = self._multiplier()
+        m = self.multiplier()
         if m is not None:
             return np.multiply(rows, m, out=out)
         if not self.adjointed:
@@ -237,7 +237,7 @@ class SpdoOperator:
         return result
 
     def adjoint(self) -> "SpdoOperator":
-        m = self._multiplier()
+        m = self.multiplier()
         if m is not None and not np.iscomplexobj(m):
             return self  # a real multiplier is exactly self-adjoint in the discrete pairing
         return replace(self, adjointed=not self.adjointed)

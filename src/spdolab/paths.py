@@ -121,10 +121,26 @@ def sample_brownian(seed: int, path_index: int, time_grid: TimeGrid) -> Brownian
 FieldRule = Callable[[float, PathSlice, np.ndarray], np.ndarray]
 
 
+@dataclass(frozen=True, eq=False)
+class ConstantRule:
+    """A FieldRule that ignores (t, path, state) and returns fixed coefficients.
+
+    A declared type rather than a lambda, so that `ito_process` can see that
+    dY = g dw is additive noise."""
+
+    coefficients: np.ndarray
+
+    def __call__(self, t: float, slc: PathSlice, y: np.ndarray) -> np.ndarray:
+        return self.coefficients
+
+
 @dataclass
 class Semimartingale:
     """A simulated L2-valued process along one path: the Fourier coefficients of
-    every time-node snapshot, stacked as one (K+1, *grid.shape) array."""
+    every time-node snapshot, stacked as one (K+1, *grid.shape) array.
+
+    `support`, when set, holds the flat coefficient indices the process can
+    occupy; every other column is zero at every node. None means full width."""
 
     time_grid: TimeGrid
     grid: TorusGrid
@@ -132,6 +148,7 @@ class Semimartingale:
     path: BrownianPath
     drift: FieldRule | None = field(default=None, repr=False)
     diffusion: FieldRule | None = field(default=None, repr=False)
+    support: np.ndarray | None = None
 
     def __post_init__(self):
         if self.coefficients.shape != (self.time_grid.steps + 1,) + self.grid.shape:
@@ -145,13 +162,32 @@ class Semimartingale:
 
 def ito_process(drift: FieldRule | None, diffusion: FieldRule | None, path: BrownianPath,
                 grid: TorusGrid, initial: SpectralField | None = None) -> Semimartingale:
-    """Euler-Maruyama simulation of dY = f dt + g dw along the given path."""
+    """Euler-Maruyama simulation of dY = f dt + g dw along the given path.
+
+    Additive noise (no drift, and g absent or a ConstantRule) has the closed
+    form Y_k = Y_0 + sum_{j<k} dw_j g: one cumulative sum over the columns
+    where Y_0 or g is non-zero, which become the process's `support`. cumsum
+    adds in the order of the step loop, so every value is the loop's to the
+    last bit. Any other pair of rules is stepped node by node, each call
+    seeing the path only up to its own node.
+    """
     tg = path.time_grid
     coeffs = np.zeros((tg.steps + 1,) + grid.shape, dtype=np.complex128)
     if initial is not None:
         coeffs[0] = initial.coefficients
+    dw = np.diff(path.values)
+    if drift is None and (diffusion is None or isinstance(diffusion, ConstantRule)):
+        flat = coeffs.reshape(tg.steps + 1, -1)
+        g = (np.zeros(flat.shape[1], dtype=np.complex128) if diffusion is None
+             else diffusion.coefficients.reshape(-1))
+        support = np.flatnonzero((flat[0] != 0) | (g != 0))
+        increments = np.empty((tg.steps + 1, support.size), dtype=np.complex128)
+        increments[0] = flat[0, support]
+        np.multiply(dw[:, None], g[support], out=increments[1:])
+        flat[:, support] = np.cumsum(increments, axis=0)
+        return Semimartingale(tg, grid, coeffs, path, drift, diffusion, support)
     times = tg.nodes().tolist()
-    dw = np.diff(path.values).tolist()
+    dw = dw.tolist()
     for k in range(tg.steps):
         slc = path.slice_at(k)
         y = coeffs[k]
@@ -199,10 +235,10 @@ def windowed_ito_process(drift: FieldRule | None, diffusion: FieldRule | None,
     eta[0] = 0.0
     eta[-1] = 0.0
 
-    raw = ito_process(drift, diffusion, path, grid, initial)
-    windowed = raw.coefficients
-    windowed *= eta.reshape((-1,) + (1,) * grid.dim)
-    return Semimartingale(tg, grid, windowed, path, drift, diffusion)
+    z = ito_process(drift, diffusion, path, grid, initial)
+    columns = slice(None) if z.support is None else z.support
+    z.coefficients.reshape(tg.steps + 1, -1)[:, columns] *= eta[:, None]
+    return z
 
 
 def realized_quadratic_variation(z: Semimartingale) -> np.ndarray:
@@ -212,7 +248,6 @@ def realized_quadratic_variation(z: Semimartingale) -> np.ndarray:
     return np.sum(np.abs(dz) ** 2, axis=tuple(range(1, dz.ndim)))
 
 
-def constant_field_rule(value: SpectralField) -> FieldRule:
+def constant_field_rule(value: SpectralField) -> ConstantRule:
     """Evaluation rule that ignores (t, path, state) and returns a fixed field."""
-    coeffs = value.coefficients
-    return lambda t, slc, y: coeffs
+    return ConstantRule(value.coefficients)

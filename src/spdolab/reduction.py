@@ -251,14 +251,6 @@ class SplitRoot:
     values: np.ndarray  # (num_t, num_x, num_angles) complex
     flag: str  # "zero" | "elliptic" | "mixed"
 
-    @property
-    def a1_values(self) -> np.ndarray:
-        return self.values.real
-
-    @property
-    def b1_values(self) -> np.ndarray:
-        return self.values.imag
-
 
 @dataclass
 class SplitRootSet:
@@ -270,9 +262,6 @@ class SplitRootSet:
     directions: list[np.ndarray]
     table: np.ndarray  # (num_t, num_x, num_angles, m) branch-consistent roots
     branches: list[SplitRoot]
-
-    def branch_count(self) -> int:
-        return self.ps.m
 
 
 def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
@@ -371,8 +360,7 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
         return out.reshape(shape)
 
     label = {"re": "Re", "im": "Im", "full": ""}[part]
-    return Symbol(f"branch{branch}-{label}[{ps.name}]", 1.0, fn,
-                  homogeneity_degree=1.0, x_dependent=False)
+    return Symbol(f"branch{branch}-{label}[{ps.name}]", 1.0, fn, x_dependent=False)
 
 
 # ---------------------------------------------------------------------------

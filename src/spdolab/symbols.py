@@ -88,7 +88,6 @@ class Symbol:
     order: float
     fn: SymbolFn | None = None
     integrability: float = math.inf
-    homogeneity_degree: float | None = None
     requires_path: bool = False
     x_dependent: bool = True
     separated: tuple[SeparatedTerm, ...] | None = None

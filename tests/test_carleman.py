@@ -1,13 +1,16 @@
 """Weighted energy inequality: per-term assembly, aggregation, and the scan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spdolab import (CarlemanConfig, NonFiniteError, SpectralField, TorusGrid, scan,
                      verify_inequality)
-from spdolab import carleman
+from spdolab import carleman, catalog
 from spdolab.carleman import (path_terms, resolve_operator_family, resolve_process,
                               resolve_window)
+from spdolab.operators import quantize
 from spdolab.paths import Semimartingale, TimeGrid, sample_brownian
 
 T = 0.25
@@ -288,6 +291,80 @@ class TestCoefficientSpace:
     def test_non_finite_terms_raise(self):
         with pytest.raises(NonFiniteError):
             verify_inequality(cfg(process="brownian-mode:1e200,1", paths=2))
+
+
+def skew_multiplier(grid):
+    """<xi> + i xi: a complex Fourier multiplier, so B1 != B1* and r2 != 0.
+    No catalog selector gives one; every catalog multiplier is real."""
+    sym = catalog.symbol_sum(catalog.lambda_symbol(1.0),
+                             catalog.symbol_scale(1j, catalog.xi_symbol()))
+    return quantize(sym, grid)
+
+
+class TestSupportRoute:
+    """Multiplier families on a supported process sum the six terms over the
+    support columns only; the bytes are those of the full-width sums."""
+
+    @pytest.mark.parametrize("a1, b1, dim, kappa", [
+        ("c-dx", "lambda:1", 1, 64.0),
+        ("c-dx", "lambda:1", 1, 1024.0),
+        ("xi", "lambda:0.5", 1, 16.0),
+        ("zero", "skew", 1, 256.0),
+        ("c-dx", "lambda:1", 2, 64.0),
+        ("lambda:1", "skew", 2, 1024.0),
+    ])
+    @pytest.mark.parametrize("process", ["brownian-mode:0.1,1", "deterministic-mode:1"])
+    def test_support_columns_match_full_width_bytes(self, a1, b1, dim, kappa, process):
+        grid = TorusGrid(dim, 32 if dim == 1 else 8)
+        tg = TimeGrid(T, 128)
+        fam_a1 = resolve_operator_family(a1, grid)
+        fam_b1 = skew_multiplier(grid) if b1 == "skew" else resolve_operator_family(b1, grid)
+        fam_adj = fam_b1.adjoint()
+        assert (fam_adj is fam_b1) == (b1 != "skew")
+        mu = kappa / T**2
+        for p in range(3):
+            z = resolve_process(process, "sine", grid, 0, p, tg)
+            assert z.support is not None and z.support.size == 1
+            got = path_terms(z, fam_a1, fam_b1, fam_adj, mu)
+            full = path_terms(dataclasses.replace(z, support=None), fam_a1, fam_b1, fam_adj, mu)
+            assert got.tobytes() == full.tobytes()
+            assert np.all(np.isfinite(got))
+            assert (got[3] != 0.0) == (b1 == "skew")
+
+    def test_cell_path_arrays_follow_the_width(self):
+        # one set of arrays serves a supported and a full-width process in turn
+        grid = TorusGrid(1, 32)
+        tg = TimeGrid(T, 64)
+        a1 = resolve_operator_family("c-dx", grid)
+        b1 = resolve_operator_family("lambda:1", grid)
+        z = resolve_process("brownian-mode:0.1,1", "sine", grid, 0, 0, tg)
+        arrays = carleman._PathArrays()
+        first = path_terms(z, a1, b1, b1, MU, arrays)
+        assert arrays.shape == (tg.steps, 1)
+        wide = path_terms(dataclasses.replace(z, support=None), a1, b1, b1, MU, arrays)
+        assert arrays.shape == (tg.steps, 32)
+        again = path_terms(z, a1, b1, b1, MU, arrays)
+        assert first.tobytes() == wide.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("a1, b1, dim, m", [
+        ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 1, 32),
+        ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 2, 8),
+        ("c-dx", "mod:1", 1, 32),               # only B1 moves the mode
+        ("trig-lambda:2,1,0,1", "lambda:1", 1, 32),  # only A1 does
+    ])
+    def test_x_dependent_families_keep_full_width(self, a1, b1, dim, m):
+        # an x-dependent family moves mass off the support, so the terms of a
+        # supported process must still agree with the dense value-space oracle
+        grid = TorusGrid(dim, m)
+        tg = TimeGrid(T, 128)
+        fam_a1 = resolve_operator_family(a1, grid)
+        fam_b1 = resolve_operator_family(b1, grid)
+        z = resolve_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
+        assert z.support is not None
+        got = path_terms(z, fam_a1, fam_b1, fam_b1.adjoint(), MU)
+        ref = value_space_terms(z, a1, b1, MU)
+        scale = np.max(np.abs(ref))
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
 
 
 class TestScan:

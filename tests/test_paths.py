@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdolab import (AdaptednessError, SpectralField, TimeGrid, TorusGrid,
+from spdolab import (AdaptednessError, ConstantRule, SpectralField, TimeGrid, TorusGrid,
                      WindowError, constant_field_rule, derive_rng, ito_process,
                      l2_norm, parabolic_window, realized_quadratic_variation,
                      sample_brownian, sine_window, windowed_ito_process)
@@ -116,6 +116,79 @@ class TestItoProcess:
         path = sample_brownian(0, 0, TG)
         with pytest.raises(ValueError):
             Semimartingale(TG, GRID, np.zeros((3,) + GRID.shape, dtype=complex), path)
+
+
+class TestAdditiveNoiseRoute:
+    """No drift and a constant (or no) diffusion: one cumulative sum on the
+    support instead of the step loop, with the loop's bytes."""
+
+    CASES = [(GRID, 1, 0.0), (GRID, 0, 0.1), (TorusGrid(2, 8), 0, 0.1), (TorusGrid(2, 8), 1, 0.0)]
+    IDS = ["deterministic-mode", "brownian-mode", "brownian-mode-2d", "deterministic-mode-2d"]
+
+    @staticmethod
+    def rules(grid, initial_amp, noise_amp):
+        mode = (1,) + (0,) * (grid.dim - 1)
+        initial = SpectralField.pure_mode(grid, mode, initial_amp) if initial_amp else None
+        g = SpectralField.pure_mode(grid, mode, noise_amp).coefficients
+        declared = ConstantRule(g) if noise_amp else None
+        return initial, declared, (lambda t, slc, y: g)
+
+    @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
+    def test_constant_rule_reproduces_loop_bytes(self, grid, initial_amp, noise_amp):
+        initial, declared, plain = self.rules(grid, initial_amp, noise_amp)
+        for p in range(3):
+            path = sample_brownian(7, p, TG)
+            fast = ito_process(None, declared, path, grid, initial)
+            loop = ito_process(None, plain, path, grid, initial)
+            assert loop.support is None and fast.support is not None
+            assert fast.coefficients.tobytes() == loop.coefficients.tobytes()
+            fast_w = windowed_ito_process(None, declared, sine_window, path, grid, initial)
+            loop_w = windowed_ito_process(None, plain, sine_window, path, grid, initial)
+            assert fast_w.coefficients.tobytes() == loop_w.coefficients.tobytes()
+
+    @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
+    def test_support_is_the_non_zero_columns(self, grid, initial_amp, noise_amp):
+        initial, declared, _ = self.rules(grid, initial_amp, noise_amp)
+        path = sample_brownian(7, 0, TG)
+        for z in (ito_process(None, declared, path, grid, initial),
+                  windowed_ito_process(None, declared, parabolic_window, path, grid, initial)):
+            flat = z.coefficients.reshape(TG.steps + 1, -1)
+            assert np.array_equal(z.support, np.flatnonzero(np.any(flat != 0, axis=0)))
+            assert z.support.tolist() == [np.ravel_multi_index((1,) + (0,) * (grid.dim - 1),
+                                                               grid.shape)]
+
+    def test_union_of_initial_and_noise_columns(self):
+        path = sample_brownian(7, 0, TG)
+        g = ConstantRule(SpectralField.pure_mode(GRID, 3, 0.2).coefficients)
+        z = ito_process(None, g, path, GRID, SpectralField.pure_mode(GRID, -2, 1.0))
+        assert z.support.tolist() == [3, 14]
+        loop = ito_process(None, lambda t, slc, y: g.coefficients, path, GRID,
+                           SpectralField.pure_mode(GRID, -2, 1.0))
+        assert z.coefficients.tobytes() == loop.coefficients.tobytes()
+
+    def test_constant_rule_is_a_field_rule(self):
+        g = SpectralField.pure_mode(GRID, 1, 0.5).coefficients
+        rule = constant_field_rule(SpectralField.pure_mode(GRID, 1, 0.5))
+        assert isinstance(rule, ConstantRule)
+        path = sample_brownian(0, 0, TG)
+        assert np.array_equal(rule(0.0, path.slice_at(0), np.zeros(GRID.shape)), g)
+
+    def test_other_rules_keep_the_loop_and_full_width(self):
+        path = sample_brownian(0, 0, TG)
+        initial = SpectralField.pure_mode(GRID, 1, 1.0)
+        f = ConstantRule(SpectralField.pure_mode(GRID, 0, 1.0).coefficients)
+        g = ConstantRule(SpectralField.pure_mode(GRID, 2, 0.1).coefficients)
+        state_dependent = ito_process(None, lambda t, slc, y: 0.1 * y, path, GRID, initial)
+        drift_and_noise = ito_process(f, g, path, GRID, initial)
+        drift_only = ito_process(f, None, path, GRID, initial)
+        for z in (state_dependent, drift_and_noise, drift_only):
+            assert z.support is None
+        # (y + dt f) + dw g, stepped in that order
+        y = initial.coefficients.copy()
+        dw = np.diff(path.values)
+        for k in range(TG.steps):
+            y = y + TG.dt * f.coefficients + dw[k] * g.coefficients
+        assert drift_and_noise.coefficients[-1].tobytes() == y.tobytes()
 
 
 class TestWindows:
