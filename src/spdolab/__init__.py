@@ -21,8 +21,9 @@ from .paths import (BrownianPath, ConstantRule, PathSlice, Semimartingale,
                     parabolic_window, realized_quadratic_variation,
                     sample_brownian, sine_window, windowed_ito_process)
 from .symbols import (EllipticityReport, HypothesisReport, PrincipalSymbol,
-                      Symbol, SymbolOrderReport, characteristic_roots,
-                      check_elliptic, check_hypotheses, verify_symbol_order)
+                      RootStack, Symbol, SymbolOrderReport, characteristic_roots,
+                      check_elliptic, check_hypotheses, solve_roots,
+                      verify_symbol_order)
 from .operators import (CompositionResult, MatrixOperator, ParametrixResult,
                         SpdoOperator, boundedness_harness, compose,
                         composition_symbol, parametrix,

@@ -211,7 +211,7 @@ CATALOG_SYMBOLS: dict[str, tuple[Callable[..., Symbol], str]] = {
     "lambda": (lambda_symbol, "lambda:s -> (1+|xi|^2)^(s/2), order s"),
     "xi": (xi_symbol, "xi -> frequency coordinate, order 1"),
     "c-dx": (lambda c=1.0: symbol_scale(c, xi_symbol(), name=f"c-dx[{c}]"),
-             "c-dx:c -> c xi, the symbol of c times the first spatial derivative"),
+             "c-dx:c -> c xi, the real symbol of c D_x = -i c d/dx (self-adjoint)"),
     "xi2": (lambda: xi_power(2), "xi squared, order 2"),
     "xi-poly": (_xi_poly, "xi-poly:c0,c1,... -> sum c_d xi^d"),
     "abs-xi": (xi_magnitude, "|xi|, order 1"),

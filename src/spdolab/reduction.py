@@ -22,9 +22,9 @@ import numpy as np
 from .errors import (BranchCrossingError, DegenerateDiagonalizationError, StencilError)
 from .grid import SpectralField, TorusGrid, l2_norm
 from .paths import PathSlice, TimeGrid
-from .symbols import (COMPLEX_ROOT_REL_TOL, PrincipalSymbol, Symbol, as_coords,
-                      characteristic_roots, sample_contexts, sample_directions,
-                      sample_positions)
+from .symbols import (COMPLEX_ROOT_REL_TOL, Coords, PrincipalSymbol, RootStack, Symbol,
+                      _cmul, _cpow, one_sample, pairwise_distances, sample_contexts,
+                      sample_directions, sample_grid, sample_positions, solve_roots)
 from .operators import SpdoOperator
 
 # continuation is ambiguous when distinct roots approach closer than this
@@ -152,6 +152,28 @@ def exact_companion_state(man: ManufacturedSolution, m: int,
 # principal matrix symbol and diagonalization
 
 
+def _radius(xi: Coords) -> np.ndarray:
+    """|xi| per sample. Real powers in this module use np.float_power, for the
+    reason in the rounding note of `symbols`."""
+    return np.sqrt(sum(np.float_power(c, 2) for c in xi))
+
+
+def _companion_stack(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(N, m, m) companion symbols from (N, m) tau-coefficients and (N,) |xi|."""
+    n, m = c.shape
+    out = np.zeros((n, m, m), dtype=complex)
+    out[:, np.arange(m - 1), np.arange(1, m)] = r[:, None]
+    for j in range(1, m + 1):
+        out[:, m - 1, j - 1] = _cmul(c[:, j - 1], np.float_power(r, j - m))
+    return out
+
+
+def _norm(z: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis. Its dot products are those of
+    np.linalg.norm on one vector, so each norm rounds as that call does."""
+    return np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+
+
 @dataclass
 class PrincipalMatrixSymbol:
     """Frequency-normalized companion symbol: |xi| on the superdiagonal, the
@@ -165,18 +187,11 @@ class PrincipalMatrixSymbol:
         return self.ps.m
 
     def matrix_at(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
-        xit = as_coords(xi)
-        r = float(np.sqrt(sum(float(np.asarray(c).reshape(())) ** 2 for c in xit)))
-        if r <= 0.0:
+        x, xi = one_sample(x), one_sample(xi)
+        r = _radius(xi)
+        if r[0] <= 0.0:
             raise ValueError("frequency-zero sample rejected; |xi| must be positive")
-        m = self.m
-        c = self.ps.coefficients_at(t, slc, x, xi)
-        out = np.zeros((m, m), dtype=complex)
-        for j in range(m - 1):
-            out[j, j + 1] = r
-        for j in range(1, m + 1):
-            out[m - 1, j - 1] = c[j - 1] * r ** (j - m)
-        return out
+        return _companion_stack(self.ps.coefficients(t, slc, x, xi), r)[0]
 
 
 def principal_matrix_symbol(ps: PrincipalSymbol) -> PrincipalMatrixSymbol:
@@ -185,62 +200,85 @@ def principal_matrix_symbol(ps: PrincipalSymbol) -> PrincipalMatrixSymbol:
 
 @dataclass
 class Diagonalization:
+    """Eigendecomposition of the companion symbol. In a stack over N samples
+    every field carries a leading sample axis."""
+
     eigenvalues: np.ndarray
     vectors: np.ndarray
     vectors_inverse: np.ndarray
-    residual: float
-    condition_number: float
+    residual: float | np.ndarray
+    condition_number: float | np.ndarray
+
+
+def _diagonalize_stack(solved: RootStack) -> Diagonalization:
+    """Closed-form eigendecomposition at every sample of a root solve: column k
+    is the Vandermonde-type vector (|xi|^{m-1}, lambda_k |xi|^{m-2}, ...,
+    lambda_k^{m-1}), unit-normalized. The leading entry is positive, which
+    fixes every column phase. Raises for the first sample with a repeated root."""
+    roots = solved.roots
+    n, m = roots.shape
+    if m > 1:
+        scale = 1.0 + np.abs(roots).max(axis=1)
+        gap = pairwise_distances(roots).min(axis=1)
+        degenerate = np.flatnonzero(gap < 1e-8 * scale)
+        if degenerate.size:
+            i = int(degenerate[0])
+            raise DegenerateDiagonalizationError(
+                f"repeated root (gap {gap[i]:.3e}) at xi={solved.sample_xi(i)}: "
+                "companion symbol is not diagonalizable")
+    r = _radius(solved.xi)
+    if np.any(r <= 0.0):
+        raise ValueError("frequency-zero sample rejected; |xi| must be positive")
+    # cols[:, k] is column k of V
+    cols = np.stack([_cmul(_cpow(roots, j), np.float_power(r, m - 1 - j)[:, None])
+                     for j in range(m)], axis=-1)
+    vectors = np.ascontiguousarray((cols / _norm(cols)[..., None]).transpose(0, 2, 1))
+    mat = _companion_stack(solved.coefficients, r)
+    eig = np.zeros((n, m, m), dtype=complex)
+    eig[:, np.arange(m), np.arange(m)] = roots
+    residual = (_norm((mat @ vectors - vectors @ eig).reshape(n, -1))
+                / np.maximum(_norm(mat.reshape(n, -1)), 1e-300))
+    return Diagonalization(roots, vectors, np.linalg.inv(vectors), residual,
+                           np.linalg.cond(vectors))
 
 
 def diagonalize(sigma: PrincipalMatrixSymbol, t: float, slc: PathSlice | None,
                 x, xi) -> Diagonalization:
-    """Closed-form eigendecomposition: column k is the Vandermonde-type vector
-    (|xi|^{m-1}, lambda_k |xi|^{m-2}, ..., lambda_k^{m-1}), unit-normalized.
-    The leading entry is positive, which fixes every column phase."""
-    roots = characteristic_roots(sigma.ps, t, slc, x, xi)
-    m = sigma.m
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    if m > 1:
-        gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
-        if min(gaps) < 1e-8 * scale:
-            raise DegenerateDiagonalizationError(
-                f"repeated root (gap {min(gaps):.3e}) at xi={xi}: "
-                "companion symbol is not diagonalizable")
-    xit = as_coords(xi)
-    r = float(np.sqrt(sum(float(np.asarray(c).reshape(())) ** 2 for c in xit)))
-    V = np.zeros((m, m), dtype=complex)
-    for k, lam in enumerate(roots):
-        col = np.array([lam**j * r ** (m - 1 - j) for j in range(m)])
-        V[:, k] = col / np.linalg.norm(col)
-    mat = sigma.matrix_at(t, slc, x, xi)
-    residual = (np.linalg.norm(mat @ V - V @ np.diag(roots))
-                / max(np.linalg.norm(mat), 1e-300))
-    return Diagonalization(roots, V, np.linalg.inv(V), float(residual),
-                           float(np.linalg.cond(V)))
+    """The eigendecomposition of `_diagonalize_stack` at one sample."""
+    solved = solve_roots(sigma.ps, t, slc, one_sample(x), one_sample(xi)).checked()
+    d = _diagonalize_stack(solved)
+    return Diagonalization(d.eigenvalues[0], d.vectors[0], d.vectors_inverse[0],
+                           float(d.residual[0]), float(d.condition_number[0]))
 
 
 # ---------------------------------------------------------------------------
 # branch tracking and root splitting
 
 
-def _match_order(roots: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Permutation of `roots` minimizing total distance to `reference`."""
-    m = len(roots)
+def _permutations(m: int) -> np.ndarray:
+    """(m!, m) array of every ordering of m roots, the identity first."""
     if m > 6:
         raise BranchCrossingError("branch matching supported for m <= 6 only")
-    best, best_cost = None, math.inf
-    for perm in itertools.permutations(range(m)):
-        cost = sum(abs(roots[p] - reference[i]) for i, p in enumerate(perm))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return roots[list(best)]
+    return np.array(list(itertools.permutations(range(m))))
 
 
-def _min_distinct_gap(roots: np.ndarray) -> float:
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    gaps = [abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1:]]
-    distinct = [g for g in gaps if g > COMPLEX_ROOT_REL_TOL * scale]
-    return min(distinct) if distinct else math.inf
+def _best_permutation(roots: np.ndarray, reference: np.ndarray,
+                      perms: np.ndarray) -> np.ndarray:
+    """Index into `perms` of the reordering of each row of `roots` (..., m)
+    nearest the matching row of `reference` in summed distance. Every
+    permutation is scored at once; a tie goes to the earliest."""
+    diff = roots[..., perms] - reference[..., None, :]
+    dist = np.hypot(diff.real, diff.imag)
+    cost = sum(dist[..., i] for i in range(roots.shape[-1]))
+    return np.argmin(cost, axis=-1)
+
+
+def _min_distinct_gap(roots: np.ndarray) -> np.ndarray:
+    """Smallest gap between distinct roots along the last axis (inf if none).
+    Roots closer than COMPLEX_ROOT_REL_TOL (1 + max|root|) count as one."""
+    scale = 1.0 + np.abs(roots).max(axis=-1, keepdims=True)
+    gaps = pairwise_distances(roots)
+    return np.where(gaps > COMPLEX_ROOT_REL_TOL * scale, gaps, np.inf).min(axis=-1)
 
 
 @dataclass
@@ -262,6 +300,7 @@ class SplitRootSet:
     directions: list[np.ndarray]
     table: np.ndarray  # (num_t, num_x, num_angles, m) branch-consistent roots
     branches: list[SplitRoot]
+    solves: list[RootStack]  # per time, over sample_grid(positions, directions), sorted
 
 
 def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
@@ -280,25 +319,39 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
         tuple(np.array(0.0) for _ in range(dim))]
     directions = sample_directions(dim, num_angles)
     nt, nx, na, m = len(contexts), len(positions), len(directions), ps.m
-    table = np.zeros((nt, nx, na, m), dtype=complex)
+    perms = _permutations(m)
 
-    for it, (t, slc) in enumerate(contexts):
-        for ix, x in enumerate(positions):
-            for ia, direction in enumerate(directions):
-                xi = tuple(np.array(direction[ax]) for ax in range(dim))
-                roots = characteristic_roots(ps, t, slc, x, xi)
-                if m > 1 and _min_distinct_gap(roots) < BRANCH_AMBIGUITY_TOL:
-                    raise BranchCrossingError(
-                        f"distinct roots within {BRANCH_AMBIGUITY_TOL:g} at "
-                        f"t={t}, x={x}, direction={direction}: matching ambiguous")
-                if it == 0 and ix == 0 and ia == 0:
-                    table[it, ix, ia] = roots
-                elif ia > 0:
-                    table[it, ix, ia] = _match_order(roots, table[it, ix, ia - 1])
-                elif ix > 0:
-                    table[it, ix, ia] = _match_order(roots, table[it, ix - 1, ia])
-                else:
-                    table[it, ix, ia] = _match_order(roots, table[it - 1, ix, ia])
+    x, xi = sample_grid(positions, directions)
+    solves = [solve_roots(ps, t, slc, x, xi) for t, slc in contexts]
+    roots = np.stack([s.roots for s in solves]).reshape(nt, nx, na, m)
+    failed = np.stack([s.failed for s in solves]).reshape(nt, nx, na)
+    ambiguous = (_min_distinct_gap(roots) < BRANCH_AMBIGUITY_TOL if m > 1
+                 else np.zeros_like(failed))
+    bad = np.argwhere(failed | ambiguous)
+    if len(bad):  # the first in (t, x, angle) order
+        it, ix, ia = (int(i) for i in bad[0])
+        if failed[it, ix, ia]:
+            raise solves[it].error(ix * na + ia)
+        raise BranchCrossingError(
+            f"distinct roots within {BRANCH_AMBIGUITY_TOL:g} at "
+            f"t={contexts[it][0]}, x={positions[ix]}, direction={directions[ia]}: "
+            "matching ambiguous")
+
+    # choice[it, ix, ia] indexes the permutation that orders that sample's
+    # roots by branch. The first direction of each (t, x) row continues from
+    # the row before it, along x, then t; each row then continues along angle,
+    # all rows in step.
+    choice = np.zeros((nt, nx, na), dtype=int)
+    for it in range(nt):
+        for ix in range(nx):
+            if it or ix:
+                prev = (it, ix - 1, 0) if ix else (it - 1, 0, 0)
+                reference = roots[prev][perms[choice[prev]]]
+                choice[it, ix, 0] = _best_permutation(roots[it, ix, 0], reference, perms)
+    for ia in range(1, na):
+        reference = np.take_along_axis(roots[:, :, ia - 1], perms[choice[:, :, ia - 1]], axis=-1)
+        choice[:, :, ia] = _best_permutation(roots[:, :, ia], reference, perms)
+    table = np.take_along_axis(roots, perms[choice], axis=-1)
 
     branches = []
     for k in range(m):
@@ -313,7 +366,7 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
             flag = "mixed"
         branches.append(SplitRoot(k, vals, flag))
     return SplitRootSet(ps, dim, [t for t, _ in contexts], [s for _, s in contexts],
-                        positions, directions, table, branches)
+                        positions, directions, table, branches, solves)
 
 
 def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
@@ -331,7 +384,8 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
             "path-independent coefficients")
     if part not in ("re", "im", "full"):
         raise ValueError("part must be 're', 'im', or 'full'")
-    unit_dirs = split.directions
+    unit_dirs = np.array(split.directions)
+    perms = _permutations(ps.m)
 
     def fn(t, slc, x, xi):
         r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in xi))
@@ -339,20 +393,20 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
         r = np.broadcast_to(r, shape).ravel()
         flat_xi = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in xi]
         out = np.zeros(r.shape, dtype=complex)
-        x0 = tuple(np.array(0.0) for _ in range(split.dim))
-        # one root solve per distinct direction present in the request
         dirs = np.stack([np.where(r > 0, c / np.where(r > 0, r, 1.0), 0.0)
                          for c in flat_xi], axis=-1)
         live = r > 0
         uniq, inv = np.unique(np.round(dirs[live], 12), axis=0, return_inverse=True)
-        vals = np.zeros(len(uniq), dtype=complex)
-        for i, d in enumerate(uniq):
-            nearest = int(np.argmin([np.linalg.norm(d - u) for u in unit_dirs]))
-            xi_unit = tuple(np.array(unit_dirs[nearest][ax]) for ax in range(split.dim))
-            roots = characteristic_roots(ps, t, slc, x0, xi_unit)
-            matched = _match_order(roots, split.table[0, 0, nearest])
-            vals[i] = matched[branch]
-        out[live] = vals[inv] * r[live]
+        # one root solve over the distinct directions, each at its nearest sampled one
+        diff = uniq[:, None, :] - unit_dirs[None, :, :]
+        nearest = np.argmin(np.sqrt(np.vecdot(diff, diff)), axis=1)
+        x0 = tuple(np.zeros(len(uniq)) for _ in range(split.dim))
+        xi_unit = tuple(unit_dirs[nearest, ax] for ax in range(split.dim))
+        roots = solve_roots(ps, t, slc, x0, xi_unit).checked().roots
+        reference = split.table[0, 0, nearest]
+        matched = np.take_along_axis(
+            roots, perms[_best_permutation(roots, reference, perms)], axis=-1)
+        out[live] = matched[inv, branch] * r[live]
         if part == "re":
             out = out.real.astype(complex)
         elif part == "im":
@@ -542,18 +596,15 @@ def reduction_table(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
     """Per-sample eigenvalue/diagonalization rows for the tracked branches."""
     split = split_roots(ps, dim, num_angles=num_angles, num_x=num_x, seed=seed,
                         time_grid=time_grid)
-    sigma = principal_matrix_symbol(ps)
+    xs = [float(np.asarray(x[0])) for x in split.positions]
+    angles = [float(math.atan2(d[1] if dim == 2 else 0.0, d[0])) for d in split.directions]
+    samples = list(itertools.product(range(len(xs)), range(len(angles))))
     rows = []
-    for it, t in enumerate(split.times):
-        slc = split.slices[it]
-        for ix, x in enumerate(split.positions):
-            for ia, direction in enumerate(split.directions):
-                xi = tuple(np.array(direction[ax]) for ax in range(dim))
-                diag = diagonalize(sigma, t, slc, x, xi)
-                angle = float(math.atan2(direction[1] if dim == 2 else 0.0, direction[0]))
-                for k in range(ps.m):
-                    lam = split.table[it, ix, ia, k]
-                    rows.append(ReductionRow(float(t), float(np.asarray(x[0])), angle,
-                                             k, float(lam.real), float(lam.imag),
-                                             diag.residual, diag.condition_number))
+    for t, solved, lam in zip(split.times, split.solves, split.table):
+        diag = _diagonalize_stack(solved)
+        re, im = lam.real.tolist(), lam.imag.tolist()
+        resid, cond = diag.residual.tolist(), diag.condition_number.tolist()
+        rows += [ReductionRow(float(t), xs[ix], angles[ia], k, re[ix][ia][k], im[ix][ia][k],
+                              resid[s], cond[s])
+                 for s, (ix, ia) in enumerate(samples) for k in range(ps.m)]
     return rows

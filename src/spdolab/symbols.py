@@ -143,6 +143,30 @@ def sample_directions(dim: int, num_angles: int = 64) -> list[np.ndarray]:
     return [np.array([math.cos(a), math.sin(a)]) for a in ang]
 
 
+def sample_grid(positions: Sequence[Coords],
+                directions: Sequence[np.ndarray]) -> tuple[Coords, Coords]:
+    """Every (position, direction) pair as (N,) arrays per axis, position-major:
+    sample ix * len(directions) + ia pairs positions[ix] with directions[ia]."""
+    dim = len(directions[0])
+    x = tuple(np.repeat([float(p[ax]) for p in positions], len(directions)) for ax in range(dim))
+    xi = tuple(np.tile([d[ax] for d in directions], len(positions)) for ax in range(dim))
+    return x, xi
+
+
+def one_sample(v) -> Coords:
+    """One sample point as (1,) arrays per axis."""
+    return tuple(c.reshape(1) for c in as_coords(v))
+
+
+def _direction_rays(dim: int, num_angles: int, radii: np.ndarray) -> Coords:
+    """xi = r * direction for every sampled direction and radius at once, as
+    (direction, 1, radius) arrays that broadcast against (num_x, 1) positions."""
+    directions = np.array(sample_directions(dim, num_angles))
+    return tuple((radii * directions[:, ax:ax + 1]).reshape(len(directions), 1, -1)
+                 for ax in range(dim))
+
+
+
 # ---------------------------------------------------------------------------
 # symbol-class verification
 
@@ -228,10 +252,10 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
     if xi_max < 8:
         raise ValueError("xi_max must be at least 8")
     radii = np.geomspace(1.0, xi_max, num_xi)
-    directions = sample_directions(dim, num_angles=8)
     positions = sample_positions(dim, num_x)
     contexts = sample_contexts(seed, time_grid=time_grid)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
+    xi = _direction_rays(dim, 8, radii)
 
     pairs = _multi_indices(dim)
     curves: dict[tuple, np.ndarray] = {p: np.zeros(num_xi) for p in pairs}
@@ -239,20 +263,19 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
     m_time: dict[float, float] = {}
     for t, slc in contexts:
         ctx_max = 0.0
-        for direction in directions:
-            xi = tuple((radii * direction[ax]).reshape(1, -1) for ax in range(dim))
-            for alpha, beta in pairs:
-                total = sum(alpha) + sum(beta)
-                h_rel = 1e-3 if total <= 1 else 5e-3
-                h_xi = h_rel * (1.0 + radii.reshape(1, -1))
-                vals = _nested_fd(symbol, t, slc, xs, xi, alpha, beta, h_xi, 5e-3)
-                mags = np.max(np.abs(vals), axis=0)
-                np.maximum(curves[(alpha, beta)], mags, out=curves[(alpha, beta)])
-                if total == 0:
-                    base_scale = max(base_scale, float(np.max(mags)))
-                bound = symbol.order - sum(alpha)
-                ctx_max = max(ctx_max, float(np.max(mags / (1.0 + radii) ** bound)))
-        m_time[t] = max(m_time.get(t, 0.0), ctx_max)
+        for alpha, beta in pairs:
+            total = sum(alpha) + sum(beta)
+            h_rel = 1e-3 if total <= 1 else 5e-3
+            h_xi = h_rel * (1.0 + radii.reshape(1, -1))
+            vals = _nested_fd(symbol, t, slc, xs, xi, alpha, beta, h_xi, 5e-3)
+            mags = np.max(np.abs(vals), axis=1)  # (direction, radius)
+            np.maximum(curves[(alpha, beta)], mags.max(axis=0), out=curves[(alpha, beta)])
+            # np.maximum keeps a NaN, which Python's max would drop
+            if total == 0:
+                base_scale = float(np.maximum(base_scale, mags.max()))
+            bound = symbol.order - sum(alpha)
+            ctx_max = float(np.maximum(ctx_max, (mags / (1.0 + radii) ** bound).max()))
+        m_time[t] = float(np.maximum(m_time.get(t, 0.0), ctx_max))
 
     floor = 1e-10 * (1.0 + base_scale)
     upper = radii >= math.sqrt(xi_max)
@@ -305,20 +328,18 @@ def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int 
                    time_grid: TimeGrid | None = None) -> EllipticityReport:
     """Estimate C = min |a| / (1+|xi|)^l over samples with |xi| >= the lower bound."""
     radii = np.geomspace(lower_frequency_bound, xi_max, num_xi)
-    directions = sample_directions(dim, num_angles=16)
     positions = sample_positions(dim, num_x)
     contexts = sample_contexts(seed, time_grid=time_grid)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
+    xi = _direction_rays(dim, 16, radii)
 
     c_est = math.inf
     count = 0
     for t, slc in contexts:
-        for direction in directions:
-            xi = tuple((radii * direction[ax]).reshape(1, -1) for ax in range(dim))
-            vals = symbol.evaluate(t, slc, xs, xi)
-            ratios = np.abs(vals) / (1.0 + radii.reshape(1, -1)) ** symbol.order
-            c_est = min(c_est, float(np.min(ratios)))
-            count += ratios.size
+        vals = symbol.evaluate(t, slc, xs, xi)
+        ratios = np.abs(vals) / (1.0 + radii.reshape(1, -1)) ** symbol.order
+        c_est = float(np.minimum(c_est, ratios.min()))  # a NaN stays: not elliptic
+        count += ratios.size
     return EllipticityReport(symbol.name, symbol.order, lower_frequency_bound,
                              c_est, floor, count)
 
@@ -326,8 +347,12 @@ def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int 
 # ---------------------------------------------------------------------------
 # principal symbols and characteristic roots
 
-# tau-coefficient rule: (t, slc, x, xi) -> complex, with x, xi tuple-per-axis.
-CoeffRule = Callable[[float, PathSlice | None, Coords, Coords], complex]
+# tau-coefficient rule: (t, slc, x, xi) -> complex values, with x, xi
+# tuple-per-axis. Rules broadcast over arrays of sample points.
+CoeffRule = Callable[[float, PathSlice | None, Coords, Coords], np.ndarray]
+
+# A polished root must leave |p(root)| below this times (1 + max|root|)^m.
+ROOT_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
@@ -350,69 +375,169 @@ class PrincipalSymbol:
         if len(self.tau_coefficients) != self.m:
             raise ValueError("need exactly m tau-coefficients")
 
-    def coefficients_at(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
-        xt, xit = as_coords(x), as_coords(xi)
-        return np.array([complex(np.asarray(c(t, slc, xt, xit)).reshape(()))
-                         for c in self.tau_coefficients])
+    def coefficients(self, t: float, slc: PathSlice | None, x: Coords, xi: Coords) -> np.ndarray:
+        """(..., m) array of c_k over the broadcast shape of the sample arrays."""
+        shape = np.broadcast_shapes(*(np.shape(c) for c in x + xi))
+        out = np.empty(shape + (self.m,), dtype=complex)
+        for k, rule in enumerate(self.tau_coefficients):
+            out[..., k] = rule(t, slc, x, xi)
+        return out
 
-    def value(self, t: float, slc: PathSlice | None, x, tau: complex, xi) -> complex:
-        c = self.coefficients_at(t, slc, x, xi)
-        return tau**self.m - sum(c[k] * tau**k for k in range(self.m))
+
+# Root solving works on stacks of N samples, and gives bit for bit the roots
+# that np.roots and a Newton polish in numpy scalars give one sample at a time
+# (tests/test_root_stack.py holds that per-sample oracle). So its complex
+# products and powers round as numpy's complex scalars round them: numpy's
+# vectorized complex multiply may fuse a multiply and an add and then rounds
+# differently. Real powers use np.float_power, which rounds as a Python float
+# power does; numpy's ** on a float array may not. The modulus of a single
+# complex number is np.hypot of its parts, as abs() of a scalar computes it;
+# np.abs of a complex array (kept where the scalar code had it) may differ.
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b from four real products, without fused multiply-adds."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _cpow(a: np.ndarray, k: int) -> np.ndarray:
+    """a**k for an integer k >= 0."""
+    if k == 0:
+        return np.ones_like(a)
+    if k == 1:
+        return a
+    if k == 2:
+        return _cmul(a, a)
+    return a**k  # numpy's complex power multiplies without fusing
+
+
+def _poly(c: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """p(tau) = tau^m - sum_k c_k tau^k; c is (N, m), tau (N, j)."""
+    m = c.shape[-1]
+    return _cpow(tau, m) - sum(_cmul(c[:, k:k + 1], _cpow(tau, k)) for k in range(m))
+
+
+def _dpoly(c: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """p'(tau) = m tau^(m-1) - sum_k k c_k tau^(k-1)."""
+    m = c.shape[-1]
+    return _cmul(m, _cpow(tau, m - 1)) - sum(_cmul(_cmul(k, c[:, k:k + 1]), _cpow(tau, k - 1))
+                                             for k in range(1, m))
 
 
 def _poly_roots_monic(minus_c: np.ndarray) -> np.ndarray:
-    """Roots of tau^m - sum c_k tau^k given c as minus_c[k] = c_k."""
-    m = len(minus_c)
+    """Roots of tau^m - sum c_k tau^k at N samples, given minus_c[:, k] = c_k.
+
+    m <= 2 in closed form. For m >= 3, the eigenvalues of the companion
+    matrices np.roots builds, in one stacked solve per count z of vanishing
+    low coefficients: like np.roots, a sample with c_0 = ... = c_{z-1} = 0
+    gets the roots of its (m - z) x (m - z) companion matrix and z exact zeros.
+    """
+    n, m = minus_c.shape
     if m == 1:
-        return np.array([minus_c[0]])
+        return minus_c.copy()
     if m == 2:
-        c0, c1 = minus_c
-        disc = np.lib.scimath.sqrt(c1 * c1 + 4.0 * c0)
-        return np.array([(c1 + disc) / 2.0, (c1 - disc) / 2.0])
-    # highest-to-lowest coefficient vector for numpy's companion solver
-    poly = np.concatenate([[1.0], -minus_c[::-1]])
-    return np.roots(poly)
+        c0, c1 = minus_c[:, 0], minus_c[:, 1]
+        disc = np.sqrt(_cmul(c1, c1) + _cmul(4.0, c0))
+        return np.stack([(c1 + disc) / 2.0, (c1 - disc) / 2.0], axis=1)
+    # highest-to-lowest coefficient rows, as numpy's companion solver takes them
+    poly = np.concatenate([np.ones((n, 1), dtype=complex), -minus_c[:, ::-1]], axis=1)
+    nonzero = minus_c != 0
+    zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m)
+    roots = np.zeros((n, m), dtype=complex)
+    for z in np.unique(zeros[zeros < m]):
+        rows = np.flatnonzero(zeros == z)
+        size = m - z
+        p = poly[rows, :size + 1]
+        companion = np.zeros((rows.size, size, size), dtype=complex)
+        companion[:, np.arange(1, size), np.arange(size - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        roots[rows, :size] = np.linalg.eigvals(companion)
+    return roots
+
+
+@dataclass
+class RootStack:
+    """Characteristic roots at N samples that share one (t, path slice)."""
+
+    name: str  # of the principal symbol
+    xi: Coords  # (N,) per axis
+    coefficients: np.ndarray  # (N, m)
+    roots: np.ndarray  # (N, m), each row sorted by real part, then imaginary part
+    residual: np.ndarray  # (N,) max |p(root)| after the polish
+    limit: np.ndarray  # (N,) the largest residual accepted
+
+    @property
+    def failed(self) -> np.ndarray:
+        """Samples whose residual misses the target; a NaN residual misses it."""
+        return ~(self.residual <= self.limit)
+
+    def sample_xi(self, i: int) -> Coords:
+        return tuple(np.array(c[i]) for c in self.xi)
+
+    def error(self, i: int) -> RootSolveError:
+        return RootSolveError(
+            f"root refinement for {self.name} did not converge at xi={self.sample_xi(i)}: "
+            f"residual {self.residual[i]:.3e} exceeds {self.limit[i]:.3e}",
+            float(self.residual[i]))
+
+    def checked(self) -> "RootStack":
+        """This stack, or the RootSolveError of its first failed sample."""
+        failed = np.flatnonzero(self.failed)
+        if failed.size:
+            raise self.error(int(failed[0]))
+        return self
+
+
+def solve_roots(ps: PrincipalSymbol, t: float, slc: PathSlice | None, x: Coords, xi: Coords,
+                residual_tol: float | None = None) -> RootStack:
+    """All m roots of p(tau) = 0 at N samples that share (t, slc); x and xi
+    hold (N,) arrays per axis.
+
+    Two Newton steps polish every root whose derivative clears
+    1e-12 (1 + |root|)^(m-1). A sample fails when its final residual exceeds
+    residual_tol (default ROOT_RESIDUAL_TOL) times (1 + max|root|)^m.
+    Failures are recorded, not raised: `RootStack.checked` raises for the first.
+    """
+    if residual_tol is None:
+        residual_tol = ROOT_RESIDUAL_TOL
+    c = ps.coefficients(t, slc, x, xi)
+    m = ps.m
+    roots = _poly_roots_monic(c)
+    for _ in range(2):
+        d = _dpoly(c, roots)
+        size = np.float_power(1.0 + np.hypot(roots.real, roots.imag), m - 1)
+        step = np.hypot(d.real, d.imag) > 1e-12 * size
+        roots[step] = roots[step] - _poly(c, roots)[step] / d[step]
+    residual = np.abs(_poly(c, roots)).max(axis=1)
+    limit = residual_tol * np.float_power(1.0 + np.abs(roots).max(axis=1), m)
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return RootStack(ps.name, xi, c, np.take_along_axis(roots, order, axis=-1), residual, limit)
 
 
 def characteristic_roots(ps: PrincipalSymbol, t: float, slc: PathSlice | None, x, xi,
-                         residual_tol: float = 1e-10) -> np.ndarray:
-    """All m roots of p(tau) = 0 at one sample point, Newton-polished and sorted.
-
-    Raises RootSolveError when the final residual exceeds
-    residual_tol * (1 + max|root|)^m.
-    """
-    c = ps.coefficients_at(t, slc, x, xi)
-    roots = _poly_roots_monic(c)
-    m = ps.m
-
-    def p(tau):
-        return tau**m - sum(c[k] * tau**k for k in range(m))
-
-    def dp(tau):
-        return m * tau ** (m - 1) - sum(k * c[k] * tau ** (k - 1) for k in range(1, m))
-
-    for _ in range(2):
-        for i, lam in enumerate(roots):
-            d = dp(lam)
-            if abs(d) > 1e-12 * (1.0 + abs(lam)) ** (m - 1):
-                roots[i] = lam - p(lam) / d
-    scale = (1.0 + float(np.max(np.abs(roots)))) ** m
-    residual = float(np.max(np.abs([p(lam) for lam in roots])))
-    if residual > residual_tol * scale:
-        raise RootSolveError(
-            f"root refinement for {ps.name} did not converge at xi={xi}: "
-            f"residual {residual:.3e} exceeds {residual_tol * scale:.3e}", residual)
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+                         residual_tol: float | None = None) -> np.ndarray:
+    """All m roots of p(tau) = 0 at one sample point, Newton-polished and
+    sorted: `solve_roots` on one sample. Raises RootSolveError when the final
+    residual misses its target."""
+    stack = solve_roots(ps, t, slc, one_sample(x), one_sample(xi), residual_tol)
+    return stack.checked().roots[0]
 
 
 def pairwise_distances(roots: np.ndarray) -> np.ndarray:
-    m = len(roots)
-    return np.array([abs(roots[i] - roots[j]) for i in range(m) for j in range(i + 1, m)])
+    """|lambda_i - lambda_j| for i < j along the last axis."""
+    i, j = np.triu_indices(roots.shape[-1], k=1)
+    diff = roots[..., i] - roots[..., j]
+    return np.hypot(diff.real, diff.imag)
 
 
-def is_complex_root(lam: complex) -> bool:
-    return abs(lam.imag) > COMPLEX_ROOT_REL_TOL * (1.0 + abs(lam))
+def is_complex_root(lam) -> np.ndarray:
+    """Whether each root's imaginary part clears the relative floor."""
+    return np.abs(lam.imag) > COMPLEX_ROOT_REL_TOL * (1.0 + np.hypot(lam.real, lam.imag))
 
 
 @dataclass
@@ -460,28 +585,20 @@ def check_hypotheses(ps: PrincipalSymbol, dim: int = 1, *, epsilon: float = 0.1,
                      num_angles: int = 64, num_x: int = 8, seed: int = 0,
                      time_grid: TimeGrid | None = None) -> HypothesisReport:
     """Sample roots over the unit sphere x time x path x position and report margins."""
-    directions = sample_directions(dim, num_angles)
-    positions = sample_positions(dim, num_x)
-    contexts = sample_contexts(seed, time_grid=time_grid)
-
-    h1 = math.inf
-    h2 = math.inf
-    h3 = math.inf
+    x, xi = sample_grid(sample_positions(dim, num_x), sample_directions(dim, num_angles))
+    h1 = h2 = h3 = math.inf
     count = 0
-    for t, slc in contexts:
-        for x in positions:
-            for direction in directions:
-                xi = tuple(np.array(direction[ax]) for ax in range(dim))
-                roots = characteristic_roots(ps, t, slc, x, xi)
-                count += 1
-                dists = pairwise_distances(roots)
-                if dists.size:
-                    h1 = min(h1, float(np.min(dists)))
-                    distinct_tol = COMPLEX_ROOT_REL_TOL * (1.0 + float(np.max(np.abs(roots))))
-                    distinct = dists[dists > distinct_tol]
-                    if distinct.size:
-                        h3 = min(h3, float(np.min(distinct)))
-                for lam in roots:
-                    if is_complex_root(complex(lam)):
-                        h2 = min(h2, float(abs(lam.imag)))
+    for t, slc in sample_contexts(seed, time_grid=time_grid):
+        roots = solve_roots(ps, t, slc, x, xi).checked().roots
+        count += len(roots)
+        dists = pairwise_distances(roots)
+        if dists.size:
+            h1 = min(h1, float(dists.min()))
+            distinct_tol = COMPLEX_ROOT_REL_TOL * (1.0 + np.abs(roots).max(axis=1, keepdims=True))
+            distinct = dists[dists > distinct_tol]
+            if distinct.size:
+                h3 = min(h3, float(distinct.min()))
+        complex_roots = is_complex_root(roots)
+        if complex_roots.any():
+            h2 = min(h2, float(np.abs(roots.imag[complex_roots]).min()))
     return HypothesisReport(h1, h2, h3, epsilon, count)

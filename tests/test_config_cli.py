@@ -175,12 +175,22 @@ class TestCliRuns:
                      "--out", str(out)])
         assert code == 2
 
-    def test_non_elliptic_symbol_exits_two(self, tmp_path):
-        text = "command = elliptic-parametrix\nsymbol = trig:1,1,0\nM = 32\n"
+    # a NaN symbol has no ellipticity constant: NaN, not the +inf of no sample
+    @pytest.mark.parametrize("symbol", ["trig:1,1,0", "const:nan"])
+    def test_non_elliptic_symbol_exits_two(self, tmp_path, symbol):
+        text = f"command = elliptic-parametrix\nsymbol = {symbol}\nM = 32\n"
         code, out = self.run(tmp_path, text, "elliptic-parametrix")
         assert code == 2
         report = json.loads((out / "report.json").read_text())
         assert report["error"]["type"] == "EllipticityError"
+
+    def test_non_finite_roots_exit_two(self, tmp_path):
+        # NaN coefficients give NaN roots and a NaN residual, which fails
+        text = "command = roots-check\nprincipal = from-roots:nan,1\n"
+        code, out = self.run(tmp_path, text, "roots-check")
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "RootSolveError"
 
     def test_alias_subcommand(self, tmp_path):
         text = "command = parametrix-test\nsymbol = trig-lambda:2,1,0,1\nM = 128\ncutoff = 8\n"

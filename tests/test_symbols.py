@@ -97,7 +97,7 @@ class TestCharacteristicRoots:
     @given(coeffs=st.lists(st.floats(-3, 3), min_size=2, max_size=4))
     @settings(max_examples=25, deadline=None)
     def test_real_coefficients_conjugate_closed(self, coeffs):
-        roots = _poly_roots_monic(np.array(coeffs, dtype=complex))
+        roots = _poly_roots_monic(np.array([coeffs], dtype=complex))[0]
         for r in roots:
             assert min(abs(np.conj(r) - q) for q in roots) < 1e-7
 
@@ -108,8 +108,8 @@ class TestCharacteristicRoots:
         rng = np.random.default_rng(seed)
         base = np.array([-1.5, -0.3, 1.1]) + 0.1 * rng.standard_normal(3)
         minus_c = -np.polynomial.polynomial.polyfromroots(base)[:3]
-        before = np.sort_complex(_poly_roots_monic(minus_c))
-        after = np.sort_complex(_poly_roots_monic(minus_c + delta))
+        before = np.sort_complex(_poly_roots_monic(minus_c[None])[0])
+        after = np.sort_complex(_poly_roots_monic(minus_c[None] + delta)[0])
         assert np.max(np.abs(after - before)) <= 100.0 * delta
 
 
