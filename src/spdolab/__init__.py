@@ -12,8 +12,8 @@ energy inequality (`carleman`), and the experiment CLI (`config`, `reports`,
 from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
                      ContextMismatchError, DegenerateDiagonalizationError,
                      DenseCapError, EllipticityError, GridMismatchError,
-                     NonFiniteError, RootSolveError, SpdoLabError, StencilError,
-                     WindowError)
+                     NonFiniteError, OrderFitError, RootSolveError, SpdoLabError,
+                     StencilError, WindowError)
 from .grid import (SpectralField, TorusGrid, differentiate, inner, l2_norm,
                    random_band_limited_field, sobolev_norm)
 from .paths import (BrownianPath, ConstantRule, PathSlice, Semimartingale,

@@ -3,11 +3,12 @@
 Symbols are assembled from three kinds of factors: polynomial/bracket factors
 in the frequency variable, trigonometric profiles or complex modulations in
 the spatial variable, and affine multipliers in the driving path value w(t).
-Every entry is given in separated form, a short sum of terms f_r(t, w, x)
-g_r(t, w, xi) (`Symbol.separated`), from which its evaluation rule is
-derived; quantization applies each term by FFT. Whoever needs a derivative
-(order verification, asymptotic composition) takes it numerically from the
-rule.
+Every entry, and every tau-coefficient of a principal symbol, is a short sum
+of separated terms f_r(t, w, x) g_r(t, w, xi) (`Symbol.separated`), from
+which its evaluation rule is derived; quantization applies each term by FFT,
+and the combinators below only combine terms. Derivatives are numerical:
+order verification differentiates the rule, and asymptotic composition the
+factors.
 
 Entries are addressable by selector strings of the form `name` or
 `name:arg1,arg2,...` (all arguments numeric); see CATALOG_SYMBOLS and
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .symbols import Coords, PrincipalSymbol, Symbol, abs2, magnitude
+from .symbols import Coords, PrincipalSymbol, SeparatedTerm, Symbol, abs2, magnitude
 
 
 def _broadcast_shape(x: Coords, xi: Coords):
@@ -36,9 +37,9 @@ def _ones(t, slc, coords):
     return _const_like((), coords, 1.0)
 
 
-def _x_free(name: str, order: float, g, **meta) -> Symbol:
+def _x_free(name: str, order: float, g, requires_path: bool = False) -> Symbol:
     """A symbol with no x-dependence: the one-term separated form (1, g)."""
-    return Symbol(name, order, separated=((None, g),), **meta)
+    return Symbol(name, order, ((None, g),), requires_path)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +111,9 @@ def brownian_affine(gamma: float) -> Symbol:
 # ---------------------------------------------------------------------------
 # combinators
 #
-# Each keeps the separated form when its arguments have one: a scale scales
-# every g_r, a sum concatenates the terms, a product multiplies them out, and
-# the conjugate conjugates both factors. Factor rules take (t, slc, coords),
-# with None meaning 1.
+# Each combines separated terms: a scale scales every g_r, a sum concatenates
+# the terms, a product multiplies them out, and the conjugate conjugates both
+# factors. Factor rules take (t, slc, coords), with None meaning 1.
 
 
 def _times(p, q):
@@ -131,45 +131,25 @@ def _scaled(c: complex, g):
 
 
 def symbol_scale(c: complex, a: Symbol, name: str | None = None) -> Symbol:
-    separated = (None if a.separated is None
-                 else tuple((f, _scaled(c, g)) for f, g in a.separated))
     return Symbol(name or f"{c}*{a.name}", a.order,
-                  lambda t, slc, x, xi: c * a.fn(t, slc, x, xi),
-                  integrability=a.integrability,
-                  requires_path=a.requires_path, x_dependent=a.x_dependent,
-                  separated=separated)
+                  tuple((f, _scaled(c, g)) for f, g in a.separated), a.requires_path)
 
 
 def symbol_sum(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
-    both = a.separated is not None and b.separated is not None
     return Symbol(name or f"({a.name}+{b.name})", max(a.order, b.order),
-                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) + b.fn(t, slc, x, xi),
-                  integrability=min(a.integrability, b.integrability),
-                  requires_path=a.requires_path or b.requires_path,
-                  x_dependent=a.x_dependent or b.x_dependent,
-                  separated=a.separated + b.separated if both else None)
+                  a.separated + b.separated, a.requires_path or b.requires_path)
 
 
 def symbol_product(a: Symbol, b: Symbol, name: str | None = None) -> Symbol:
-    both = a.separated is not None and b.separated is not None
-    separated = (tuple((_times(fa, fb), _times(ga, gb))
-                       for fa, ga in a.separated for fb, gb in b.separated)
-                 if both else None)
     return Symbol(name or f"{a.name}*{b.name}", a.order + b.order,
-                  lambda t, slc, x, xi: a.fn(t, slc, x, xi) * b.fn(t, slc, x, xi),
-                  integrability=min(a.integrability, b.integrability),
-                  requires_path=a.requires_path or b.requires_path,
-                  x_dependent=a.x_dependent or b.x_dependent, separated=separated)
+                  tuple((_times(fa, fb), _times(ga, gb))
+                        for fa, ga in a.separated for fb, gb in b.separated),
+                  a.requires_path or b.requires_path)
 
 
 def symbol_conjugate(a: Symbol) -> Symbol:
-    separated = (None if a.separated is None
-                 else tuple((_conj(f), _conj(g)) for f, g in a.separated))
     return Symbol(f"conj[{a.name}]", a.order,
-                  lambda t, slc, x, xi: np.conj(a.fn(t, slc, x, xi)),
-                  integrability=a.integrability,
-                  requires_path=a.requires_path, x_dependent=a.x_dependent,
-                  separated=separated)
+                  tuple((_conj(f), _conj(g)) for f, g in a.separated), a.requires_path)
 
 
 def with_declared_order(a: Symbol, order: float) -> Symbol:
@@ -245,68 +225,59 @@ def make_symbol(selector: str) -> Symbol:
 # principal symbols (monic polynomials in tau)
 
 
-def _rule_const(value: complex):
-    def rule(t, slc, x, xi):
-        return _const_like(x, xi, value)
-    return rule
+def _zeros(t, slc, xi):
+    return _const_like((), xi, 0.0)
+
+
+def _tau_coefficients(name: str, *terms: SeparatedTerm) -> tuple[Symbol, ...]:
+    """c_0, ..., c_{m-1} of a degree-m principal symbol, one separated term
+    each; c_k has frequency order m - k."""
+    m = len(terms)
+    return tuple(Symbol(f"c{k}[{name}]", float(m - k), (term,)) for k, term in enumerate(terms))
 
 
 def wave_principal(c: float) -> PrincipalSymbol:
     """tau^2 - c^2 |xi|^2, roots +-c|xi| (real, simple away from xi = 0)."""
-
-    def c0(t, slc, x, xi):
-        return _const_like(x, (), 1.0) * (c * c) * abs2(xi)
-
-    return PrincipalSymbol(f"wave[{c}]", 2, (c0, _rule_const(0.0)))
+    name = f"wave[{c}]"
+    return PrincipalSymbol(name, 2, _tau_coefficients(
+        name, (None, lambda t, slc, xi: (c * c) * abs2(xi)), (None, _zeros)))
 
 
 def laplace_principal() -> PrincipalSymbol:
     """tau^2 + |xi|^2, roots +-i|xi| (complex conjugate pair)."""
-
-    def c0(t, slc, x, xi):
-        return _const_like(x, (), -1.0) * abs2(xi)
-
-    return PrincipalSymbol("laplace", 2, (c0, _rule_const(0.0)))
+    return PrincipalSymbol("laplace", 2, _tau_coefficients(
+        "laplace", (None, lambda t, slc, xi: -abs2(xi)), (None, _zeros)))
 
 
 def double_root_principal() -> PrincipalSymbol:
     """(tau - xi)^2: the simple-root hypothesis fails everywhere."""
-
-    def c0(t, slc, x, xi):
-        return _const_like(x, (), -1.0) * xi[0] ** 2
-
-    def c1(t, slc, x, xi):
-        return _const_like(x, (), 2.0) * xi[0]
-
-    return PrincipalSymbol("double-root", 2, (c0, c1))
+    return PrincipalSymbol("double-root", 2, _tau_coefficients(
+        "double-root", (None, lambda t, slc, xi: -(xi[0] ** 2)),
+        (None, lambda t, slc, xi: 2.0 * xi[0])))
 
 
 def mixed_cubic_principal() -> PrincipalSymbol:
     """(tau - xi)(tau^2 + |xi|^2): one real and two conjugate branches."""
-
-    def c2(t, slc, x, xi):
-        return _const_like(x, (), 1.0) * xi[0]
-
-    def c1(t, slc, x, xi):
-        return _const_like(x, (), -1.0) * abs2(xi)
-
-    def c0(t, slc, x, xi):
-        return _const_like(x, (), 1.0) * xi[0] * abs2(xi)
-
-    return PrincipalSymbol("mixed-cubic", 3, (c0, c1, c2))
+    return PrincipalSymbol("mixed-cubic", 3, _tau_coefficients(
+        "mixed-cubic", (None, lambda t, slc, xi: xi[0] * abs2(xi)),
+        (None, lambda t, slc, xi: -abs2(xi)), (None, lambda t, slc, xi: xi[0])))
 
 
 def variable_wave_principal(c0: float = 2.0, c1: float = 0.5, gamma: float = 0.0) -> PrincipalSymbol:
     """tau^2 - q^2 |xi|^2 with q = c0 + c1 sin x + gamma w(t); roots +-q|xi|."""
 
-    def coeff0(t, slc, x, xi):
+    def q_squared(t, slc, x0):
         w = 0.0 if slc is None else slc.value(t)
-        q = c0 + c1 * np.sin(x[0]) + gamma * w
-        return (q * q) * abs2(xi) * _const_like((), (), 1.0)
+        q = c0 + c1 * np.sin(x0) + gamma * w
+        return q * q
 
-    return PrincipalSymbol(f"variable-wave[{c0},{c1},{gamma}]", 2,
-                           (coeff0, _rule_const(0.0)), requires_path=gamma != 0.0,
-                           x_dependent=c1 != 0.0)
+    if c1 == 0.0:  # q is free of x
+        term = (None, lambda t, slc, xi: q_squared(t, slc, 0.0) * abs2(xi))
+    else:
+        term = (lambda t, slc, x: q_squared(t, slc, x[0]), lambda t, slc, xi: abs2(xi))
+    name = f"variable-wave[{c0},{c1},{gamma}]"
+    return PrincipalSymbol(name, 2, (Symbol(f"c0[{name}]", 2.0, (term,), gamma != 0.0),
+                                     Symbol(f"c1[{name}]", 1.0, ((None, _zeros),))))
 
 
 def from_roots_principal(unit_roots: Sequence[complex], name: str | None = None,
@@ -324,20 +295,16 @@ def from_roots_principal(unit_roots: Sequence[complex], name: str | None = None,
     minus_c = -poly[1:][::-1]  # c_k for k = m-1 ... 0 reversed to k-ascending
     eps = list(trig_eps) if trig_eps is not None else [0.0] * m
 
-    def make_rule(k):
-        ck = complex(minus_c[k])
-        ek = float(eps[k])
-
-        def rule(t, slc, x, xi, ck=ck, ek=ek, k=k):
-            mod = 1.0 + ek * np.sin(x[0]) if ek else 1.0
-            return ck * mod * magnitude(xi) ** (m - k) * _const_like((), (), 1.0)
-
-        return rule
+    def term(k):
+        ck, ek = complex(minus_c[k]), float(eps[k])
+        if ek:
+            return (lambda t, slc, x: ck * (1.0 + ek * np.sin(x[0])),
+                    lambda t, slc, xi: magnitude(xi) ** (m - k))
+        return (None, lambda t, slc, xi: ck * magnitude(xi) ** (m - k))
 
     label = name or f"from-roots[{','.join(str(z) for z in mu)}]"
-    return PrincipalSymbol(label, m, tuple(make_rule(k) for k in range(m)),
-                           homogeneous=all(e == 0.0 for e in eps),
-                           x_dependent=any(e != 0.0 for e in eps))
+    return PrincipalSymbol(label, m, _tau_coefficients(label, *(term(k) for k in range(m))),
+                           homogeneous=all(e == 0.0 for e in eps))
 
 
 def random_principal(m: int, rng: np.random.Generator, *, min_separation: float = 0.6,

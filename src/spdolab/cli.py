@@ -48,7 +48,6 @@ def run_symbol_verify(cfg: ExperimentConfig, out: Path):
         "symbol": sym.name,
         "declared_order": report.declared_order,
         "fitted_order": report.fitted_order(),
-        "integrable_on_sample": report.integrable_on_sample,
         "passed": report.passed,
     }
     return report.passed, files, results

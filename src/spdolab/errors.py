@@ -53,6 +53,10 @@ class NonFiniteError(SpdoLabError):
     """Arithmetic produced a non-finite value where the method guarantees a finite one."""
 
 
+class OrderFitError(SpdoLabError):
+    """Too few sampled frequency radii resolve a symbol to fit its growth order."""
+
+
 class ConfigError(SpdoLabError):
     """Configuration file is missing, malformed, or violates the schema."""
 

@@ -2,28 +2,24 @@
 
 An operator acts on spectral fields by the left-quantization sum
 (Au)(x) = sum_xi e^{i x.xi} a(t, w, x, xi) u_hat(xi) over all retained
-frequencies, frozen at a (t, path-slice) context. It takes one of two routes.
-
-- Separated: a symbol given as a short sum a = sum_r f_r(x) g_r(xi)
-  (`Symbol.separated`, set by every catalog builder) applies as
-  sum_r f_r * IFFT(g_r * FFT u), at O(R S log S) on S grid points, and its
-  adjoint as sum_r conj(g_r)(D)[conj(f_r) v]. The factors are evaluated once,
-  over S points each. With every f_r = 1 the operator is a Fourier
-  multiplier m = sum_r g_r: one diagonal multiply in coefficients.
-- Table: a symbol with no separated form acts through its modulation table
-  e^{i x.xi} a(x, xi) at O(S^2) per application, cached up to
-  _MOD_CACHE_MAX points and streamed in frequency blocks above.
+frequencies, frozen at a (t, path-slice) context. Every symbol is a short sum
+a = sum_r f_r(x) g_r(xi) (`Symbol.separated`), so the operator applies as
+sum_r f_r * IFFT(g_r * FFT u), at O(R S log S) on S grid points, and its
+adjoint as sum_r conj(g_r)(D)[conj(f_r) v]. The factors are evaluated once,
+over S points each. With every f_r = 1 the operator is a Fourier multiplier
+m = sum_r g_r: one diagonal multiply in coefficients.
 
 An adjoint is the same operator with a flag, never a dense matrix. The dense
-value-basis matrix is always built from the table, so it stays an oracle
-independent of the separated route, for tests and for exact composition.
+value-basis matrix evaluates e^{i x.xi} a(x, xi) pointwise from the symbol's
+rule, so it stays an oracle independent of the FFT route, for tests and for
+exact composition; it is refused above DENSE_CAP points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +30,6 @@ from .symbols import EllipticityReport, Symbol, check_elliptic, magnitude
 from . import catalog
 
 DENSE_CAP = 4096
-# full modulation tables above this size are streamed in frequency blocks
-_MOD_CACHE_MAX = 2048
-_BLOCK = 512
 
 
 def _flat_nodes(grid: TorusGrid) -> tuple[np.ndarray, ...]:
@@ -84,10 +77,9 @@ def _transform(grid: TorusGrid, rows: np.ndarray, inverse: bool = False) -> np.n
 class SpdoOperator:
     """Symbol frozen at a (t, path-slice) context, acting on one grid.
 
-    A symbol with a separated form takes the separated route, any other the
-    table route. With `adjointed` set it is the L2 adjoint of that
-    quantization. An operator and its adjoint share one cache: the evaluated
-    factors, the modulation table and the dense oracle.
+    With `adjointed` set it is the L2 adjoint of that quantization. An
+    operator and its adjoint share one cache: the evaluated factors and the
+    dense oracle.
     """
 
     symbol: Symbol
@@ -125,48 +117,15 @@ class SpdoOperator:
 
     def multiplier(self) -> np.ndarray | None:
         """m(xi) (conj m for the adjoint) when the operator is a Fourier multiplier."""
-        if self.symbol.separated is None:
-            return None
         terms = self._terms()
         if len(terms) > 1 or terms[0][0] is not None:
             return None
         m = terms[0][1]
         return np.conj(m) if self.adjointed else m
 
-    def _mod_blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
-        """Modulation-table blocks  e^{i x.xi} a(x, xi)  over frequency slabs."""
-        xs = _flat_nodes(self.grid)
-        qs = _flat_frequencies(self.grid)
-        size = self.grid.size
-        for start in range(0, size, _BLOCK):
-            sel = slice(start, min(start + _BLOCK, size))
-            x_t = tuple(c.reshape(-1, 1) for c in xs)
-            q_t = tuple(c[sel].reshape(1, -1) for c in qs)
-            phase = sum(a * b for a, b in zip(x_t, q_t))
-            vals = np.broadcast_to(
-                np.asarray(self.symbol.fn(self.t, self.slc, x_t, q_t), dtype=complex),
-                phase.shape)
-            yield sel, np.exp(1j * phase) * vals
-
-    def _table_blocks(self) -> Iterable[tuple[slice, np.ndarray]]:
-        """The whole cached table as one block up to _MOD_CACHE_MAX, streamed above."""
-        if self.grid.size > _MOD_CACHE_MAX:
-            yield from self._mod_blocks()
-            return
-        if "table" not in self._cache:
-            self._cache["table"] = np.hstack([block for _, block in self._mod_blocks()])
-        yield slice(None), self._cache["table"]
-
     def _forward(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Values of Op(a) applied to every row of an (n, size) coefficient
         array, written to `out` when it is given."""
-        if self.symbol.separated is None:
-            if out is None:
-                out = np.empty(hat.shape, dtype=complex)
-            out[...] = 0.0
-            for sel, block in self._table_blocks():
-                out += hat[:, sel] @ block.T
-            return out
         for r, (f, g) in enumerate(self._terms()):
             term = _transform(self.grid, np.multiply(hat, g, out=out if r == 0 else None),
                               inverse=True)
@@ -180,15 +139,8 @@ class SpdoOperator:
 
     def _backward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of Op(a)* applied to every row of a C-contiguous complex
-        (n, size) value array, sum_r conj(g_r) FFT(conj(f_r) v) on the separated
-        route. `values` is overwritten, and holds the result for one term."""
-        if self.symbol.separated is None:
-            # A = T F with T the table and F the analysis, so A* v = F^H (T^H v),
-            # and F^H is the synthesis divided by the grid size
-            w = np.empty(values.shape, dtype=complex)
-            for sel, block in self._table_blocks():
-                w[:, sel] = (values.conj() @ block).conj()
-            return w / self.grid.size
+        (n, size) value array, sum_r conj(g_r) FFT(conj(f_r) v). `values` is
+        overwritten, and holds the result for one term."""
         out = None
         terms = self._terms()
         for r, (f, g) in enumerate(terms):
@@ -243,18 +195,21 @@ class SpdoOperator:
         return replace(self, adjointed=not self.adjointed)
 
     def dense_matrix(self) -> np.ndarray:
-        """Value-basis matrix, the test oracle: modulation table times the
-        analysis, built from the table on either route."""
+        """Value-basis matrix, the test oracle: the modulation table
+        e^{i x.xi} a(x, xi), evaluated pointwise from the symbol's rule, times
+        the analysis."""
         if "dense" not in self._cache:
             _check_dense_cap(self.grid)
             size = self.grid.size
-            xs = _flat_nodes(self.grid)
+            xs = tuple(c.reshape(-1, 1) for c in _flat_nodes(self.grid))
             qs = _flat_frequencies(self.grid)
-            phase = sum(np.outer(q, x) for q, x in zip(qs, xs))
-            analysis = np.exp(-1j * phase) / size
             dense = np.zeros((size, size), dtype=complex)
-            for sel, block in self._table_blocks():
-                dense += block @ analysis[sel]
+            block = 512  # frequencies per slab, so a table is at most (size, 512)
+            for start in range(0, size, block):
+                q = tuple(c[start:start + block].reshape(1, -1) for c in qs)
+                phase = sum(a * b for a, b in zip(xs, q))
+                table = np.exp(1j * phase) * self.symbol.fn(self.t, self.slc, xs, q)
+                dense += table @ (np.exp(-1j * phase.T) / size)
             self._cache["dense"] = dense
         dense = self._cache["dense"]
         return dense.conj().T if self.adjointed else dense
@@ -294,35 +249,39 @@ def quantize(symbol: Symbol, grid: TorusGrid, t: float = 0.0,
 # composition
 
 
-def _fd_partial(sym: Symbol, kind: str, axis: int) -> Symbol:
-    """First derivative of `sym` along one xi or x axis, by the fourth-order
-    central stencil (8 (f(+h) - f(-h)) - (f(+2h) - f(-2h))) / 12h, with
-    h = 1e-3 (1 + |xi|) in xi and h = 1e-3 in x."""
+def _stencil(p, axis: int, kind: str):
+    """First derivative of the factor rule p(t, slc, coords) along one xi or x
+    axis, by the fourth-order central stencil
+    (8 (p(+h) - p(-h)) - (p(+2h) - p(-2h))) / 12h, with h = 1e-3 (1 + |xi|)
+    in xi and h = 1e-3 in x."""
 
-    def dfn(t, slc, x, xi):
-        h = 1e-3 * (1.0 + magnitude(xi)) if kind == "xi" else 1e-3
+    def dp(t, slc, c):
+        h = 1e-3 * (1.0 + magnitude(c)) if kind == "xi" else 1e-3
 
-        def f(step):
-            def shift(cs):
-                return tuple(c + step if ax == axis else c for ax, c in enumerate(cs))
-            return sym.fn(t, slc, x, shift(xi)) if kind == "xi" else sym.fn(t, slc, shift(x), xi)
+        def at(step):
+            return p(t, slc, tuple(v + step if ax == axis else v for ax, v in enumerate(c)))
 
-        return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
+        return (8.0 * (at(h) - at(-h)) - (at(2.0 * h) - at(-2.0 * h))) / (12.0 * h)
 
-    drop = 1.0 if kind == "xi" else 0.0
-    return Symbol(f"d{kind}{axis}[{sym.name}]", sym.order - drop, dfn,
-                  requires_path=sym.requires_path, x_dependent=sym.x_dependent)
+    return dp
 
 
 def composition_symbol(a: Symbol, b: Symbol, dim: int) -> Symbol:
     """One-term asymptotic composition: a.b + sum_axis d_xi a . D_x b, with
-    D_x = -i d_x and both derivatives taken numerically by `_fd_partial`."""
+    D_x = -i d_x. The derivatives fall on the factors,
+    d_xi (f g) = f d_xi g and D_x (f g) = (D_x f) g, so the result stays
+    separated; a term of b with no x-factor adds nothing to D_x b."""
     total = catalog.symbol_product(a, b)
     for axis in range(dim):
-        da = _fd_partial(a, "xi", axis)
-        db = _fd_partial(b, "x", axis)
-        term = catalog.symbol_product(da, catalog.symbol_scale(-1j, db))
-        total = catalog.symbol_sum(total, term)
+        dx_b = tuple((_stencil(f, axis, "x"), g) for f, g in b.separated if f is not None)
+        if not dx_b:
+            continue
+        dxi_a = Symbol(f"dxi{axis}[{a.name}]", a.order - 1.0,
+                       tuple((f, _stencil(g, axis, "xi")) for f, g in a.separated),
+                       a.requires_path)
+        d_x_b = catalog.symbol_scale(-1j, Symbol(f"dx{axis}[{b.name}]", b.order, dx_b,
+                                                 b.requires_path))
+        total = catalog.symbol_sum(total, catalog.symbol_product(dxi_a, d_x_b))
     total.name = f"comp1[{a.name};{b.name}]"
     total.order = a.order + b.order
     return total
@@ -442,23 +401,23 @@ def _tapered_reciprocal(vals: np.ndarray, xi, lower: float) -> np.ndarray:
 def parametrix_symbol(a: Symbol, lower: float) -> Symbol:
     """One-term approximate-inverse symbol: tapered reciprocal chi / a of `a`.
 
-    A one-term separated symbol f(x) g(xi) keeps its form as (1/f, chi/g)."""
+    A one-term symbol f(x) g(xi) gives (1/f, chi/g), and an x-free symbol
+    first sums its g_r into one term. A multi-term x-dependent symbol has no
+    one-term reciprocal and is rejected."""
     name = f"parametrix[{a.name}]"
-    if a.separated is not None and len(a.separated) == 1:
+    if len(a.separated) == 1:
         (f, g), = a.separated
+    elif not a.x_dependent:
+        f, g = None, lambda t, slc, xi: sum(g_r(t, slc, xi) for _, g_r in a.separated)
+    else:
+        raise ValueError(f"symbol {a.name} has {len(a.separated)} x-dependent terms; "
+                         "the parametrix needs one term or an x-free symbol")
 
-        def inv_g(t, slc, xi):
-            return _tapered_reciprocal(g(t, slc, xi), xi, lower)
+    def inv_g(t, slc, xi):
+        return _tapered_reciprocal(g(t, slc, xi), xi, lower)
 
-        inv_f = None if f is None else (lambda t, slc, x: 1.0 / f(t, slc, x))
-        return Symbol(name, -a.order, requires_path=a.requires_path,
-                      separated=((inv_f, inv_g),))
-
-    def fn(t, slc, x, xi):
-        return _tapered_reciprocal(a.fn(t, slc, x, xi), xi, lower)
-
-    return Symbol(name, -a.order, fn, requires_path=a.requires_path,
-                  x_dependent=a.x_dependent)
+    inv_f = None if f is None else (lambda t, slc, x: 1.0 / f(t, slc, x))
+    return Symbol(name, -a.order, ((inv_f, inv_g),), a.requires_path)
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .paths import PathSlice, TimeGrid
 from .symbols import (COMPLEX_ROOT_REL_TOL, Coords, PrincipalSymbol, RootStack, Symbol,
                       _cmul, _cpow, one_sample, pairwise_distances, sample_contexts,
                       sample_directions, sample_grid, sample_positions, solve_roots)
+from .catalog import lambda_symbol, symbol_product
 from .operators import SpdoOperator
 
 # continuation is ambiguous when distinct roots approach closer than this
@@ -387,9 +388,9 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
     unit_dirs = np.array(split.directions)
     perms = _permutations(ps.m)
 
-    def fn(t, slc, x, xi):
+    def g(t, slc, xi):
         r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in xi))
-        shape = np.broadcast_shapes(*(np.shape(c) for c in (x + xi))) if (x + xi) else ()
+        shape = np.broadcast_shapes(*(np.shape(c) for c in xi))
         r = np.broadcast_to(r, shape).ravel()
         flat_xi = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel() for c in xi]
         out = np.zeros(r.shape, dtype=complex)
@@ -414,7 +415,7 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
         return out.reshape(shape)
 
     label = {"re": "Re", "im": "Im", "full": ""}[part]
-    return Symbol(f"branch{branch}-{label}[{ps.name}]", 1.0, fn, x_dependent=False)
+    return Symbol(f"branch{branch}-{label}[{ps.name}]", 1.0, ((None, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +426,8 @@ def _last_row_operators(ps: PrincipalSymbol, grid: TorusGrid, t: float,
                         slc: PathSlice | None) -> list[SpdoOperator]:
     """Entry j of the companion last row: quantization of c_{j-1} L^{j-m}."""
     m = ps.m
-    ops = []
-    for j in range(1, m + 1):
-        rule = ps.tau_coefficients[j - 1]
-
-        def sym_fn(tt, ss, x, xi, rule=rule, j=j):
-            val = np.asarray(rule(tt, ss, x, xi), dtype=complex)
-            lam = (1.0 + sum(np.asarray(c, dtype=float) ** 2 for c in xi)) ** ((j - m) / 2.0)
-            return val * lam
-
-        # c_{j-1} has frequency degree m - j + 1, the bracket adds j - m
-        sym = Symbol(f"row[{ps.name};{j}]", 1.0, sym_fn, x_dependent=ps.x_dependent)
-        ops.append(SpdoOperator(sym, grid, t, slc))
-    return ops
+    return [SpdoOperator(symbol_product(c, lambda_symbol(j - m)), grid, t, slc)
+            for j, c in enumerate(ps.tau_coefficients, start=1)]
 
 
 @dataclass
@@ -465,15 +455,8 @@ def _scalar_defect(man: ManufacturedSolution, ps: PrincipalSymbol, grid: TorusGr
     """D_t^m u - sum_k A_k D_t^k u - sum b_beta D_t^k u at one time."""
     m = ps.m
     out = man.dt_field(m, t)
-    for k in range(m):
-        rule = ps.tau_coefficients[k]
-
-        def sym_fn(tt, ss, x, xi, rule=rule):
-            return np.asarray(rule(tt, ss, x, xi), dtype=complex)
-
-        sym = Symbol(f"coef{k}", float(m - k), sym_fn, x_dependent=ps.x_dependent)
-        op = SpdoOperator(sym, grid, t, slc)
-        out = out - op.apply(man.dt_field(k, t))
+    for k, c in enumerate(ps.tau_coefficients):
+        out = out - SpdoOperator(c, grid, t, slc).apply(man.dt_field(k, t))
     for k, sym in lower_order:
         op = SpdoOperator(sym, grid, t, slc)
         out = out - op.apply(man.dt_field(k, t))

@@ -1,9 +1,9 @@
 """Symbol layer: symbol objects, empirical class verification, ellipticity,
 principal symbols, characteristic roots, and root-structure hypothesis checks.
 
-A symbol is an evaluation rule a(t, path, x, xi) with a declared frequency
-growth order l and time-integrability index p. Membership in the declared
-class is verified empirically: finite-difference derivatives up to combined
+A symbol is a short sum of separated terms f_r(t, path, x) g_r(t, path, xi)
+with a declared frequency growth order l. Membership in the declared class
+is verified empirically: finite-difference derivatives up to combined
 order two, sampled over (t, path, x) and log-spaced frequency magnitudes, with
 a least-squares log-log slope fitted over the asymptotic (upper) half of the
 frequency range. Spatial and frequency arguments are passed as tuples of
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RootSolveError
+from .errors import NonFiniteError, OrderFitError, RootSolveError
 from .paths import PathSlice, TimeGrid, derive_rng, sample_brownian, STREAM_SAMPLING
 
 ArrayLike = np.ndarray | float
@@ -71,40 +71,25 @@ def _separated_rule(terms: tuple[SeparatedTerm, ...]) -> SymbolFn:
 
 @dataclass
 class Symbol:
-    """Evaluation rule with declared order and integrability index.
+    """A symbol as a short sum of separated terms f_r(t, w, x) g_r(t, w, xi)
+    (f_r = None meaning 1), with a declared order.
 
-    A symbol carries no derivatives: order verification and asymptotic
-    composition differentiate its rule numerically.
-
-    `separated`, when set, is the symbol as a short sum of terms
-    f_r(t, w, x) g_r(t, w, xi) (f_r = None meaning 1). The rule `fn` is then
-    derived from it, so the two cannot disagree, and `x_dependent` says
-    whether any f_r is present. Without it the rule is all there is;
-    `x_dependent = False` declares that its value does not change with x,
-    which makes it the one-term form (1, a(t, w, 0, xi)).
+    The evaluation rule `fn` is derived from the terms, so the two cannot
+    disagree, and `x_dependent` says whether any f_r is present. A symbol
+    carries no derivatives: order verification differentiates `fn`
+    numerically, and asymptotic composition differentiates the factors.
     """
 
     name: str
     order: float
-    fn: SymbolFn | None = None
-    integrability: float = math.inf
+    separated: tuple[SeparatedTerm, ...]
     requires_path: bool = False
-    x_dependent: bool = True
-    separated: tuple[SeparatedTerm, ...] | None = None
+    fn: SymbolFn = field(init=False, repr=False, compare=False)
+    x_dependent: bool = field(init=False)
 
     def __post_init__(self):
-        if self.separated is not None:
-            self.fn = _separated_rule(self.separated)
-            self.x_dependent = any(f is not None for f, _ in self.separated)
-        elif self.fn is None:
-            raise ValueError(f"symbol {self.name!r} needs a rule or a separated form")
-        elif not self.x_dependent:
-            rule = self.fn
-
-            def at_origin(t, slc, xi):
-                return rule(t, slc, tuple(np.zeros(()) for _ in xi), xi)
-
-            self.separated = ((None, at_origin),)
+        self.fn = _separated_rule(self.separated)
+        self.x_dependent = any(f is not None for f, _ in self.separated)
 
     def evaluate(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
         return np.asarray(self.fn(t, slc, as_coords(x), as_coords(xi)), dtype=complex)
@@ -219,8 +204,6 @@ class SymbolOrderReport:
     declared_order: float
     tolerance: float
     entries: list[SymbolOrderEntry]
-    integrability: float
-    integrable_on_sample: bool
 
     @property
     def passed(self) -> bool:
@@ -248,6 +231,8 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
     (1 + |xi|) over the upper half of `num_xi` log-spaced magnitudes in
     [1, xi_max]; the pass criterion is  fitted <= l - |a| + tolerance.
     Derivative magnitudes below a relative floor are reported as -inf and pass.
+    A non-finite sampled value raises NonFiniteError, and magnitudes that clear
+    the floor at fewer than two radii raise OrderFitError.
     """
     if xi_max < 8:
         raise ValueError("xi_max must be at least 8")
@@ -260,9 +245,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
     pairs = _multi_indices(dim)
     curves: dict[tuple, np.ndarray] = {p: np.zeros(num_xi) for p in pairs}
     base_scale = 0.0
-    m_time: dict[float, float] = {}
     for t, slc in contexts:
-        ctx_max = 0.0
         for alpha, beta in pairs:
             total = sum(alpha) + sum(beta)
             h_rel = 1e-3 if total <= 1 else 5e-3
@@ -273,15 +256,16 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
             # np.maximum keeps a NaN, which Python's max would drop
             if total == 0:
                 base_scale = float(np.maximum(base_scale, mags.max()))
-            bound = symbol.order - sum(alpha)
-            ctx_max = float(np.maximum(ctx_max, (mags / (1.0 + radii) ** bound).max()))
-        m_time[t] = float(np.maximum(m_time.get(t, 0.0), ctx_max))
 
     floor = 1e-10 * (1.0 + base_scale)
     upper = radii >= math.sqrt(xi_max)
     entries = []
     for alpha, beta in pairs:
         mags = curves[(alpha, beta)]
+        if not np.all(np.isfinite(mags)):
+            raise NonFiniteError(
+                f"symbol {symbol.name}: non-finite d^{alpha}_xi d^{beta}_x sampled up to "
+                f"|xi| = {xi_max:g}")
         bound = symbol.order - sum(alpha)
         if np.max(mags) <= floor:
             entries.append(SymbolOrderEntry(alpha, beta, -math.inf, bound, float(np.max(mags)), True))
@@ -289,19 +273,14 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
         sel = upper & (mags > floor)
         if np.count_nonzero(sel) < 2:
             sel = mags > floor
+        if np.count_nonzero(sel) < 2:
+            raise OrderFitError(
+                f"symbol {symbol.name}: d^{alpha}_xi d^{beta}_x clears the floor {floor:.3e} "
+                f"at one sampled radius only, too few to fit a growth order")
         slope = float(np.polyfit(np.log1p(radii[sel]), np.log(mags[sel]), 1)[0])
         entries.append(SymbolOrderEntry(alpha, beta, slope, bound, float(np.max(mags)),
                                         slope <= bound + tolerance))
-
-    # Definitional time integrability, sampled: int_0^T M(t)^p dt over the
-    # sampled contexts must be finite (always true unless evaluation blew up).
-    if math.isinf(symbol.integrability):
-        integ_ok = all(math.isfinite(v) for v in m_time.values())
-    else:
-        p = symbol.integrability
-        integ_ok = math.isfinite(sum(v**p for v in m_time.values()))
-    return SymbolOrderReport(symbol.name, symbol.order, tolerance, entries,
-                             symbol.integrability, integ_ok)
+    return SymbolOrderReport(symbol.name, symbol.order, tolerance, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +326,6 @@ def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int 
 # ---------------------------------------------------------------------------
 # principal symbols and characteristic roots
 
-# tau-coefficient rule: (t, slc, x, xi) -> complex values, with x, xi
-# tuple-per-axis. Rules broadcast over arrays of sample points.
-CoeffRule = Callable[[float, PathSlice | None, Coords, Coords], np.ndarray]
-
 # A polished root must leave |p(root)| below this times (1 + max|root|)^m.
 ROOT_RESIDUAL_TOL = 1e-10
 
@@ -359,28 +334,32 @@ ROOT_RESIDUAL_TOL = 1e-10
 class PrincipalSymbol:
     """Monic degree-m polynomial in tau:  p(tau) = tau^m - sum_k c_k tau^k.
 
-    `tau_coefficients[k]` evaluates the aggregated coefficient of tau^k,
-    frequency dependence included. `homogeneous` marks principal parts whose
-    c_k are xi-homogeneous of degree m - k, so roots scale linearly in |xi|.
+    `tau_coefficients[k]` is the symbol c_k, frequency dependence included,
+    in the separated form every symbol has. `x_dependent` and `requires_path`
+    are derived from the coefficients. `homogeneous` marks principal parts
+    whose c_k are xi-homogeneous of degree m - k, so roots scale linearly in
+    |xi|.
     """
 
     name: str
     m: int
-    tau_coefficients: tuple[CoeffRule, ...]
+    tau_coefficients: tuple[Symbol, ...]
     homogeneous: bool = True
-    requires_path: bool = False
-    x_dependent: bool = False
+    requires_path: bool = field(init=False)
+    x_dependent: bool = field(init=False)
 
     def __post_init__(self):
         if len(self.tau_coefficients) != self.m:
             raise ValueError("need exactly m tau-coefficients")
+        self.requires_path = any(c.requires_path for c in self.tau_coefficients)
+        self.x_dependent = any(c.x_dependent for c in self.tau_coefficients)
 
     def coefficients(self, t: float, slc: PathSlice | None, x: Coords, xi: Coords) -> np.ndarray:
         """(..., m) array of c_k over the broadcast shape of the sample arrays."""
         shape = np.broadcast_shapes(*(np.shape(c) for c in x + xi))
         out = np.empty(shape + (self.m,), dtype=complex)
-        for k, rule in enumerate(self.tau_coefficients):
-            out[..., k] = rule(t, slc, x, xi)
+        for k, c in enumerate(self.tau_coefficients):
+            out[..., k] = c.fn(t, slc, x, xi)
         return out
 
 

@@ -256,6 +256,18 @@ class TestCliRuns:
         assert report["error"]["type"] == "NonFiniteError"
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("text, error", [
+        ("symbol = lambda:103\n", "NonFiniteError"),
+        # only the top radius clears the magnitude floor: one point fits no slope
+        ("symbol = lambda:60\nl = 32\n", "OrderFitError"),
+    ])
+    def test_unresolved_symbol_audit_exits_two(self, tmp_path, text, error):
+        code, out = self.run(tmp_path, "command = symbol-verify\n" + text, "symbol-verify")
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == error
+        assert (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("exc", [ZeroDivisionError("float division by zero"),
                                      KeyError("missing")])
     def test_unexpected_error_exits_two_with_artifacts(self, tmp_path, monkeypatch, exc):

@@ -1,6 +1,5 @@
 """Quantization, adjoints, composition, boundedness, and parametrix checks."""
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -128,16 +127,14 @@ class TestAdjoint:
 
 
 class TestStreamedAdjoint:
-    """Above _MOD_CACHE_MAX points the table is streamed, for the adjoint too."""
+    """At 2-D 64^2 the adjoint applies by FFT, never through a dense matrix."""
 
     def test_pairing_and_double_adjoint(self, monkeypatch):
         def no_dense(self):
-            raise AssertionError("the streamed adjoint must not build a dense matrix")
+            raise AssertionError("the adjoint must not build a dense matrix")
 
         monkeypatch.setattr(SpdoOperator, "dense_matrix", no_dense)
-        # 64^2 is the smallest two-dimensional power-of-two grid above the cache size
         grid = TorusGrid(2, 64)
-        assert grid.size > operators._MOD_CACHE_MAX
         op = quantize(make_symbol("trig-lambda:2,1,0,1"), grid)
         u, v = band_field(grid, 21), band_field(grid, 22)
         au = op.apply(u)
@@ -192,19 +189,20 @@ class TestXFreeDeclarations:
             assert all(np.array_equal(v, vals[0]) for v in vals), sym.name
 
     @pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)])
-    def test_multiplier_matches_table_path(self, dim, m):
+    def test_multiplier_matches_dense_oracle(self, dim, m):
         grid = TorusGrid(dim, m)
         u = random_band_limited_field(grid, np.random.default_rng(dim)).values.reshape(-1, 1)
         rows = np.fft.fftn(u.reshape(grid.shape), norm="forward").reshape(1, -1)
         for sym in x_free_symbols(dim):
-            fast = quantize(sym, grid, self.t, self.slc)
-            general = quantize(dataclasses.replace(sym, x_dependent=True), grid,
-                               self.t, self.slc)
-            for a, b in ((fast, general), (fast.adjoint(), general.adjoint())):
-                ref_values, ref_rows = b.apply_many(u), b.apply_coefficients(rows)
+            op = quantize(sym, grid, self.t, self.slc)
+            assert op.multiplier() is not None, sym.name
+            for side in (op, op.adjoint()):
+                ref_values = side.dense_matrix() @ u
+                ref_rows = np.fft.fftn(ref_values.reshape(grid.shape),
+                                       norm="forward").reshape(1, -1)
                 scale = max(1.0, np.max(np.abs(ref_values)))
-                assert np.max(np.abs(a.apply_many(u) - ref_values)) <= 1e-12 * scale, sym.name
-                assert np.max(np.abs(a.apply_coefficients(rows) - ref_rows)) <= 1e-12 * scale
+                assert np.max(np.abs(side.apply_many(u) - ref_values)) <= 1e-12 * scale, sym.name
+                assert np.max(np.abs(side.apply_coefficients(rows) - ref_rows)) <= 1e-12 * scale
 
 
 class TestComposition:

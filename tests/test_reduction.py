@@ -162,9 +162,10 @@ class TestConsistency:
         assert report.scalar_residual <= 1e-12
         assert report.system_residual <= 1e-12
 
-    def test_manufactured_rows_and_order(self):
+    @pytest.mark.parametrize("principal", ["wave:1", "variable-wave:2,0.5,0"])
+    def test_manufactured_rows_and_order(self, principal):
         man = detuned_solution(omega=3.0, mode=2)
-        ps = make_principal("wave:1")
+        ps = make_principal(principal)
         report = reduction_consistency_check(man, ps, TimeGrid(0.25, 64))
         # non-final rows are identities in the exact state
         assert all(d <= 1e-10 for d in report.row_defects)

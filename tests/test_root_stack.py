@@ -43,8 +43,8 @@ def gallery():
 
 def oracle_roots(ps, t, slc, x, xi, residual_tol=1e-10):
     """(sorted roots, residual, limit) at one sample."""
-    c = np.array([complex(np.asarray(rule(t, slc, x, xi)).reshape(()))
-                  for rule in ps.tau_coefficients])
+    c = np.array([complex(np.asarray(coef.fn(t, slc, x, xi)).reshape(()))
+                  for coef in ps.tau_coefficients])
     m = ps.m
     if m == 1:
         roots = np.array([c[0]])
@@ -137,8 +137,8 @@ def oracle_diagonalization(ps, t, slc, x, xi):
                 f"repeated root (gap {min(gaps):.3e}) at xi={xi}: "
                 "companion symbol is not diagonalizable")
     r = float(np.sqrt(sum(float(c) ** 2 for c in xi)))
-    c = np.array([complex(np.asarray(rule(t, slc, x, xi)).reshape(()))
-                  for rule in ps.tau_coefficients])
+    c = np.array([complex(np.asarray(coef.fn(t, slc, x, xi)).reshape(()))
+                  for coef in ps.tau_coefficients])
     mat = np.zeros((m, m), dtype=complex)
     for j in range(m - 1):
         mat[j, j + 1] = r
@@ -181,9 +181,7 @@ def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
     pairs = _multi_indices(dim)
     curves = {p: np.zeros(num_xi) for p in pairs}
     base_scale = 0.0
-    m_time = {}
     for t, slc in sample_contexts(seed):
-        ctx_max = 0.0
         for direction in sample_directions(dim, num_angles=8):
             xi = tuple((radii * direction[ax]).reshape(1, -1) for ax in range(dim))
             for alpha, beta in pairs:
@@ -194,9 +192,6 @@ def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
                 np.maximum(curves[(alpha, beta)], mags, out=curves[(alpha, beta)])
                 if total == 0:
                     base_scale = max(base_scale, float(np.max(mags)))
-                bound = symbol.order - sum(alpha)
-                ctx_max = max(ctx_max, float(np.max(mags / (1.0 + radii) ** bound)))
-        m_time[t] = max(m_time.get(t, 0.0), ctx_max)
     floor = 1e-10 * (1.0 + base_scale)
     upper = radii >= math.sqrt(xi_max)
     entries = []
@@ -212,7 +207,7 @@ def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
         slope = float(np.polyfit(np.log1p(radii[sel]), np.log(mags[sel]), 1)[0])
         entries.append((alpha, beta, slope, bound, float(np.max(mags)),
                         slope <= bound + tolerance))
-    return entries, all(math.isfinite(v) for v in m_time.values())
+    return entries
 
 
 def raised(fn, *args, **kwargs):
@@ -398,11 +393,9 @@ def test_branch_symbol_matches_oracle(selector, dim):
 def test_order_audit_matches_direction_loop(selector, dim):
     sym = make_symbol(selector)
     report = verify_symbol_order(sym, dim, seed=1)
-    entries, integrable = oracle_order_entries(sym, dim, seed=1)
     got = [(e.alpha, e.beta, e.fitted_exponent, e.bound, e.max_magnitude, e.passed)
            for e in report.entries]
-    assert got == entries
-    assert report.integrable_on_sample == integrable
+    assert got == oracle_order_entries(sym, dim, seed=1)
 
 
 @pytest.mark.parametrize("selector", AUDITED_SYMBOLS + ["trig:1,1,0", "one"])

@@ -1,12 +1,9 @@
-"""The two quantization routes: separated symbols applied by FFT against the
-dense table oracle, and the table fallback for symbols with no separated form."""
-
-import dataclasses
+"""Separated symbols applied by FFT, against the dense oracle."""
 
 import numpy as np
 import pytest
 
-from spdolab import (SpdoOperator, TorusGrid, inner, l2_norm, parametrix, quantize,
+from spdolab import (SpdoOperator, TorusGrid, compose, parametrix, quantize,
                      random_band_limited_field)
 from spdolab.catalog import (make_symbol, symbol_conjugate, symbol_product, symbol_scale,
                              symbol_sum)
@@ -70,14 +67,14 @@ def check_against_dense(op, grid, values):
 class TestSeparatedRoute:
     def test_catalog_builders_give_separated_forms(self):
         for sel in CATALOG:
-            sym = make_symbol(sel)
-            assert sym.separated is not None and sym.x_dependent, sel
+            assert make_symbol(sel).x_dependent, sel
 
     def test_combinators_and_parametrix_keep_values(self):
         rng = np.random.default_rng(3)
         x = (rng.uniform(0, 2 * np.pi, (6, 1)),)
         xi = (rng.normal(scale=20.0, size=(1, 9)),)
         a, b = make_symbol("trig-lambda:2,1,0,1"), make_symbol("mod-xi:1")
+        poly = make_symbol("xi-poly:1,0,1")
 
         def ev(sym):
             return sym.evaluate(0.0, None, x, xi)
@@ -87,21 +84,24 @@ class TestSeparatedRoute:
                  (symbol_sum(a, b), ev(a) + ev(b)),
                  (symbol_product(a, b), ev(a) * ev(b)),
                  (symbol_conjugate(b), np.conj(ev(b))),
-                 (parametrix_symbol(a, 4.0), np.where(chi > 0, chi / ev(a), 0.0))]
+                 (parametrix_symbol(a, 4.0), np.where(chi > 0, chi / ev(a), 0.0)),
+                 (parametrix_symbol(poly, 4.0), np.where(chi > 0, chi / ev(poly), 0.0))]
         for sym, expect in cases:
-            assert sym.separated is not None, sym.name
             assert np.allclose(ev(sym), expect, rtol=1e-13, atol=0.0), sym.name
 
     def test_parametrix_keeps_a_one_term_form(self):
         for side in parametrix_sides("trig-lambda:2,1,0,1", TorusGrid(1, 32)):
-            assert side.symbol.separated is not None and len(side.symbol.separated) == 1
+            assert len(side.symbol.separated) == 1
+        # an x-free sum collapses to one term; an x-dependent sum has no one-term inverse
+        assert len(parametrix_symbol(make_symbol("xi-poly:1,0,1"), 4.0).separated) == 1
+        with pytest.raises(ValueError):
+            parametrix_symbol(combined()[1], 4.0)
 
     @pytest.mark.parametrize("dim, m", GRIDS)
     def test_matches_dense_oracle(self, dim, m):
         grid = TorusGrid(dim, m)
         values = random_columns(grid, 3, dim)
         for op in operators_under_test(grid):
-            assert op.symbol.separated is not None
             check_against_dense(op, grid, values)
 
     def test_writes_into_out(self):
@@ -117,10 +117,10 @@ class TestSeparatedRoute:
                 assert np.array_equal(out, side.apply_coefficients(rows)), side.symbol.name
 
     def test_no_table_work_at_64_squared(self, monkeypatch):
-        def no_table(self):
-            raise AssertionError("a separated symbol must not evaluate its modulation table")
+        def no_dense(self):
+            raise AssertionError("a separated symbol must not build its dense matrix")
 
-        monkeypatch.setattr(SpdoOperator, "_mod_blocks", no_table)
+        monkeypatch.setattr(SpdoOperator, "dense_matrix", no_dense)
         grid = TorusGrid(2, 64)
         op = quantize(make_symbol("trig-lambda:2,1,0,1"), grid)
         built = parametrix(op, lower_frequency_bound=8.0)
@@ -131,42 +131,11 @@ class TestSeparatedRoute:
         assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
         rows = transform(grid, cols.T.copy())
         assert np.all(np.isfinite(op.adjoint().apply_coefficients(rows)))
-
-
-def stripped(selector):
-    """The same rule with no separated form, so it quantizes through the table."""
-    raw = dataclasses.replace(make_symbol(selector), separated=None)
-    assert raw.separated is None and raw.x_dependent
-    return raw
-
-
-class TestTableFallback:
-    def test_pairing_and_double_adjoint_streamed(self, monkeypatch):
-        def no_dense(self):
-            raise AssertionError("the streamed adjoint must not build a dense matrix")
-
-        monkeypatch.setattr(SpdoOperator, "dense_matrix", no_dense)
-        grid = TorusGrid(2, 64)
-        op = quantize(stripped("trig-lambda:2,1,0,1"), grid)
-        rng = np.random.default_rng(21)
-        u, v = random_band_limited_field(grid, rng), random_band_limited_field(grid, rng)
-        au = op.apply(u)
-        assert abs(inner(au, v) - inner(u, op.adjoint().apply(v))) <= 1e-11
-        assert l2_norm(op.adjoint().adjoint().apply(u) - au) <= 1e-11
-
-    def test_coefficient_rows_match_dense(self):
-        grid = TorusGrid(1, 128)
-        op = quantize(stripped("mod-xi:2"), grid)
-        check_against_dense(op, grid, random_columns(grid, 3, 5))
-
-    def test_table_agrees_with_separated_route(self):
-        grid = TorusGrid(1, 64)
-        values = random_columns(grid, 2, 6)
-        for sel in CATALOG:
-            fast = quantize(make_symbol(sel), grid)
-            table = quantize(stripped(sel), grid)
-            for a, b in ((fast, table), (fast.adjoint(), table.adjoint())):
-                assert_close(a.apply_many(values), b.apply_many(values), sel)
+        composed = compose(op, quantize(make_symbol("trig-lambda:1,0,0.5,1"), grid),
+                           "asymptotic-1")
+        # a.b plus one derivative term per axis
+        assert len(composed.symbol.separated) == 3
+        assert np.all(np.isfinite(composed.operator.apply_many(cols)))
 
 
 def test_xdep_scan_runs_at_16384_points(tmp_path):
