@@ -10,7 +10,7 @@ energy inequality (`carleman`), and the experiment CLI (`config`, `reports`,
 """
 
 from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
-                     ContextMismatchError, DegenerateDiagonalizationError,
+                     DegenerateDiagonalizationError,
                      DenseCapError, EllipticityError, GridMismatchError,
                      NonFiniteError, OrderFitError, RootSolveError, SpdoLabError,
                      StencilError, WindowError)
@@ -24,16 +24,13 @@ from .symbols import (EllipticityReport, HypothesisReport, PrincipalSymbol,
                       RootStack, Symbol, SymbolOrderReport, characteristic_roots,
                       check_elliptic, check_hypotheses, solve_roots,
                       verify_symbol_order)
-from .operators import (CompositionResult, MatrixOperator, ParametrixResult,
-                        SpdoOperator, boundedness_harness, compose,
+from .operators import (ParametrixResult, SpdoOperator, boundedness_harness,
                         composition_symbol, parametrix,
                         parametrix_residual_scan, quantize)
-from .reduction import (CompanionState, Diagonalization, ManufacturedSolution,
-                        PrincipalMatrixSymbol, branch_symbol,
-                        build_companion_state, diagonalize,
-                        exact_companion_state, principal_matrix_symbol,
-                        reduction_consistency_check, reduction_table,
-                        split_roots)
+from .reduction import (Diagonalization, ManufacturedSolution, branch_symbol,
+                        build_companion_state, companion_symbol, diagonalize,
+                        exact_companion_state, reduction_consistency_check,
+                        reduction_table, split_roots)
 from .carleman import (CarlemanConfig, CarlemanReport, ScanResult,
                        scan, verify_inequality)
 from .config import ExperimentConfig, parse_config

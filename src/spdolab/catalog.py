@@ -303,8 +303,7 @@ def from_roots_principal(unit_roots: Sequence[complex], name: str | None = None,
         return (None, lambda t, slc, xi: ck * magnitude(xi) ** (m - k))
 
     label = name or f"from-roots[{','.join(str(z) for z in mu)}]"
-    return PrincipalSymbol(label, m, _tau_coefficients(label, *(term(k) for k in range(m))),
-                           homogeneous=all(e == 0.0 for e in eps))
+    return PrincipalSymbol(label, m, _tau_coefficients(label, *(term(k) for k in range(m))))
 
 
 def random_principal(m: int, rng: np.random.Generator, *, min_separation: float = 0.6,

@@ -23,7 +23,7 @@ from .errors import ConfigError, SpdoLabError
 from .grid import TorusGrid
 from .operators import boundedness_harness, parametrix, parametrix_residual_scan, quantize
 from .reports import environment_stamp, write_csv, write_json, write_manifest
-from .symbols import check_elliptic, check_hypotheses, verify_symbol_order
+from .symbols import check_hypotheses, verify_symbol_order
 
 SLOPE_TARGET = -0.9
 REDUCE_RESID_TOL = 1e-8

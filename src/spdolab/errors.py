@@ -9,10 +9,6 @@ class GridMismatchError(SpdoLabError):
     """An operation combined objects living on different grids."""
 
 
-class ContextMismatchError(SpdoLabError):
-    """Operators frozen at different (time, path) contexts were combined."""
-
-
 class DenseCapError(SpdoLabError):
     """A dense-matrix realization was requested beyond the configured size cap."""
 

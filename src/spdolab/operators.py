@@ -11,8 +11,10 @@ m = sum_r g_r: one diagonal multiply in coefficients.
 
 An adjoint is the same operator with a flag, never a dense matrix. The dense
 value-basis matrix evaluates e^{i x.xi} a(x, xi) pointwise from the symbol's
-rule, so it stays an oracle independent of the FFT route, for tests and for
-exact composition; it is refused above DENSE_CAP points.
+rule, so it stays an oracle independent of the FFT route; it is refused above
+DENSE_CAP points. `SpdoOperator` is the only operator type: asymptotic
+composition is the quantization of `composition_symbol(a, b, dim)`, and the
+exact composition of two operators is the product of their dense matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContextMismatchError, DenseCapError, EllipticityError, GridMismatchError
+from .errors import DenseCapError, EllipticityError, GridMismatchError
 from .grid import SpectralField, TorusGrid, sobolev_norm
 from .paths import PathSlice, derive_rng, STREAM_TRIAL_FIELDS
 from .symbols import EllipticityReport, Symbol, check_elliptic, magnitude
@@ -38,17 +40,6 @@ def _flat_nodes(grid: TorusGrid) -> tuple[np.ndarray, ...]:
 
 def _flat_frequencies(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     return tuple(g.ravel() for g in grid.frequency_grids())
-
-
-def _same_context(a, b) -> bool:
-    if a.t != b.t:
-        return False
-    if a.slc is None and b.slc is None:
-        return True
-    if a.slc is None or b.slc is None:
-        return False
-    return (a.slc.underlying is b.slc.underlying
-            and a.slc.cutoff_index == b.slc.cutoff_index)
 
 
 def _check_grid(grid: TorusGrid, u: SpectralField) -> None:
@@ -95,8 +86,9 @@ class SpdoOperator:
 
     def _terms(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
         """(f_r over the flattened nodes or None, g_r over the flattened
-        frequencies), evaluated once. With every f_r = 1 the terms collapse to
-        one multiplier sum_r g_r, stored real when it is real."""
+        frequencies), evaluated once. A term whose f_r is 0 at every node is
+        dropped (the first term stays if none is left). With every f_r = 1 the
+        terms collapse to one multiplier sum_r g_r, stored real when it is real."""
         if "terms" not in self._cache:
             size = self.grid.size
             xs, qs = _flat_nodes(self.grid), _flat_frequencies(self.grid)
@@ -107,6 +99,7 @@ class SpdoOperator:
 
             terms = [(None if f is None else over(f, xs), over(g, qs))
                      for f, g in self.symbol.separated]
+            terms = [(f, g) for f, g in terms if f is None or np.any(f)] or terms[:1]
             if all(f is None for f, _ in terms):
                 m = terms[0][1]
                 for _, g in terms[1:]:
@@ -215,31 +208,6 @@ class SpdoOperator:
         return dense.conj().T if self.adjointed else dense
 
 
-@dataclass
-class MatrixOperator:
-    """Explicit value-basis matrix: the result of exact composition, a test oracle."""
-
-    grid: TorusGrid
-    matrix: np.ndarray
-    name: str = "matrix"
-    t: float = 0.0
-    slc: PathSlice | None = None
-    order: float = 0.0
-
-    def __post_init__(self):
-        if self.matrix.shape != (self.grid.size, self.grid.size):
-            raise GridMismatchError(
-                f"matrix shape {self.matrix.shape} does not fit grid size {self.grid.size}")
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        _check_grid(self.grid, u)
-        return SpectralField.from_values(
-            self.grid, (self.matrix @ u.values.ravel()).reshape(self.grid.shape))
-
-    def dense_matrix(self) -> np.ndarray:
-        return self.matrix
-
-
 def quantize(symbol: Symbol, grid: TorusGrid, t: float = 0.0,
              slc: PathSlice | None = None) -> SpdoOperator:
     return SpdoOperator(symbol, grid, t, slc)
@@ -285,31 +253,6 @@ def composition_symbol(a: Symbol, b: Symbol, dim: int) -> Symbol:
     total.name = f"comp1[{a.name};{b.name}]"
     total.order = a.order + b.order
     return total
-
-
-@dataclass
-class CompositionResult:
-    operator: SpdoOperator | MatrixOperator
-    mode: str
-    symbol: Symbol | None = None
-
-
-def compose(a: SpdoOperator, b: SpdoOperator, mode: str = "exact") -> CompositionResult:
-    if a.grid != b.grid:
-        raise GridMismatchError("operators live on different grids")
-    if not _same_context(a, b):
-        raise ContextMismatchError("operators frozen at different (t, path) contexts")
-    if mode == "exact":
-        product = a.dense_matrix() @ b.dense_matrix()
-        return CompositionResult(
-            MatrixOperator(a.grid, product, "compose-exact", a.t, a.slc,
-                           order=a.order + b.order), mode)
-    if mode == "asymptotic-1":
-        if not all(isinstance(op, SpdoOperator) and not op.adjointed for op in (a, b)):
-            raise ValueError("asymptotic composition needs quantized symbols, not adjoints")
-        sigma = composition_symbol(a.symbol, b.symbol, a.grid.dim)
-        return CompositionResult(SpdoOperator(sigma, a.grid, a.t, a.slc), mode, sigma)
-    raise ValueError(f"unknown composition mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +377,13 @@ class ParametrixResult:
 
 
 def parametrix(op: SpdoOperator, lower_frequency_bound: float = 1.0, *,
-               seed: int = 0, floor: float = 1e-8) -> ParametrixResult:
-    report = check_elliptic(op.symbol, lower_frequency_bound, op.grid.dim,
-                            seed=seed, floor=floor)
+               seed: int = 0) -> ParametrixResult:
+    report = check_elliptic(op.symbol, lower_frequency_bound, op.grid.dim, seed=seed)
     if not report.is_elliptic:
         raise EllipticityError(
             f"symbol {op.symbol.name} is not elliptic above |xi| = "
             f"{lower_frequency_bound}: constant estimate {report.constant_estimate:.3e} "
-            f"<= floor {floor:.1e}")
+            f"<= floor {report.floor:.1e}")
     b0 = parametrix_symbol(op.symbol, lower_frequency_bound)
     left = SpdoOperator(b0, op.grid, op.t, op.slc)
     # right approximate inverse: left construction on the adjoint symbol, adjointed back

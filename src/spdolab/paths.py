@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .grid import SpectralField, TorusGrid
 # Stream tags keeping per-purpose randomness disjoint under one global seed.
 STREAM_BROWNIAN = 1
 STREAM_TRIAL_FIELDS = 2
-STREAM_SAMPLING = 3
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:

@@ -8,22 +8,26 @@ A_{j-1} L^{j-m} along the last row; its frequency-normalized principal symbol
 replaces L by |xi| and has the characteristic roots as exact eigenvalues.
 Root branches are tracked by nearest-neighbor continuation, split into real
 and imaginary parts, and extended homogeneously into operator symbols.
+
+Everything is stacked: a field over time is a (K+1, *grid.shape) array of
+Fourier coefficients, the companion state an (m, K+1, *grid.shape) array, and
+companion symbols and diagonalizations carry a leading sample axis.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (BranchCrossingError, DegenerateDiagonalizationError, StencilError)
-from .grid import SpectralField, TorusGrid, l2_norm
+from .grid import TorusGrid
 from .paths import PathSlice, TimeGrid
 from .symbols import (COMPLEX_ROOT_REL_TOL, Coords, PrincipalSymbol, RootStack, Symbol,
-                      _cmul, _cpow, one_sample, pairwise_distances, sample_contexts,
+                      _cmul, _cpow, pairwise_distances, sample_contexts,
                       sample_directions, sample_grid, sample_positions, solve_roots)
 from .catalog import lambda_symbol, symbol_product
 from .operators import SpdoOperator
@@ -35,122 +39,90 @@ BRANCH_AMBIGUITY_TOL = 1e-6
 # ---------------------------------------------------------------------------
 # manufactured solutions with closed-form time derivatives
 
-
-@dataclass(frozen=True)
-class TimeProfile:
-    """Scalar profile phi(t) with exact derivatives of every order."""
-
-    label: str
-    derivative_rule: Callable[[int, float], complex]
-
-    def derivative(self, j: int, t: float) -> complex:
-        return self.derivative_rule(j, t)
-
-    def __call__(self, t: float) -> complex:
-        return self.derivative_rule(0, t)
+# A scalar time profile phi is given by its derivative rule (j, t) -> d^j phi/dt^j.
+ProfileRule = Callable[[int, float], complex]
 
 
-def sine_profile(omega: float, phase: float = 0.0, amplitude: float = 1.0) -> TimeProfile:
+def sine_profile(omega: float, phase: float = 0.0, amplitude: float = 1.0) -> ProfileRule:
     def rule(j, t):
         return amplitude * omega**j * math.sin(omega * t + phase + j * math.pi / 2.0)
-    return TimeProfile(f"sin[{omega}t+{phase}]", rule)
+    return rule
 
 
-def exponential_profile(rate: complex, amplitude: complex = 1.0) -> TimeProfile:
+def exponential_profile(rate: complex, amplitude: complex = 1.0) -> ProfileRule:
     def rule(j, t):
         return amplitude * rate**j * np.exp(rate * t)
-    return TimeProfile(f"exp[{rate}t]", rule)
+    return rule
 
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Finite mode sum  u(t, x) = sum_r phi_r(t) e^{i k_r . x}."""
+    """Finite mode sum  u(t, x) = sum_r phi_r(t) e^{i k_r . x}, every k_r in
+    the grid's retained band."""
 
     grid: TorusGrid
-    terms: tuple[tuple[TimeProfile, tuple[int, ...], complex], ...]
+    terms: tuple[tuple[ProfileRule, tuple[int, ...], complex], ...]
+
+    def __post_init__(self):
+        n = self.grid.frequency_cutoff
+        for _, mode, _ in self.terms:
+            if len(mode) != self.grid.dim or not all(-n <= k <= n - 1 for k in mode):
+                raise ValueError(f"mode {mode} is not in the retained band [{-n}, {n - 1}] "
+                                 f"of a {self.grid.dim}-D grid")
 
     @classmethod
-    def single(cls, grid: TorusGrid, profile: TimeProfile, mode: int | tuple[int, ...],
+    def single(cls, grid: TorusGrid, profile: ProfileRule, mode: int | tuple[int, ...],
                amplitude: complex = 1.0) -> "ManufacturedSolution":
         m = (mode,) if isinstance(mode, int) else tuple(mode)
         return cls(grid, ((profile, m, amplitude),))
 
-    def dt_field(self, j: int, t: float) -> SpectralField:
-        """Closed-form D_t^j u(t) = (1/i)^j d^j/dt^j u(t)."""
-        out = SpectralField.zero(self.grid)
-        for profile, mode, amp in self.terms:
-            coeff = amp * (-1j) ** j * profile.derivative(j, t)
-            out = out + SpectralField.pure_mode(self.grid, mode, coeff)
+    def dt(self, j: int, times) -> np.ndarray:
+        """Closed-form D_t^j u = (1/i)^j d^j u/dt^j at every time, as a
+        (len(times), *grid.shape) coefficient stack."""
+        out = np.zeros((len(times),) + self.grid.shape, dtype=complex)
+        for rule, mode, amp in self.terms:
+            out[(slice(None),) + mode] += [amp * (-1j) ** j * rule(j, float(t)) for t in times]
         return out
-
-    def field_at(self, t: float) -> SpectralField:
-        return self.dt_field(0, t)
-
-    def snapshots(self, time_grid: TimeGrid) -> list[SpectralField]:
-        return [self.field_at(t) for t in time_grid.nodes()]
 
 
 # ---------------------------------------------------------------------------
-# companion state
+# companion state: component j-1 holds D_t^{j-1} L^{m-j} u, an
+# (m, K+1, *grid.shape) coefficient array
 
 
 def _bracket_multiplier(grid: TorusGrid, s: float) -> np.ndarray:
     return (1.0 + grid.frequency_magnitude() ** 2) ** (s / 2.0)
 
 
-@dataclass
-class CompanionState:
-    """Stacked state on the time grid: component j-1 holds D_t^{j-1} L^{m-j} u."""
-
-    m: int
-    grid: TorusGrid
-    time_grid: TimeGrid
-    stacks: tuple[np.ndarray, ...]  # each (K+1, *grid.shape) coefficient array
-
-    def __post_init__(self):
-        if len(self.stacks) != self.m:
-            raise ValueError("stack count must equal m")
-
-    def field(self, component: int, node: int) -> SpectralField:
-        return SpectralField.from_coefficients(self.grid, self.stacks[component][node])
-
-
-def build_companion_state(snapshots: Sequence[SpectralField], m: int,
-                          time_grid: TimeGrid) -> CompanionState:
-    """Companion state from time snapshots; D_t realized by second-order
-    finite differences (central inside, one-sided at the ends)."""
-    if len(snapshots) != time_grid.steps + 1:
-        raise ValueError("snapshot count must be steps + 1")
-    if m >= 2 and len(snapshots) < 2 * m + 1:
+def build_companion_state(u: np.ndarray, grid: TorusGrid, m: int,
+                          time_grid: TimeGrid) -> np.ndarray:
+    """Companion state from the (K+1, *grid.shape) coefficient stack of u; D_t
+    realized by second-order finite differences (central inside, one-sided at
+    the ends)."""
+    if len(u) != time_grid.steps + 1:
+        raise ValueError("need one snapshot per time node (steps + 1)")
+    if m >= 2 and len(u) < 2 * m + 1:
         raise StencilError(
-            f"need at least {2 * m + 1} time nodes for {m - 1} derivatives, "
-            f"got {len(snapshots)}")
-    grid = snapshots[0].grid
-    base = np.stack([s.coefficients for s in snapshots])
-    dt = time_grid.dt
+            f"need at least {2 * m + 1} time nodes for {m - 1} derivatives, got {len(u)}")
     stacks = []
     for j in range(1, m + 1):
-        comp = base * _bracket_multiplier(grid, m - j)
+        comp = u * _bracket_multiplier(grid, m - j)
         for _ in range(j - 1):
-            comp = -1j * np.gradient(comp, dt, axis=0, edge_order=2)
+            comp = -1j * np.gradient(comp, time_grid.dt, axis=0, edge_order=2)
         stacks.append(comp)
-    return CompanionState(m, grid, time_grid, tuple(stacks))
+    return np.stack(stacks)
 
 
 def exact_companion_state(man: ManufacturedSolution, m: int,
-                          time_grid: TimeGrid) -> CompanionState:
+                          time_grid: TimeGrid) -> np.ndarray:
     """Companion state with closed-form time derivatives (no stencil error)."""
-    grid = man.grid
-    stacks = []
-    for j in range(1, m + 1):
-        mult = _bracket_multiplier(grid, m - j)
-        rows = [(man.dt_field(j - 1, t).coefficients * mult) for t in time_grid.nodes()]
-        stacks.append(np.stack(rows))
-    return CompanionState(m, grid, time_grid, tuple(stacks))
+    nodes = time_grid.nodes()
+    return np.stack([man.dt(j - 1, nodes) * _bracket_multiplier(man.grid, m - j)
+                     for j in range(1, m + 1)])
 
 
 # ---------------------------------------------------------------------------
-# principal matrix symbol and diagonalization
+# companion symbol and diagonalization
 
 
 def _radius(xi: Coords) -> np.ndarray:
@@ -161,12 +133,23 @@ def _radius(xi: Coords) -> np.ndarray:
 
 def _companion_stack(c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(N, m, m) companion symbols from (N, m) tau-coefficients and (N,) |xi|."""
+    if np.any(r <= 0.0):
+        raise ValueError("frequency-zero sample rejected; |xi| must be positive")
     n, m = c.shape
     out = np.zeros((n, m, m), dtype=complex)
     out[:, np.arange(m - 1), np.arange(1, m)] = r[:, None]
     for j in range(1, m + 1):
         out[:, m - 1, j - 1] = _cmul(c[:, j - 1], np.float_power(r, j - m))
     return out
+
+
+def companion_symbol(ps: PrincipalSymbol, t: float, slc: PathSlice | None,
+                     x: Coords, xi: Coords) -> np.ndarray:
+    """(N, m, m) frequency-normalized companion symbols at N samples that share
+    (t, slc), x and xi holding (N,) arrays per axis: |xi| on the superdiagonal,
+    the tau-coefficients c_{j-1} |xi|^{j-m} along the last row. Their
+    eigenvalues are exactly the characteristic roots."""
+    return _companion_stack(ps.coefficients(t, slc, x, xi), _radius(xi))
 
 
 def _norm(z: np.ndarray) -> np.ndarray:
@@ -176,42 +159,18 @@ def _norm(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class PrincipalMatrixSymbol:
-    """Frequency-normalized companion symbol: |xi| on the superdiagonal, the
-    tau-coefficients c_{j-1} |xi|^{j-m} along the last row. Its eigenvalues
-    are exactly the characteristic roots."""
-
-    ps: PrincipalSymbol
-
-    @property
-    def m(self) -> int:
-        return self.ps.m
-
-    def matrix_at(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
-        x, xi = one_sample(x), one_sample(xi)
-        r = _radius(xi)
-        if r[0] <= 0.0:
-            raise ValueError("frequency-zero sample rejected; |xi| must be positive")
-        return _companion_stack(self.ps.coefficients(t, slc, x, xi), r)[0]
-
-
-def principal_matrix_symbol(ps: PrincipalSymbol) -> PrincipalMatrixSymbol:
-    return PrincipalMatrixSymbol(ps)
-
-
-@dataclass
 class Diagonalization:
-    """Eigendecomposition of the companion symbol. In a stack over N samples
-    every field carries a leading sample axis."""
+    """Eigendecomposition of the companion symbol at N samples; every field
+    carries a leading sample axis."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     vectors_inverse: np.ndarray
-    residual: float | np.ndarray
-    condition_number: float | np.ndarray
+    residual: np.ndarray
+    condition_number: np.ndarray
 
 
-def _diagonalize_stack(solved: RootStack) -> Diagonalization:
+def diagonalize(solved: RootStack) -> Diagonalization:
     """Closed-form eigendecomposition at every sample of a root solve: column k
     is the Vandermonde-type vector (|xi|^{m-1}, lambda_k |xi|^{m-2}, ...,
     lambda_k^{m-1}), unit-normalized. The leading entry is positive, which
@@ -228,28 +187,17 @@ def _diagonalize_stack(solved: RootStack) -> Diagonalization:
                 f"repeated root (gap {gap[i]:.3e}) at xi={solved.sample_xi(i)}: "
                 "companion symbol is not diagonalizable")
     r = _radius(solved.xi)
-    if np.any(r <= 0.0):
-        raise ValueError("frequency-zero sample rejected; |xi| must be positive")
+    mat = _companion_stack(solved.coefficients, r)
     # cols[:, k] is column k of V
     cols = np.stack([_cmul(_cpow(roots, j), np.float_power(r, m - 1 - j)[:, None])
                      for j in range(m)], axis=-1)
     vectors = np.ascontiguousarray((cols / _norm(cols)[..., None]).transpose(0, 2, 1))
-    mat = _companion_stack(solved.coefficients, r)
     eig = np.zeros((n, m, m), dtype=complex)
     eig[:, np.arange(m), np.arange(m)] = roots
     residual = (_norm((mat @ vectors - vectors @ eig).reshape(n, -1))
                 / np.maximum(_norm(mat.reshape(n, -1)), 1e-300))
     return Diagonalization(roots, vectors, np.linalg.inv(vectors), residual,
                            np.linalg.cond(vectors))
-
-
-def diagonalize(sigma: PrincipalMatrixSymbol, t: float, slc: PathSlice | None,
-                x, xi) -> Diagonalization:
-    """The eigendecomposition of `_diagonalize_stack` at one sample."""
-    solved = solve_roots(sigma.ps, t, slc, one_sample(x), one_sample(xi)).checked()
-    d = _diagonalize_stack(solved)
-    return Diagonalization(d.eigenvalues[0], d.vectors[0], d.vectors_inverse[0],
-                           float(d.residual[0]), float(d.condition_number[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +253,7 @@ class SplitRootSet:
 
 
 def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
-                num_x: int = 8, seed: int = 0,
-                time_grid: TimeGrid | None = None) -> SplitRootSet:
+                num_x: int = 8, seed: int = 0) -> SplitRootSet:
     """Track root branches over (t, x, angle) samples on the unit sphere and
     split each branch into real and imaginary symbol parts.
 
@@ -314,7 +261,7 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
     minimum-distance matching along angle, then position, then time. A sample
     whose distinct roots approach within 1e-6 makes continuation ambiguous.
     """
-    contexts = (sample_contexts(seed, time_grid=time_grid) if ps.requires_path
+    contexts = (sample_contexts(seed) if ps.requires_path
                 else [(t, None) for t in (0.0, 0.125, 0.25)])
     positions = sample_positions(dim, num_x) if ps.x_dependent else [
         tuple(np.array(0.0) for _ in range(dim))]
@@ -375,14 +322,12 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
     value at xi is |xi| times the branch root at the nearest sampled direction
     (exact for the two directions of dim 1). The zero frequency is routed to 0.
 
-    Requires a homogeneous, x-independent, path-independent principal part; the
-    extension would misrepresent anything else.
+    Requires x- and path-independent tau-coefficients; the extension would
+    misrepresent anything else.
     """
     ps = split.ps
-    if not ps.homogeneous or ps.x_dependent or ps.requires_path:
-        raise ValueError(
-            "branch symbols need a homogeneous principal part with x- and "
-            "path-independent coefficients")
+    if ps.x_dependent or ps.requires_path:
+        raise ValueError("branch symbols need x- and path-independent tau-coefficients")
     if part not in ("re", "im", "full"):
         raise ValueError("part must be 're', 'im', or 'full'")
     unit_dirs = np.array(split.directions)
@@ -419,15 +364,7 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# system operator matrix and residual consistency
-
-
-def _last_row_operators(ps: PrincipalSymbol, grid: TorusGrid, t: float,
-                        slc: PathSlice | None) -> list[SpdoOperator]:
-    """Entry j of the companion last row: quantization of c_{j-1} L^{j-m}."""
-    m = ps.m
-    return [SpdoOperator(symbol_product(c, lambda_symbol(j - m)), grid, t, slc)
-            for j, c in enumerate(ps.tau_coefficients, start=1)]
+# residual consistency of the companion system
 
 
 @dataclass
@@ -449,18 +386,43 @@ class ConsistencyReport:
     fitted_order: float
 
 
-def _scalar_defect(man: ManufacturedSolution, ps: PrincipalSymbol, grid: TorusGrid,
-                   t: float, slc: PathSlice | None,
-                   lower_order: Sequence[tuple[int, Symbol]]) -> SpectralField:
-    """D_t^m u - sum_k A_k D_t^k u - sum b_beta D_t^k u at one time."""
-    m = ps.m
-    out = man.dt_field(m, t)
-    for k, c in enumerate(ps.tau_coefficients):
-        out = out - SpdoOperator(c, grid, t, slc).apply(man.dt_field(k, t))
-    for k, sym in lower_order:
-        op = SpdoOperator(sym, grid, t, slc)
-        out = out - op.apply(man.dt_field(k, t))
-    return out
+@dataclass
+class _Defects:
+    """Stacks over the nodes of one time grid, each (K+1, *grid.shape), with
+    every operator frozen once per node, at (t_k, slc)."""
+
+    time_grid: TimeGrid
+    dts: dict[int, np.ndarray]  # k -> closed-form D_t^k u
+    state: np.ndarray  # (m, K+1, *grid.shape) exact companion state
+    last_row: np.ndarray  # companion last row applied to the state
+    forcing: np.ndarray  # lower-order terms, sum of b D_t^k u
+    scalar: np.ndarray  # D_t^m u - sum_k A_k D_t^k u - forcing
+
+
+def _frozen(sym: Symbol, grid: TorusGrid, t: float, slc: PathSlice | None,
+            coefficients: np.ndarray) -> np.ndarray:
+    """Op(sym) frozen at (t, slc), applied to one coefficient array."""
+    op = SpdoOperator(sym, grid, t, slc)
+    return op.apply_coefficients(coefficients.reshape(1, -1)).reshape(grid.shape)
+
+
+def _defects(man: ManufacturedSolution, ps: PrincipalSymbol, tg: TimeGrid,
+             slc: PathSlice | None, lower_order: Sequence[tuple[int, Symbol]]) -> _Defects:
+    grid, m = man.grid, ps.m
+    nodes = tg.nodes()
+    dts = {k: man.dt(k, nodes) for k in set(range(m + 1)) | {k for k, _ in lower_order}}
+    state = exact_companion_state(man, m, tg)
+    # entry j of the last row: the quantization of c_{j-1} L^{j-m}
+    row_symbols = [symbol_product(c, lambda_symbol(j - m))
+                   for j, c in enumerate(ps.tau_coefficients, start=1)]
+    principal, last_row, forcing = (np.zeros_like(dts[m]) for _ in range(3))
+    for i, t in enumerate(nodes.tolist()):
+        principal[i] = sum(_frozen(c, grid, t, slc, dts[k][i])
+                           for k, c in enumerate(ps.tau_coefficients))
+        last_row[i] = sum(_frozen(r, grid, t, slc, state[j][i])
+                          for j, r in enumerate(row_symbols))
+        forcing[i] = sum(_frozen(b, grid, t, slc, dts[k][i]) for k, b in lower_order)
+    return _Defects(tg, dts, state, last_row, forcing, dts[m] - principal - forcing)
 
 
 def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
@@ -473,51 +435,30 @@ def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
     With closed-form time derivatives the last system row reproduces the
     scalar defect exactly (the bracket weights cancel), and the other rows
     vanish; the forward-difference system defect converges to the scalar one
-    at first order in dt, which is the measured quantity.
+    at first order in dt, which is the measured quantity. Norms are Parseval
+    sums over the coefficients, maximized over the nodes.
     """
-    grid = man.grid
-    m = ps.m
-    nodes = time_grid.nodes()
+    grid, m = man.grid, ps.m
+    axes = tuple(range(1, grid.dim + 1))
 
-    scalar_fields = [_scalar_defect(man, ps, grid, float(t), slc, lower_order)
-                     for t in nodes]
-    scalar_norm = max(l2_norm(f) for f in scalar_fields)
+    def max_norm(stack: np.ndarray) -> float:
+        return float(np.sqrt(np.sum(np.abs(stack) ** 2, axis=axes)).max())
 
+    coarse = _defects(man, ps, time_grid, slc, lower_order)
     lam1 = _bracket_multiplier(grid, 1.0)
-    state = exact_companion_state(man, m, time_grid)
-
-    # closed-form system defect rows at every node
-    row_defect_norms = [0.0] * (m - 1)
-    system_norm = 0.0
-    for k in range(len(nodes)):
-        t = float(nodes[k])
-        for j in range(1, m):
-            lhs = man_component_derivative(man, m, j, t)
-            rhs = state.field(j, k).coefficients * lam1
-            gap = SpectralField.from_coefficients(grid, lhs - rhs)
-            row_defect_norms[j - 1] = max(row_defect_norms[j - 1], l2_norm(gap))
-        lhs_m = man_component_derivative(man, m, m, t)
-        defect = (lhs_m - _last_row_apply(ps, state, k, t, slc)
-                  - _f_stack_at(man, grid, t, slc, lower_order))
-        system_norm = max(system_norm,
-                          l2_norm(SpectralField.from_coefficients(grid, defect)))
+    # D_t of component j is D_t^j L^{m-j} u; row j < m equals L times component j + 1
+    row_defects = [max_norm(coarse.dts[j] * _bracket_multiplier(grid, m - j)
+                            - coarse.state[j] * lam1) for j in range(1, m)]
+    system = max_norm(coarse.dts[m] - coarse.last_row - coarse.forcing)
 
     # forward-difference defect vs the scalar defect, refined in dt
     euler_gaps: dict[int, float] = {}
     for factor in refinements:
-        tg = TimeGrid(time_grid.horizon, time_grid.steps * factor)
-        fine = exact_companion_state(man, m, tg)
-        fine_nodes = tg.nodes()
-        gap = 0.0
-        for k in range(tg.steps):
-            t = float(fine_nodes[k])
-            dM = (fine.stacks[m - 1][k + 1] - fine.stacks[m - 1][k]) / tg.dt
-            rhs = _last_row_apply(ps, fine, k, t, slc)
-            defect = -1j * dM - rhs - _f_stack_at(man, grid, t, slc, lower_order)
-            scalar_here = _scalar_defect(man, ps, grid, t, slc, lower_order)
-            diff = SpectralField.from_coefficients(grid, defect) - scalar_here
-            gap = max(gap, l2_norm(diff))
-        euler_gaps[tg.steps] = gap
+        d = coarse if factor == 1 else _defects(
+            man, ps, TimeGrid(time_grid.horizon, time_grid.steps * factor), slc, lower_order)
+        dM = np.diff(d.state[m - 1], axis=0) / d.time_grid.dt
+        gap = -1j * dM - d.last_row[:-1] - d.forcing[:-1] - d.scalar[:-1]
+        euler_gaps[d.time_grid.steps] = max_norm(gap)
 
     ks = np.array(sorted(euler_gaps))
     gs = np.array([euler_gaps[k] for k in ks])
@@ -526,35 +467,7 @@ def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
         order = float(np.polyfit(np.log(1.0 / ks[live]), np.log(gs[live]), 1)[0])
     else:
         order = math.inf
-    return ConsistencyReport(scalar_norm, system_norm, row_defect_norms,
-                             euler_gaps, order)
-
-
-def man_component_derivative(man: ManufacturedSolution, m: int, j: int,
-                             t: float) -> np.ndarray:
-    """Closed-form D_t of companion component j (1-based) as coefficients."""
-    grid = man.grid
-    mult = _bracket_multiplier(grid, m - j)
-    return man.dt_field(j, t).coefficients * mult
-
-
-def _last_row_apply(ps: PrincipalSymbol, state: CompanionState, k: int, t: float,
-                    slc: PathSlice | None) -> np.ndarray:
-    """Companion last row frozen at (t, slc), applied to the state at node k."""
-    total = np.zeros(state.grid.shape, dtype=complex)
-    for j, op in enumerate(_last_row_operators(ps, state.grid, t, slc), start=1):
-        total = total + op.apply(state.field(j - 1, k)).coefficients
-    return total
-
-
-def _f_stack_at(man: ManufacturedSolution, grid: TorusGrid, t: float,
-                slc: PathSlice | None,
-                lower_order: Sequence[tuple[int, Symbol]]) -> np.ndarray:
-    total = np.zeros(grid.shape, dtype=complex)
-    for k, sym in lower_order:
-        op = SpdoOperator(sym, grid, t, slc)
-        total = total + op.apply(man.dt_field(k, t)).coefficients
-    return total
+    return ConsistencyReport(max_norm(coarse.scalar), system, row_defects, euler_gaps, order)
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +487,15 @@ class ReductionRow:
 
 
 def reduction_table(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
-                    num_x: int = 8, seed: int = 0,
-                    time_grid: TimeGrid | None = None) -> list[ReductionRow]:
+                    num_x: int = 8, seed: int = 0) -> list[ReductionRow]:
     """Per-sample eigenvalue/diagonalization rows for the tracked branches."""
-    split = split_roots(ps, dim, num_angles=num_angles, num_x=num_x, seed=seed,
-                        time_grid=time_grid)
+    split = split_roots(ps, dim, num_angles=num_angles, num_x=num_x, seed=seed)
     xs = [float(np.asarray(x[0])) for x in split.positions]
     angles = [float(math.atan2(d[1] if dim == 2 else 0.0, d[0])) for d in split.directions]
     samples = list(itertools.product(range(len(xs)), range(len(angles))))
     rows = []
     for t, solved, lam in zip(split.times, split.solves, split.table):
-        diag = _diagonalize_stack(solved)
+        diag = diagonalize(solved)
         re, im = lam.real.tolist(), lam.imag.tolist()
         resid, cond = diag.residual.tolist(), diag.condition_number.tolist()
         rows += [ReductionRow(float(t), xs[ix], angles[ia], k, re[ix][ia][k], im[ix][ia][k],

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteError, OrderFitError, RootSolveError
-from .paths import PathSlice, TimeGrid, derive_rng, sample_brownian, STREAM_SAMPLING
+from .paths import PathSlice, TimeGrid, sample_brownian
 
 ArrayLike = np.ndarray | float
 Coords = tuple[np.ndarray, ...]
@@ -32,6 +32,20 @@ SeparatedTerm = tuple[FactorFn | None, FactorFn]
 
 # A root counts as complex when its imaginary part clears this relative floor.
 COMPLEX_ROOT_REL_TOL = 1e-8
+
+# Sampled (t, path) contexts: SAMPLE_TIMES nodes of SAMPLE_TIME_GRID on each of
+# SAMPLE_PATHS Brownian paths.
+SAMPLE_TIME_GRID = TimeGrid(horizon=0.25, steps=16)
+SAMPLE_TIMES = 3
+SAMPLE_PATHS = 2
+
+# Audits sample NUM_XI log-spaced frequency radii up to XI_MAX.
+XI_MAX = 1024.0
+NUM_XI = 17
+ORDER_NUM_X = 8  # positions in an order audit
+ORDER_TOLERANCE = 0.05  # a fitted exponent may exceed its bound by this much
+ELLIPTIC_NUM_X = 16  # positions in an ellipticity estimate
+ELLIPTICITY_FLOOR = 1e-8  # a symbol is elliptic when its constant clears this
 
 
 def as_coords(v) -> Coords:
@@ -99,13 +113,12 @@ class Symbol:
 # sampling helpers
 
 
-def sample_contexts(seed: int, num_times: int = 3, num_paths: int = 2,
-                    time_grid: TimeGrid | None = None) -> list[tuple[float, PathSlice]]:
+def sample_contexts(seed: int) -> list[tuple[float, PathSlice]]:
     """(t, adapted slice) pairs spread over the horizon for a few sampled paths."""
-    tg = time_grid if time_grid is not None else TimeGrid(horizon=0.25, steps=16)
-    ks = np.unique(np.linspace(0, tg.steps, num_times).astype(int))
+    tg = SAMPLE_TIME_GRID
+    ks = np.unique(np.linspace(0, tg.steps, SAMPLE_TIMES).astype(int))
     out = []
-    for p in range(num_paths):
+    for p in range(SAMPLE_PATHS):
         path = sample_brownian(seed, p, tg)
         for k in ks:
             out.append((tg.node(int(k)), path.slice_at(int(k))))
@@ -221,29 +234,24 @@ class SymbolOrderReport:
         raise KeyError("no zeroth entry")
 
 
-def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
-                        num_xi: int = 17, num_x: int = 8, seed: int = 0,
-                        tolerance: float = 0.05,
-                        time_grid: TimeGrid | None = None) -> SymbolOrderReport:
+def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> SymbolOrderReport:
     """Empirically check  |d^a_xi d^b_x a| <= M (1+|xi|)^{l-|a|}  for |a|+|b| <= 2.
 
     The growth exponent per index pair is a least-squares log-log slope against
-    (1 + |xi|) over the upper half of `num_xi` log-spaced magnitudes in
-    [1, xi_max]; the pass criterion is  fitted <= l - |a| + tolerance.
+    (1 + |xi|) over the upper half of NUM_XI log-spaced magnitudes in
+    [1, XI_MAX]; the pass criterion is  fitted <= l - |a| + ORDER_TOLERANCE.
     Derivative magnitudes below a relative floor are reported as -inf and pass.
     A non-finite sampled value raises NonFiniteError, and magnitudes that clear
     the floor at fewer than two radii raise OrderFitError.
     """
-    if xi_max < 8:
-        raise ValueError("xi_max must be at least 8")
-    radii = np.geomspace(1.0, xi_max, num_xi)
-    positions = sample_positions(dim, num_x)
-    contexts = sample_contexts(seed, time_grid=time_grid)
+    radii = np.geomspace(1.0, XI_MAX, NUM_XI)
+    positions = sample_positions(dim, ORDER_NUM_X)
+    contexts = sample_contexts(seed)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
     xi = _direction_rays(dim, 8, radii)
 
     pairs = _multi_indices(dim)
-    curves: dict[tuple, np.ndarray] = {p: np.zeros(num_xi) for p in pairs}
+    curves: dict[tuple, np.ndarray] = {p: np.zeros(NUM_XI) for p in pairs}
     base_scale = 0.0
     for t, slc in contexts:
         for alpha, beta in pairs:
@@ -258,14 +266,14 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
                 base_scale = float(np.maximum(base_scale, mags.max()))
 
     floor = 1e-10 * (1.0 + base_scale)
-    upper = radii >= math.sqrt(xi_max)
+    upper = radii >= math.sqrt(XI_MAX)
     entries = []
     for alpha, beta in pairs:
         mags = curves[(alpha, beta)]
         if not np.all(np.isfinite(mags)):
             raise NonFiniteError(
                 f"symbol {symbol.name}: non-finite d^{alpha}_xi d^{beta}_x sampled up to "
-                f"|xi| = {xi_max:g}")
+                f"|xi| = {XI_MAX:g}")
         bound = symbol.order - sum(alpha)
         if np.max(mags) <= floor:
             entries.append(SymbolOrderEntry(alpha, beta, -math.inf, bound, float(np.max(mags)), True))
@@ -279,8 +287,8 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, xi_max: float = 1024.0,
                 f"at one sampled radius only, too few to fit a growth order")
         slope = float(np.polyfit(np.log1p(radii[sel]), np.log(mags[sel]), 1)[0])
         entries.append(SymbolOrderEntry(alpha, beta, slope, bound, float(np.max(mags)),
-                                        slope <= bound + tolerance))
-    return SymbolOrderReport(symbol.name, symbol.order, tolerance, entries)
+                                        slope <= bound + ORDER_TOLERANCE))
+    return SymbolOrderReport(symbol.name, symbol.order, ORDER_TOLERANCE, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +310,11 @@ class EllipticityReport:
 
 
 def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int = 1, *,
-                   xi_max: float = 1024.0, num_xi: int = 17, num_x: int = 16,
-                   seed: int = 0, floor: float = 1e-8,
-                   time_grid: TimeGrid | None = None) -> EllipticityReport:
+                   seed: int = 0) -> EllipticityReport:
     """Estimate C = min |a| / (1+|xi|)^l over samples with |xi| >= the lower bound."""
-    radii = np.geomspace(lower_frequency_bound, xi_max, num_xi)
-    positions = sample_positions(dim, num_x)
-    contexts = sample_contexts(seed, time_grid=time_grid)
+    radii = np.geomspace(lower_frequency_bound, XI_MAX, NUM_XI)
+    positions = sample_positions(dim, ELLIPTIC_NUM_X)
+    contexts = sample_contexts(seed)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
     xi = _direction_rays(dim, 16, radii)
 
@@ -320,7 +326,7 @@ def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int 
         c_est = float(np.minimum(c_est, ratios.min()))  # a NaN stays: not elliptic
         count += ratios.size
     return EllipticityReport(symbol.name, symbol.order, lower_frequency_bound,
-                             c_est, floor, count)
+                             c_est, ELLIPTICITY_FLOOR, count)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +342,12 @@ class PrincipalSymbol:
 
     `tau_coefficients[k]` is the symbol c_k, frequency dependence included,
     in the separated form every symbol has. `x_dependent` and `requires_path`
-    are derived from the coefficients. `homogeneous` marks principal parts
-    whose c_k are xi-homogeneous of degree m - k, so roots scale linearly in
-    |xi|.
+    are derived from the coefficients.
     """
 
     name: str
     m: int
     tau_coefficients: tuple[Symbol, ...]
-    homogeneous: bool = True
     requires_path: bool = field(init=False)
     x_dependent: bool = field(init=False)
 
@@ -561,13 +564,12 @@ class HypothesisReport:
 
 
 def check_hypotheses(ps: PrincipalSymbol, dim: int = 1, *, epsilon: float = 0.1,
-                     num_angles: int = 64, num_x: int = 8, seed: int = 0,
-                     time_grid: TimeGrid | None = None) -> HypothesisReport:
+                     num_angles: int = 64, num_x: int = 8, seed: int = 0) -> HypothesisReport:
     """Sample roots over the unit sphere x time x path x position and report margins."""
     x, xi = sample_grid(sample_positions(dim, num_x), sample_directions(dim, num_angles))
     h1 = h2 = h3 = math.inf
     count = 0
-    for t, slc in sample_contexts(seed, time_grid=time_grid):
+    for t, slc in sample_contexts(seed):
         roots = solve_roots(ps, t, slc, x, xi).checked().roots
         count += len(roots)
         dists = pairwise_distances(roots)

@@ -15,9 +15,9 @@ import pytest
 from spdolab import (CarlemanConfig, ManufacturedSolution, SpectralField,
                      TimeGrid, TorusGrid, boundedness_harness, check_hypotheses,
                      diagonalize, l2_norm, parametrix, parametrix_residual_scan,
-                     principal_matrix_symbol, quantize, random_band_limited_field,
-                     reduction_consistency_check, scan, verify_inequality,
-                     verify_symbol_order)
+                     quantize, random_band_limited_field,
+                     reduction_consistency_check, scan, solve_roots,
+                     verify_inequality, verify_symbol_order)
 from spdolab.catalog import (lambda_symbol, make_principal, make_symbol,
                              random_principal, with_declared_order)
 from spdolab.cli import main
@@ -116,16 +116,16 @@ def test_criterion_06_diagonalization_on_random_samples():
     min_margin = math.inf
     for _ in range(100):
         ps = random_principal(int(rng.integers(2, 5)), rng, min_separation=0.6)
-        x = (np.array(float(rng.uniform(0.0, 2.0 * np.pi))),)
-        xi = (np.array(float(rng.uniform(1.0, 12.0)) * float(rng.choice([-1.0, 1.0]))),)
-        unit = (np.array(float(np.sign(xi[0]))),)
+        x = (np.array([rng.uniform(0.0, 2.0 * np.pi)]),)
+        xi = (np.array([rng.uniform(1.0, 12.0) * rng.choice([-1.0, 1.0])]),)
+        unit = (np.sign(xi[0]),)
         margin = float(pairwise_distances(
             characteristic_roots(ps, 0.0, None, x, unit)).min())
         min_margin = min(min_margin, margin)
-        diag = diagonalize(principal_matrix_symbol(ps), 0.0, None, x, xi)
-        worst_resid = max(worst_resid, diag.residual)
+        diag = diagonalize(solve_roots(ps, 0.0, None, x, xi).checked())
+        worst_resid = max(worst_resid, float(diag.residual[0]))
         roots = characteristic_roots(ps, 0.0, None, x, xi)
-        for lam in diag.eigenvalues:
+        for lam in diag.eigenvalues[0]:
             worst_match = max(worst_match, min(abs(lam - r) for r in roots))
     assert min_margin >= 0.1
     assert worst_resid <= 1e-10

@@ -1,16 +1,18 @@
 """Companion reduction, symbol diagonalization, branch splitting, consistency."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdolab import (BranchCrossingError, DegenerateDiagonalizationError,
                      ManufacturedSolution, StencilError, TimeGrid, TorusGrid,
-                     branch_symbol, build_companion_state, diagonalize,
-                     exact_companion_state, principal_matrix_symbol,
-                     reduction_consistency_check, reduction_table, split_roots,
-                     verify_symbol_order)
-from spdolab.catalog import make_principal, random_principal
+                     branch_symbol, build_companion_state, companion_symbol, diagonalize,
+                     exact_companion_state, reduction_consistency_check, reduction_table,
+                     sample_brownian, solve_roots, split_roots, verify_symbol_order)
+from spdolab.catalog import (from_roots_principal, make_principal, make_symbol,
+                             random_principal)
 from spdolab.reduction import sine_profile
 from spdolab.symbols import characteristic_roots
 
@@ -22,67 +24,85 @@ def detuned_solution(grid=GRID, omega=3.0, mode=2):
     return ManufacturedSolution.single(grid, sine_profile(omega), mode)
 
 
+def samples(*values):
+    """One (N,) array per axis."""
+    return tuple(np.array(v, dtype=float) for v in values)
+
+
 class TestCompanionState:
     def test_exact_components_closed_form(self):
-        # component j stores D_t^{j-1} (1+|xi|^2)^{(m-j)/2} u at every node
+        # component j stores D_t^{j-1} (1+|xi|^2)^{(m-j)/2} u at every node;
+        # u = sin(3t) e^{2ix}, so D_t u = -3i cos(3t) e^{2ix}
         man = detuned_solution()
         tg = TimeGrid(0.25, 32)
         state = exact_companion_state(man, 2, tg)
+        assert state.shape == (2, 33) + GRID.shape
         k, t = 2, tg.node(7)
         lam = np.sqrt(1.0 + k**2)
-        u7 = man.field_at(t).coefficient_at((k,))
-        d7 = man.dt_field(1, t).coefficient_at((k,))
-        assert abs(state.field(0, 7).coefficient_at((k,)) - lam * u7) <= 1e-12
-        assert abs(state.field(1, 7).coefficient_at((k,)) - d7) <= 1e-12
+        assert abs(state[0, 7, k] - lam * math.sin(3.0 * t)) <= 1e-12
+        assert abs(state[1, 7, k] - (-3j) * math.cos(3.0 * t)) <= 1e-12
+        others = np.delete(state, k, axis=-1)
+        assert not np.any(others)
 
     def test_finite_difference_second_order(self):
         man = detuned_solution()
         gaps = []
         for steps in (64, 128, 256):
             tg = TimeGrid(0.25, steps)
-            snaps = [man.field_at(t) for t in tg.nodes()]
-            fd = build_companion_state(snaps, 2, tg)
+            fd = build_companion_state(man.dt(0, tg.nodes()), GRID, 2, tg)
             ex = exact_companion_state(man, 2, tg)
-            gaps.append(np.max(np.abs(fd.stacks[1] - ex.stacks[1])))
+            gaps.append(np.max(np.abs(fd[1] - ex[1])))
         rates = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
         assert np.all(rates > 1.8)
 
     def test_stencil_guard(self):
         man = detuned_solution()
         tg = TimeGrid(0.25, 4)
-        snaps = [man.field_at(t) for t in tg.nodes()]
         with pytest.raises(StencilError):
-            build_companion_state(snaps, 3, tg)
+            build_companion_state(man.dt(0, tg.nodes()), GRID, 3, tg)
+
+    def test_snapshot_count_guard(self):
+        man = detuned_solution()
+        tg = TimeGrid(0.25, 16)
+        with pytest.raises(ValueError):
+            build_companion_state(man.dt(0, tg.nodes()[:-1]), GRID, 2, tg)
+
+    @pytest.mark.parametrize("mode", [8, -9, (2, 1)], ids=["above", "below", "wrong-dim"])
+    def test_out_of_band_mode_rejected(self, mode):
+        # the retained band of a 16-point axis is [-8, 7]; (2, 1) has the wrong dim
+        with pytest.raises(ValueError):
+            ManufacturedSolution.single(GRID, sine_profile(3.0), mode)
 
 
 class TestPrincipalMatrix:
     def test_wave_matrix_entries(self):
-        # superdiagonal |xi|, last row (c0 |xi|^{1-m}, ...): closed form at xi=3
-        sigma = principal_matrix_symbol(make_principal("wave:2"))
-        mat = sigma.matrix_at(0.0, None, (np.array(0.0),), (np.array(3.0),))
-        assert np.allclose(mat, [[0.0, 3.0], [12.0, 0.0]], atol=1e-12)
+        # superdiagonal |xi|, last row (c0 |xi|^{1-m}, ...): closed form at xi = 3 and 2
+        mat = companion_symbol(make_principal("wave:2"), 0.0, None,
+                               samples([0.0, 1.0]), samples([3.0, -2.0]))
+        assert mat.shape == (2, 2, 2)
+        assert np.allclose(mat, [[[0.0, 3.0], [12.0, 0.0]], [[0.0, 2.0], [8.0, 0.0]]],
+                           atol=1e-12)
 
     def test_mixed_cubic_matrix_entries(self):
-        sigma = principal_matrix_symbol(make_principal("mixed-cubic"))
-        mat = sigma.matrix_at(0.0, None, (np.array(0.0),), (np.array(2.0),))
+        mat = companion_symbol(make_principal("mixed-cubic"), 0.0, None,
+                               samples([0.0]), samples([2.0]))
         expected = [[0, 2, 0], [0, 0, 2], [2, -4 / 2, 2]]
-        assert np.allclose(mat, expected, atol=1e-12)
+        assert np.allclose(mat[0], expected, atol=1e-12)
 
     def test_zero_frequency_rejected(self):
-        sigma = principal_matrix_symbol(make_principal("wave:1"))
         with pytest.raises(ValueError):
-            sigma.matrix_at(0.0, None, (np.array(0.0),), (np.array(0.0),))
+            companion_symbol(make_principal("wave:1"), 0.0, None,
+                             samples([0.0, 0.0]), samples([1.0, 0.0]))
 
     def test_eigenvalues_equal_roots(self):
         # the normalized companion matrix has exactly the characteristic roots
         ps = make_principal("mixed-cubic")
-        sigma = principal_matrix_symbol(ps)
-        x, xi = (np.array(0.4),), (np.array(5.0),)
-        mat = sigma.matrix_at(0.0, None, x, xi)
-        eigs = np.linalg.eigvals(mat)
-        roots = characteristic_roots(ps, 0.0, None, x, xi)
-        for e in eigs:
-            assert min(abs(e - r) for r in roots) <= 1e-10
+        x, xi = samples([0.4, 0.4, 2.0]), samples([5.0, -3.0, 0.5])
+        mats = companion_symbol(ps, 0.0, None, x, xi)
+        for i, mat in enumerate(mats):
+            roots = characteristic_roots(ps, 0.0, None, (x[0][i],), (xi[0][i],))
+            for e in np.linalg.eigvals(mat):
+                assert min(abs(e - r) for r in roots) <= 1e-10
 
 
 class TestDiagonalization:
@@ -91,18 +111,20 @@ class TestDiagonalization:
     def test_residual_and_conditioning(self, seed):
         rng = np.random.default_rng(seed)
         ps = random_principal(int(rng.integers(2, 5)), rng, min_separation=0.6)
-        xi = (np.array(float(rng.uniform(1.0, 12.0)) * rng.choice([-1.0, 1.0])),)
-        diag = diagonalize(principal_matrix_symbol(ps), 0.0, None, (np.array(0.1),), xi)
-        assert diag.residual <= 1e-10
-        assert np.isfinite(diag.condition_number)
-        recon = diag.vectors @ np.diag(diag.eigenvalues) @ diag.vectors_inverse
-        mat = principal_matrix_symbol(ps).matrix_at(0.0, None, (np.array(0.1),), xi)
+        x = samples([0.1])
+        xi = samples([float(rng.uniform(1.0, 12.0)) * rng.choice([-1.0, 1.0])])
+        diag = diagonalize(solve_roots(ps, 0.0, None, x, xi).checked())
+        assert diag.residual[0] <= 1e-10
+        assert np.isfinite(diag.condition_number[0])
+        recon = diag.vectors[0] @ np.diag(diag.eigenvalues[0]) @ diag.vectors_inverse[0]
+        mat = companion_symbol(ps, 0.0, None, x, xi)[0]
         assert np.max(np.abs(recon - mat)) <= 1e-8 * max(1.0, np.max(np.abs(mat)))
 
     def test_repeated_root_rejected(self):
-        sigma = principal_matrix_symbol(make_principal("double-root"))
+        solved = solve_roots(make_principal("double-root"), 0.0, None,
+                             samples([0.0]), samples([2.0])).checked()
         with pytest.raises(DegenerateDiagonalizationError):
-            diagonalize(sigma, 0.0, None, (np.array(0.0),), (np.array(2.0),))
+            diagonalize(solved)
 
 
 class TestBranchSplitting:
@@ -144,9 +166,11 @@ class TestBranchSplitting:
         assert verify_symbol_order(branch_symbol(split, upper, "im")).passed
 
     def test_x_dependent_principal_rejected(self):
-        split = split_roots(make_principal("variable-wave:2,0.5,0"), 1)
-        with pytest.raises(ValueError):
-            branch_symbol(split, 0)
+        for ps in (make_principal("variable-wave:2,0.5,0"),
+                   from_roots_principal([1, -1], trig_eps=[0.1, 0])):
+            split = split_roots(ps, 1)
+            with pytest.raises(ValueError):
+                branch_symbol(split, 0)
 
 
 class TestConsistency:
@@ -162,11 +186,24 @@ class TestConsistency:
         assert report.scalar_residual <= 1e-12
         assert report.system_residual <= 1e-12
 
-    @pytest.mark.parametrize("principal", ["wave:1", "variable-wave:2,0.5,0"])
-    def test_manufactured_rows_and_order(self, principal):
-        man = detuned_solution(omega=3.0, mode=2)
-        ps = make_principal(principal)
-        report = reduction_consistency_check(man, ps, TimeGrid(0.25, 64))
+    # (principal, dim, under a real path slice, with lower-order terms)
+    @pytest.mark.parametrize("principal, dim, path, forced", [
+        ("wave:1", 1, False, False),
+        ("variable-wave:2,0.5,0", 1, False, False),
+        ("variable-wave:2,0.5,0.3", 1, True, False),
+        ("wave:1", 1, True, True),
+        ("mixed-cubic", 1, True, True),
+        ("wave:1", 2, False, False),
+        ("variable-wave:2,0.5,0.3", 2, True, True),
+    ], ids=["wave:1", "variable-wave:2,0.5,0", "path", "forced", "forced-cubic", "2d",
+            "path-forced-2d"])
+    def test_manufactured_rows_and_order(self, principal, dim, path, forced):
+        tg = TimeGrid(0.25, 64)
+        man = detuned_solution(TorusGrid(dim, 16), omega=3.0, mode=2 if dim == 1 else (2, 1))
+        slc = sample_brownian(3, 0, tg).full_slice() if path else None
+        lower = ((0, make_symbol("brownian-lambda:0.5,0")), (1, make_symbol("trig:1,0.3,0")))
+        report = reduction_consistency_check(man, make_principal(principal), tg, slc=slc,
+                                             lower_order=lower if forced else ())
         # non-final rows are identities in the exact state
         assert all(d <= 1e-10 for d in report.row_defects)
         # the last system row reproduces the scalar defect identically

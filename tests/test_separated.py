@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spdolab import (SpdoOperator, TorusGrid, compose, parametrix, quantize,
+from spdolab import (SpdoOperator, TorusGrid, composition_symbol, parametrix, quantize,
                      random_band_limited_field)
 from spdolab.catalog import (make_symbol, symbol_conjugate, symbol_product, symbol_scale,
                              symbol_sum)
@@ -131,11 +131,21 @@ class TestSeparatedRoute:
         assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
         rows = transform(grid, cols.T.copy())
         assert np.all(np.isfinite(op.adjoint().apply_coefficients(rows)))
-        composed = compose(op, quantize(make_symbol("trig-lambda:1,0,0.5,1"), grid),
-                           "asymptotic-1")
+        sigma = composition_symbol(op.symbol, make_symbol("trig-lambda:1,0,0.5,1"), grid.dim)
         # a.b plus one derivative term per axis
-        assert len(composed.symbol.separated) == 3
-        assert np.all(np.isfinite(composed.operator.apply_many(cols)))
+        assert len(sigma.separated) == 3
+        assert np.all(np.isfinite(quantize(sigma, grid).apply_many(cols)))
+
+    def test_zero_derivative_term_dropped(self):
+        # the x-factor of trig-lambda:1,0,0.5,1 does not vary along axis 1, so
+        # that derivative term of the composition is 0 at every node
+        grid = TorusGrid(2, 16)
+        sigma = composition_symbol(make_symbol("trig-lambda:2,1,0,1"),
+                                   make_symbol("trig-lambda:1,0,0.5,1"), grid.dim)
+        op = quantize(sigma, grid)
+        assert len(sigma.separated) == 3
+        assert len(op._terms()) == 2
+        check_against_dense(op, grid, random_columns(grid, 3, 8))
 
 
 def test_xdep_scan_runs_at_16384_points(tmp_path):
