@@ -1,12 +1,12 @@
 """Numerical laboratory for stochastic pseudo-differential operator calculus.
 
 Layers, bottom up: periodic grids and spectral fields (`grid`), Brownian
-paths and adapted Ito processes (`paths`), symbols with empirical class
-checkers (`symbols`, `catalog`), quantized operators with boundedness and
-parametrix harnesses (`operators`), companion reduction and symbol-level
-diagonalization (`reduction`), Monte Carlo verification of the weighted
-energy inequality (`carleman`), and the experiment CLI (`config`, `reports`,
-`cli`).
+paths and windowed additive-noise processes (`paths`), symbols with
+empirical class checkers (`symbols`, `catalog`), quantized operators with
+boundedness and parametrix harnesses (`operators`), companion reduction and
+symbol-level diagonalization (`reduction`), Monte Carlo verification of the
+weighted energy inequality (`carleman`), and the experiment CLI (`config`,
+`reports`, `cli`).
 """
 
 from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
@@ -16,10 +16,9 @@ from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
                      StencilError, WindowError)
 from .grid import (SpectralField, TorusGrid, differentiate, inner, l2_norm,
                    random_band_limited_field, sobolev_norm)
-from .paths import (BrownianPath, ConstantRule, PathSlice, Semimartingale,
-                    TimeGrid, constant_field_rule, derive_rng, ito_process,
-                    parabolic_window, realized_quadratic_variation,
-                    sample_brownian, sine_window, windowed_ito_process)
+from .paths import (BrownianPath, PathSlice, Semimartingale, TimeGrid,
+                    additive_process, derive_rng, parabolic_window, pinned_window,
+                    sample_brownian, sine_window)
 from .symbols import (EllipticityReport, HypothesisReport, PrincipalSymbol,
                       RootStack, Symbol, SymbolOrderReport, characteristic_roots,
                       check_elliptic, check_hypotheses, solve_roots,

@@ -26,15 +26,15 @@ recovers absolute values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import GridMismatchError, NonFiniteError
 from .grid import SpectralField, TorusGrid
-from .paths import (Semimartingale, TimeGrid, constant_field_rule, parabolic_window,
-                    sample_brownian, sine_window, windowed_ito_process)
+from .paths import (Semimartingale, TimeGrid, additive_process, parabolic_window,
+                    pinned_window, sample_brownian, sine_window)
 from .operators import SpdoOperator, quantize
 from . import catalog, reduction
 
@@ -90,30 +90,29 @@ def resolve_window(selector: str) -> Callable[[TimeGrid], np.ndarray]:
     raise ValueError(f"unknown window {selector!r}; choose sine or parabolic")
 
 
-def resolve_process(selector: str, window: str, grid: TorusGrid, seed: int,
-                    path_index: int, time_grid: TimeGrid) -> Semimartingale:
-    """Process selectors: `deterministic-mode:k[,amp]` for z = eta(t) amp e^{ikx},
-    `brownian-mode:amp,k` for the windowed Ito process with dY = amp e^{ikx} dw.
+def resolve_process(selector: str, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Process selectors, as the coefficients of (Y_0, g) for `additive_process`:
+    `deterministic-mode:k[,amp]` for z = eta(t) amp e^{ikx}, and
+    `brownian-mode:amp,k` for the windowed process with dY = amp e^{ikx} dw.
     In two dimensions the mode runs along the first axis, e^{ikx_1}."""
     name, _, argstr = selector.strip().partition(":")
     args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
-    path = sample_brownian(seed, path_index, time_grid)
-    eta = resolve_window(window)
 
-    def mode(k):
-        return (int(k),) + (0,) * (grid.dim - 1)
+    def mode(k, amp):
+        return SpectralField.pure_mode(grid, (int(k),) + (0,) * (grid.dim - 1),
+                                       amp).coefficients
 
     if name == "deterministic-mode":
         k = args[0] if args else 1
         amp = args[1] if len(args) > 1 else 1.0
-        initial = SpectralField.pure_mode(grid, mode(k), amp)
-        return windowed_ito_process(None, None, eta, path, grid, initial)
+        initial = mode(k, amp)
+        return initial, np.zeros_like(initial)
     if name == "brownian-mode":
         if len(args) < 2:
             raise ValueError("brownian-mode needs amplitude and mode: brownian-mode:amp,k")
         amp, k = args[0], args[1]
-        g = constant_field_rule(SpectralField.pure_mode(grid, mode(k), amp))
-        return windowed_ito_process(None, g, eta, path, grid, None)
+        noise = mode(k, amp)
+        return np.zeros_like(noise), noise
     raise ValueError(
         f"unknown process family {name!r}; choose deterministic-mode or brownian-mode")
 
@@ -203,12 +202,15 @@ class CarlemanReport:
 
 class _PathArrays:
     """The (K+1, S) and (K, S) arrays in which one path's terms are computed,
-    S being the number of coefficient columns in use. A cell computes all its
-    paths in one set: allocating and freeing arrays of this size on every path
-    costs page faults whenever the allocator hands the freed memory back to
-    the operating system."""
+    S being the number of coefficient columns in use, and the zeroed
+    full-width array into which a process is written when the terms need
+    every column. A cell computes all its paths in one set: allocating and
+    freeing arrays of this size on every path costs page faults whenever the
+    allocator hands the freed memory back to the operating system."""
 
     shape: tuple[int, int] | None = None
+    full: np.ndarray | None = None
+    written: np.ndarray | None = None  # the columns of `full` that may be non-zero
 
     def sized(self, steps: int, width: int) -> "_PathArrays":
         if self.shape != (steps, width):
@@ -217,6 +219,17 @@ class _PathArrays:
             self.dz, self.bracket, self.work = (np.empty((steps, width), complex)
                                                 for _ in range(3))
         return self
+
+    def full_width(self, z: Semimartingale) -> np.ndarray:
+        """z's (K+1, M^n) coefficients, zero off its support."""
+        shape = (z.time_grid.steps + 1, z.grid.size)
+        if self.full is None or self.full.shape != shape:
+            self.full = np.zeros(shape, complex)
+        elif not np.array_equal(self.written, z.support):
+            self.full[:, self.written] = 0.0
+        self.full[:, z.support] = z.coefficients
+        self.written = z.support
+        return self.full
 
 
 def _multiply_by(m: np.ndarray) -> Callable[..., np.ndarray]:
@@ -227,9 +240,9 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
                b1_adjoint: SpdoOperator, mu: float,
                arrays: _PathArrays | None = None) -> np.ndarray:
     """Six inequality terms along one realized path, (term1, term2, r1..r4),
-    with the weight scaled by e^{-mu T^2}. When z has a support and A1, B1
-    and B1* are Fourier multipliers, only the support columns are summed;
-    otherwise every column is."""
+    with the weight scaled by e^{-mu T^2}. When A1, B1 and B1* are Fourier
+    multipliers, only z's support columns are summed; otherwise z is written
+    at full width and every column is."""
     if z.grid != a1.grid or z.grid != b1.grid:
         raise GridMismatchError("process and operator families on different grids")
     tg = z.time_grid
@@ -239,18 +252,19 @@ def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
     trap = np.full(tg.steps + 1, dt)
     trap[0] = trap[-1] = dt / 2.0
 
-    coeffs = z.coefficients.reshape(tg.steps + 1, -1)  # (K+1, S)
     ops = (a1, b1, b1_adjoint)
     multipliers = [op.multiplier() for op in ops]
-    if z.support is None or any(m is None for m in multipliers):
+    arrays = arrays or _PathArrays()
+    if any(m is None for m in multipliers):
+        coeffs = arrays.full_width(z)  # (K+1, M^n)
         apply_a1, apply_b1, apply_b1_adjoint = (op.apply_coefficients for op in ops)
     else:
         # multipliers map the support into itself, and over the other columns
         # every Parseval sum would add exact zeros
-        coeffs = coeffs[:, z.support]
+        coeffs = z.coefficients  # (K+1, S)
         apply_a1, apply_b1, apply_b1_adjoint = (_multiply_by(m[z.support])
                                                 for m in multipliers)
-    arrays = (arrays or _PathArrays()).sized(tg.steps, coeffs.shape[1])
+    arrays.sized(tg.steps, coeffs.shape[1])
     b1_z = apply_b1(coeffs, out=arrays.b1_z)
 
     def pair(f, g):
@@ -295,10 +309,13 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
     b1 = resolve_operator_family(config.b1, grid)
     b1_adj = b1.adjoint()
 
+    initial, noise = resolve_process(config.process, grid)
+    eta = pinned_window(resolve_window(config.window)(tg), tg)
+
     terms = np.zeros((config.paths, 6))
     arrays = _PathArrays()
     for p in range(config.paths):
-        z = resolve_process(config.process, config.window, grid, config.seed, p, tg)
+        z = additive_process(initial, noise, eta, sample_brownian(config.seed, p, tg), grid)
         terms[p] = path_terms(z, a1, b1, b1_adj, config.mu, arrays)
 
     means = terms.mean(axis=0)
@@ -360,12 +377,7 @@ def scan(base: CarlemanConfig, mu_list: Sequence[float] | None = None,
     for T in horizons:
         mus = list(mu_list) if mu_list is not None else [k / (T * T) for k in kappa_list]
         for mu in mus:
-            cfg = CarlemanConfig(mu=float(mu), horizon=float(T), steps=base.steps,
-                                 paths=base.paths, grid_points=base.grid_points,
-                                 dim=base.dim, a1=base.a1, b1=base.b1,
-                                 process=base.process, window=base.window,
-                                 seed=base.seed)
-            rows.append(verify_inequality(cfg))
+            rows.append(verify_inequality(replace(base, mu=float(mu), horizon=float(T))))
 
     passes = [r for r in rows if r.verdict]
     summary = {

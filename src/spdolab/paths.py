@@ -1,21 +1,22 @@
-"""Driving Brownian motion, adapted path access, and Ito-process semimartingales.
+"""Driving Brownian motion, adapted path access, and windowed additive-noise
+processes.
 
 Randomness discipline: every stream is derived from a single 64-bit seed and a
 tuple of integer keys via numpy's SeedSequence spawn keys, so Monte Carlo
-results do not depend on scheduling order. Time stepping is Euler-Maruyama in
-the Ito convention (integrands at left endpoints).
+results do not depend on scheduling order. Every simulated process is additive
+noise, dY = g dw from Y_0, windowed by eta(t): z = eta (Y_0 + g w), held on the
+Fourier columns where Y_0 or g is non-zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AdaptednessError, WindowError
-from .grid import SpectralField, TorusGrid
+from .grid import TorusGrid
 
 # Stream tags keeping per-purpose randomness disjoint under one global seed.
 STREAM_BROWNIAN = 1
@@ -115,88 +116,24 @@ def sample_brownian(seed: int, path_index: int, time_grid: TimeGrid) -> Brownian
     return BrownianPath(time_grid, values, int(seed), int(path_index))
 
 
-# Drift/diffusion evaluation rules: (t, PathSlice, current state coefficients)
-# -> coefficient array of the grid's shape.
-FieldRule = Callable[[float, PathSlice, np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantRule:
-    """A FieldRule that ignores (t, path, state) and returns fixed coefficients.
-
-    A declared type rather than a lambda, so that `ito_process` can see that
-    dY = g dw is additive noise."""
-
-    coefficients: np.ndarray
-
-    def __call__(self, t: float, slc: PathSlice, y: np.ndarray) -> np.ndarray:
-        return self.coefficients
-
-
 @dataclass
 class Semimartingale:
-    """A simulated L2-valued process along one path: the Fourier coefficients of
-    every time-node snapshot, stacked as one (K+1, *grid.shape) array.
-
-    `support`, when set, holds the flat coefficient indices the process can
-    occupy; every other column is zero at every node. None means full width."""
+    """A simulated L2-valued process along one path, held on its support: the
+    flat Fourier coefficient indices it can occupy. `coefficients` stacks the
+    support columns of every time-node snapshot as one (K+1, len(support))
+    array; every other column is zero at every node."""
 
     time_grid: TimeGrid
     grid: TorusGrid
     coefficients: np.ndarray
     path: BrownianPath
-    drift: FieldRule | None = field(default=None, repr=False)
-    diffusion: FieldRule | None = field(default=None, repr=False)
-    support: np.ndarray | None = None
+    support: np.ndarray
 
     def __post_init__(self):
-        if self.coefficients.shape != (self.time_grid.steps + 1,) + self.grid.shape:
+        if self.coefficients.shape != (self.time_grid.steps + 1, self.support.size):
             raise ValueError(
-                f"coefficient array shape {self.coefficients.shape} does not hold one "
-                f"snapshot of shape {self.grid.shape} per time node")
-
-    def snapshot(self, k: int) -> SpectralField:
-        return SpectralField.from_coefficients(self.grid, self.coefficients[k])
-
-
-def ito_process(drift: FieldRule | None, diffusion: FieldRule | None, path: BrownianPath,
-                grid: TorusGrid, initial: SpectralField | None = None) -> Semimartingale:
-    """Euler-Maruyama simulation of dY = f dt + g dw along the given path.
-
-    Additive noise (no drift, and g absent or a ConstantRule) has the closed
-    form Y_k = Y_0 + sum_{j<k} dw_j g: one cumulative sum over the columns
-    where Y_0 or g is non-zero, which become the process's `support`. cumsum
-    adds in the order of the step loop, so every value is the loop's to the
-    last bit. Any other pair of rules is stepped node by node, each call
-    seeing the path only up to its own node.
-    """
-    tg = path.time_grid
-    coeffs = np.zeros((tg.steps + 1,) + grid.shape, dtype=np.complex128)
-    if initial is not None:
-        coeffs[0] = initial.coefficients
-    dw = np.diff(path.values)
-    if drift is None and (diffusion is None or isinstance(diffusion, ConstantRule)):
-        flat = coeffs.reshape(tg.steps + 1, -1)
-        g = (np.zeros(flat.shape[1], dtype=np.complex128) if diffusion is None
-             else diffusion.coefficients.reshape(-1))
-        support = np.flatnonzero((flat[0] != 0) | (g != 0))
-        increments = np.empty((tg.steps + 1, support.size), dtype=np.complex128)
-        increments[0] = flat[0, support]
-        np.multiply(dw[:, None], g[support], out=increments[1:])
-        flat[:, support] = np.cumsum(increments, axis=0)
-        return Semimartingale(tg, grid, coeffs, path, drift, diffusion, support)
-    times = tg.nodes().tolist()
-    dw = dw.tolist()
-    for k in range(tg.steps):
-        slc = path.slice_at(k)
-        y = coeffs[k]
-        step = y
-        if drift is not None:
-            step = step + tg.dt * drift(times[k], slc, y)
-        if diffusion is not None:
-            step = step + dw[k] * diffusion(times[k], slc, y)
-        coeffs[k + 1] = step
-    return Semimartingale(tg, grid, coeffs, path, drift, diffusion)
+                f"coefficient array shape {self.coefficients.shape} does not hold "
+                f"{self.support.size} support columns per time node")
 
 
 def sine_window(time_grid: TimeGrid) -> np.ndarray:
@@ -208,45 +145,37 @@ def parabolic_window(time_grid: TimeGrid) -> np.ndarray:
     return 4.0 * t * (time_grid.horizon - t) / time_grid.horizon**2
 
 
-def windowed_ito_process(drift: FieldRule | None, diffusion: FieldRule | None,
-                         window: Callable[[TimeGrid], np.ndarray] | np.ndarray | None,
-                         path: BrownianPath, grid: TorusGrid,
-                         initial: SpectralField | None = None) -> Semimartingale:
-    """Admissible endpoint-pinned process z(t) = eta(t) Y(t) with dY = f dt + g dw.
-
-    The window eta must vanish at both endpoints (tolerance 1e-14); its endpoint
-    values are then clamped to exactly zero so that z(0) = z(T) = 0 holds exactly.
-    Default window: eta(t) = sin(pi t / T).
-    """
-    tg = path.time_grid
-    if window is None:
-        eta = sine_window(tg)
-    elif callable(window):
-        eta = np.asarray(window(tg), dtype=float)
-    else:
-        eta = np.asarray(window, dtype=float)
-    if eta.shape != (tg.steps + 1,):
-        raise WindowError(f"window shape {eta.shape} does not match node count {tg.steps + 1}")
+def pinned_window(eta: np.ndarray, time_grid: TimeGrid) -> np.ndarray:
+    """A window eta for `additive_process`: one value per node, vanishing at both
+    endpoints (tolerance 1e-14). The endpoint values are clamped to exactly
+    zero, so that z(0) = z(T) = 0 holds exactly."""
+    eta = np.array(eta, dtype=float)
+    if eta.shape != (time_grid.steps + 1,):
+        raise WindowError(f"window shape {eta.shape} does not match node count "
+                          f"{time_grid.steps + 1}")
     scale = max(1.0, float(np.max(np.abs(eta))))
     if abs(eta[0]) > 1e-14 * scale or abs(eta[-1]) > 1e-14 * scale:
         raise WindowError(f"window endpoints must vanish, got {eta[0]} and {eta[-1]}")
-    eta = eta.copy()
-    eta[0] = 0.0
-    eta[-1] = 0.0
-
-    z = ito_process(drift, diffusion, path, grid, initial)
-    columns = slice(None) if z.support is None else z.support
-    z.coefficients.reshape(tg.steps + 1, -1)[:, columns] *= eta[:, None]
-    return z
+    eta[0] = eta[-1] = 0.0
+    return eta
 
 
-def realized_quadratic_variation(z: Semimartingale) -> np.ndarray:
-    """Per-step spatially integrated squared increments  ||z_{k+1} - z_k||_{L2}^2,
-    summed over frequencies by Parseval."""
-    dz = np.diff(z.coefficients, axis=0)
-    return np.sum(np.abs(dz) ** 2, axis=tuple(range(1, dz.ndim)))
+def additive_process(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
+                     path: BrownianPath, grid: TorusGrid) -> Semimartingale:
+    """The windowed additive-noise process z_k = eta_k Y_k with dY = g dw from
+    Y_0, given the coefficients of Y_0 (`initial`) and g (`noise`) on the grid
+    and a window from `pinned_window`.
 
-
-def constant_field_rule(value: SpectralField) -> ConstantRule:
-    """Evaluation rule that ignores (t, path, state) and returns a fixed field."""
-    return ConstantRule(value.coefficients)
+    The support is the columns where Y_0 or g is non-zero. There Y_k =
+    Y_0 + sum_{j<k} dw_j g is one cumulative sum, which adds in the order of
+    the Ito steps Y_{k+1} = Y_k + dw_k g, and z is then one multiply by eta.
+    """
+    tg = path.time_grid
+    initial, noise = initial.reshape(-1), noise.reshape(-1)
+    support = np.flatnonzero((initial != 0) | (noise != 0))
+    coeffs = np.empty((tg.steps + 1, support.size), dtype=np.complex128)
+    coeffs[0] = initial[support]
+    np.multiply(np.diff(path.values)[:, None], noise[support], out=coeffs[1:])
+    np.cumsum(coeffs, axis=0, out=coeffs)
+    coeffs *= eta[:, None]
+    return Semimartingale(tg, grid, coeffs, path, support)

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import NonFiniteError, OrderFitError, RootSolveError
 from .paths import PathSlice, TimeGrid, sample_brownian
 
-ArrayLike = np.ndarray | float
 Coords = tuple[np.ndarray, ...]
 SymbolFn = Callable[[float, PathSlice | None, Coords, Coords], np.ndarray]
 # a factor of a separated symbol: (t, slc, x) or (t, slc, xi) -> values
@@ -221,10 +220,6 @@ class SymbolOrderReport:
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
-
-    @property
-    def offending(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [(e.alpha, e.beta) for e in self.entries if not e.passed]
 
     def fitted_order(self) -> float:
         """The |alpha| = |beta| = 0 exponent, the empirical order of the symbol."""

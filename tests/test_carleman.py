@@ -1,7 +1,5 @@
 """Weighted energy inequality: per-term assembly, aggregation, and the scan."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,8 @@ from spdolab import carleman, catalog
 from spdolab.carleman import (path_terms, resolve_operator_family, resolve_process,
                               resolve_window)
 from spdolab.operators import quantize
-from spdolab.paths import Semimartingale, TimeGrid, sample_brownian
+from spdolab.paths import (Semimartingale, TimeGrid, additive_process, pinned_window,
+                           sample_brownian)
 
 T = 0.25
 MU = 64.0 / T**2
@@ -23,6 +22,21 @@ BASE = dict(mu=MU, horizon=T, steps=256, paths=8, grid_points=32,
 def cfg(**overrides):
     merged = {**BASE, **overrides}
     return CarlemanConfig(**merged)
+
+
+def process(selector, window, grid, seed, path_index, tg):
+    """Path `path_index` of a cell's process, as `verify_inequality` builds it."""
+    initial, noise = resolve_process(selector, grid)
+    eta = pinned_window(resolve_window(window)(tg), tg)
+    return additive_process(initial, noise, eta, sample_brownian(seed, path_index, tg), grid)
+
+
+def full_width(z):
+    """z written into a zeroed (K+1, M^n) array: a process whose support is
+    every column."""
+    full = np.zeros((z.time_grid.steps + 1, z.grid.size), dtype=complex)
+    full[:, z.support] = z.coefficients
+    return Semimartingale(z.time_grid, z.grid, full, z.path, np.arange(z.grid.size))
 
 
 def quadrature_oracle(mu, horizon, a1_mode, b1_shift, nodes=100001):
@@ -53,8 +67,8 @@ def value_space_terms(z, a1_selector, b1_selector, mu, weight_scaled=True):
 
     a1, b1 = dense(a1_selector), dense(b1_selector)
     tg = z.time_grid
-    spatial = tuple(range(1, z.coefficients.ndim))
-    values = np.fft.ifftn(z.coefficients, axes=spatial, norm="forward")
+    coeffs = full_width(z).coefficients.reshape((-1,) + grid.shape)
+    values = np.fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1)), norm="forward")
     values = values.reshape(tg.steps + 1, -1)
     shift = tg.nodes() - tg.horizon
     weight = np.exp(mu * shift**2)
@@ -136,12 +150,12 @@ class TestFamilies:
     def test_process_selectors(self):
         grid = TorusGrid(1, 16)
         tg = TimeGrid(T, 32)
-        z = resolve_process("deterministic-mode:2,0.5", "sine", grid, 0, 0, tg)
-        assert abs(z.coefficients[16, 2]) > 0.0
-        z2 = resolve_process("brownian-mode:0.1,1", "parabolic", grid, 0, 0, tg)
+        z = process("deterministic-mode:2,0.5", "sine", grid, 0, 0, tg)
+        assert abs(full_width(z).coefficients[16, 2]) > 0.0
+        z2 = process("brownian-mode:0.1,1", "parabolic", grid, 0, 0, tg)
         assert len(z2.coefficients) == 33
         with pytest.raises(ValueError):
-            resolve_process("levy-mode:1", "sine", grid, 0, 0, tg)
+            resolve_process("levy-mode:1", grid)
 
 
 class TestEqualityAndStructure:
@@ -228,7 +242,7 @@ class TestStochasticAggregation:
         tg = TimeGrid(T, 64)
         a1 = resolve_operator_family("zero", grid)
         b1 = resolve_operator_family("zero", grid)
-        z = resolve_process("deterministic-mode:1", "sine", grid, 0, 0, tg)
+        z = process("deterministic-mode:1", "sine", grid, 0, 0, tg)
         terms = path_terms(z, a1, b1, b1, MU)
         assert terms.shape == (6,)
         assert terms[0] > 0.0 and terms[3] == 0.0
@@ -243,13 +257,13 @@ class TestCoefficientSpace:
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = resolve_operator_family(b1, grid)
-        z = resolve_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
+        z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
         # a state on every mode, pinned at both ends, reaches every matrix entry
         rng = np.random.default_rng(5)
-        shape = (tg.steps + 1,) + grid.shape
+        shape = (tg.steps + 1, grid.size)
         spread = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         spread[0] = spread[-1] = 0.0
-        for z in (z, Semimartingale(tg, grid, 0.01 * spread, z.path)):
+        for z in (z, Semimartingale(tg, grid, 0.01 * spread, z.path, np.arange(grid.size))):
             got = path_terms(z, fam_a1, fam_b1, fam_b1.adjoint(), MU)
             ref = value_space_terms(z, a1, b1, MU)
             scale = np.max(np.abs(ref))
@@ -276,8 +290,8 @@ class TestCoefficientSpace:
         for row in result.rows:
             tg = TimeGrid(row.horizon, base.steps)
             terms = np.array([
-                value_space_terms(resolve_process(base.process, base.window, base.torus(),
-                                                  base.seed, p, tg),
+                value_space_terms(process(base.process, base.window, base.torus(),
+                                          base.seed, p, tg),
                                   base.a1, base.b1, row.mu, weight_scaled=False)
                 for p in range(base.paths)])
             gap = terms[:, 2:].sum(axis=1) - terms[:, :2].sum(axis=1)
@@ -302,8 +316,8 @@ def skew_multiplier(grid):
 
 
 class TestSupportRoute:
-    """Multiplier families on a supported process sum the six terms over the
-    support columns only; the bytes are those of the full-width sums."""
+    """Multiplier families sum the six terms over the process's support
+    columns only; the bytes are those of the full-width sums."""
 
     @pytest.mark.parametrize("a1, b1, dim, kappa", [
         ("c-dx", "lambda:1", 1, 64.0),
@@ -313,8 +327,8 @@ class TestSupportRoute:
         ("c-dx", "lambda:1", 2, 64.0),
         ("lambda:1", "skew", 2, 1024.0),
     ])
-    @pytest.mark.parametrize("process", ["brownian-mode:0.1,1", "deterministic-mode:1"])
-    def test_support_columns_match_full_width_bytes(self, a1, b1, dim, kappa, process):
+    @pytest.mark.parametrize("selector", ["brownian-mode:0.1,1", "deterministic-mode:1"])
+    def test_support_columns_match_full_width_bytes(self, a1, b1, dim, kappa, selector):
         grid = TorusGrid(dim, 32 if dim == 1 else 8)
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
@@ -323,10 +337,10 @@ class TestSupportRoute:
         assert (fam_adj is fam_b1) == (b1 != "skew")
         mu = kappa / T**2
         for p in range(3):
-            z = resolve_process(process, "sine", grid, 0, p, tg)
-            assert z.support is not None and z.support.size == 1
+            z = process(selector, "sine", grid, 0, p, tg)
+            assert z.support.size == 1
             got = path_terms(z, fam_a1, fam_b1, fam_adj, mu)
-            full = path_terms(dataclasses.replace(z, support=None), fam_a1, fam_b1, fam_adj, mu)
+            full = path_terms(full_width(z), fam_a1, fam_b1, fam_adj, mu)
             assert got.tobytes() == full.tobytes()
             assert np.all(np.isfinite(got))
             assert (got[3] != 0.0) == (b1 == "skew")
@@ -337,14 +351,47 @@ class TestSupportRoute:
         tg = TimeGrid(T, 64)
         a1 = resolve_operator_family("c-dx", grid)
         b1 = resolve_operator_family("lambda:1", grid)
-        z = resolve_process("brownian-mode:0.1,1", "sine", grid, 0, 0, tg)
+        z = process("brownian-mode:0.1,1", "sine", grid, 0, 0, tg)
         arrays = carleman._PathArrays()
         first = path_terms(z, a1, b1, b1, MU, arrays)
         assert arrays.shape == (tg.steps, 1)
-        wide = path_terms(dataclasses.replace(z, support=None), a1, b1, b1, MU, arrays)
+        wide = path_terms(full_width(z), a1, b1, b1, MU, arrays)
         assert arrays.shape == (tg.steps, 32)
         again = path_terms(z, a1, b1, b1, MU, arrays)
         assert first.tobytes() == wide.tobytes() == again.tobytes()
+
+    def test_multiplier_cell_holds_its_support_column(self, monkeypatch):
+        # an n = 2, M = 128 multiplier cell: each path holds (K+1, 1)
+        # coefficients, not a (K+1, 128^2) array with one column written,
+        # and its terms are the bytes of the sums over every column
+        recorded = []
+        real = carleman.path_terms
+
+        def record(z, *args):
+            terms = real(z, *args)
+            recorded.append((z, args[:4], terms))
+            return terms
+
+        monkeypatch.setattr(carleman, "path_terms", record)
+        verify_inequality(cfg(dim=2, grid_points=128, steps=16, paths=2))
+        assert len(recorded) == 2
+        for z, families, terms in recorded:
+            assert z.coefficients.shape == (17, 1)
+            assert terms.tobytes() == real(full_width(z), *families).tobytes()
+
+    def test_full_width_array_follows_the_support(self):
+        # an x-dependent cell writes each process into one full-width array;
+        # the columns a process on another support left there must read zero
+        grid = TorusGrid(1, 32)
+        tg = TimeGrid(T, 64)
+        a1 = resolve_operator_family("trig-lambda:2,1,0,1", grid)
+        b1 = resolve_operator_family("mod:1", grid)
+        b1_adj = b1.adjoint()
+        arrays = carleman._PathArrays()
+        for selector in ("brownian-mode:0.1,1", "deterministic-mode:3", "brownian-mode:0.1,2"):
+            z = process(selector, "sine", grid, 0, 0, tg)
+            got = path_terms(z, a1, b1, b1_adj, MU, arrays)
+            assert got.tobytes() == path_terms(z, a1, b1, b1_adj, MU).tobytes()
 
     @pytest.mark.parametrize("a1, b1, dim, m", [
         ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 1, 32),
@@ -359,8 +406,8 @@ class TestSupportRoute:
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = resolve_operator_family(b1, grid)
-        z = resolve_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
-        assert z.support is not None
+        z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
+        assert z.support.size == 1
         got = path_terms(z, fam_a1, fam_b1, fam_b1.adjoint(), MU)
         ref = value_space_terms(z, a1, b1, MU)
         scale = np.max(np.abs(ref))

@@ -1,17 +1,36 @@
-"""Brownian paths, adapted access, pinned Ito processes, quadratic variation."""
+"""Brownian paths, adapted access, windowed additive-noise processes."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdolab import (AdaptednessError, ConstantRule, SpectralField, TimeGrid, TorusGrid,
-                     WindowError, constant_field_rule, derive_rng, ito_process,
-                     l2_norm, parabolic_window, realized_quadratic_variation,
-                     sample_brownian, sine_window, windowed_ito_process)
+from spdolab import (AdaptednessError, SpectralField, TimeGrid, TorusGrid, WindowError,
+                     additive_process, derive_rng, l2_norm, parabolic_window,
+                     pinned_window, sample_brownian, sine_window)
 from spdolab.paths import Semimartingale
 
 GRID = TorusGrid(1, 16)
 TG = TimeGrid(0.25, 128)
+UNWINDOWED = np.ones(TG.steps + 1)  # eta = 1: the process Y itself
+
+
+def full_width(z):
+    """z's coefficients at every node, written into a zeroed (K+1, *grid.shape) array."""
+    full = np.zeros((z.time_grid.steps + 1, z.grid.size), dtype=complex)
+    full[:, z.support] = z.coefficients
+    return full.reshape((-1,) + z.grid.shape)
+
+
+def snapshot(z, k):
+    return SpectralField.from_coefficients(z.grid, full_width(z)[k])
+
+
+def stepped(initial, noise, path, eta):
+    """The Ito steps y_{k+1} = y_k + dw_k g at full width, then times eta."""
+    ys = [initial]
+    for dw in np.diff(path.values):
+        ys.append(ys[-1] + dw * noise)
+    return np.array(ys) * eta.reshape((-1,) + (1,) * initial.ndim)
 
 
 class TestTimeGrid:
@@ -77,118 +96,80 @@ class TestBrownianPath:
         assert np.isclose(slc.value(t), expected)
 
 
-class TestItoProcess:
+class TestAdditiveProcess:
     def test_constant_diffusion_is_exact(self):
         # dY = g dw with constant g integrates exactly: Y_k = g w_k
         g = SpectralField.pure_mode(GRID, 2, 0.5)
         path = sample_brownian(1, 0, TG)
-        z = ito_process(None, constant_field_rule(g), path, GRID)
+        z = additive_process(np.zeros(GRID.shape, complex), g.coefficients, UNWINDOWED,
+                             path, GRID)
         for k in (0, 7, TG.steps):
             expected = float(path.values[k]) * g.values
-            assert np.allclose(z.snapshot(k).values, expected, atol=1e-13)
+            assert np.allclose(snapshot(z, k).values, expected, atol=1e-13)
 
     def test_quadratic_variation_identity(self):
-        # for Y = g w the realized QV equals ||g||^2 sum (dw)^2 exactly
+        # for Y = g w the realized QV equals ||g||^2 sum (dw)^2 exactly; by
+        # Parseval it is the sum of |dz|^2 over the support columns
         g = SpectralField.pure_mode(GRID, 1, 2.0)
         path = sample_brownian(4, 0, TG)
-        z = ito_process(None, constant_field_rule(g), path, GRID)
-        qv = realized_quadratic_variation(z)
+        z = additive_process(np.zeros(GRID.shape, complex), g.coefficients, UNWINDOWED,
+                             path, GRID)
+        qv = np.sum(np.abs(np.diff(z.coefficients, axis=0)) ** 2, axis=1)
         expected = l2_norm(g) ** 2 * np.diff(path.values) ** 2
         assert np.allclose(qv, expected, atol=1e-12)
-
-    def test_drift_only_reproduces_euler(self):
-        drift = constant_field_rule(SpectralField.pure_mode(GRID, 0, 1.0))
-        path = sample_brownian(0, 0, TG)
-        z = ito_process(drift, None, path, GRID)
-        final = z.coefficients[-1, 0]
-        assert np.isclose(final, TG.horizon, atol=1e-12)
-
-    def test_state_dependent_drift(self):
-        # dY = -Y dt: Euler-Maruyama gives Y_k = (1 - dt)^k Y_0 on every mode
-        path = sample_brownian(0, 0, TG)
-        z = ito_process(lambda t, slc, y: -y, None, path, GRID,
-                        SpectralField.pure_mode(GRID, 3, 2.0))
-        expected = 2.0 * (1.0 - TG.dt) ** np.arange(TG.steps + 1)
-        assert np.allclose(z.coefficients[:, 3], expected, rtol=1e-13, atol=0)
-        assert np.all(np.delete(z.coefficients, 3, axis=1) == 0.0)
 
     def test_snapshot_count_guard(self):
         path = sample_brownian(0, 0, TG)
         with pytest.raises(ValueError):
-            Semimartingale(TG, GRID, np.zeros((3,) + GRID.shape, dtype=complex), path)
+            Semimartingale(TG, GRID, np.zeros((3, 1), dtype=complex), path, np.array([1]))
 
 
 class TestAdditiveNoiseRoute:
-    """No drift and a constant (or no) diffusion: one cumulative sum on the
-    support instead of the step loop, with the loop's bytes."""
+    """One cumulative sum on the support, with the bytes of the Ito steps
+    taken at full width."""
 
     CASES = [(GRID, 1, 0.0), (GRID, 0, 0.1), (TorusGrid(2, 8), 0, 0.1), (TorusGrid(2, 8), 1, 0.0)]
     IDS = ["deterministic-mode", "brownian-mode", "brownian-mode-2d", "deterministic-mode-2d"]
 
     @staticmethod
-    def rules(grid, initial_amp, noise_amp):
+    def fields(grid, initial_amp, noise_amp):
         mode = (1,) + (0,) * (grid.dim - 1)
-        initial = SpectralField.pure_mode(grid, mode, initial_amp) if initial_amp else None
-        g = SpectralField.pure_mode(grid, mode, noise_amp).coefficients
-        declared = ConstantRule(g) if noise_amp else None
-        return initial, declared, (lambda t, slc, y: g)
+        return (SpectralField.pure_mode(grid, mode, initial_amp).coefficients,
+                SpectralField.pure_mode(grid, mode, noise_amp).coefficients)
 
     @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
-    def test_constant_rule_reproduces_loop_bytes(self, grid, initial_amp, noise_amp):
-        initial, declared, plain = self.rules(grid, initial_amp, noise_amp)
+    def test_cumulative_sum_reproduces_step_bytes(self, grid, initial_amp, noise_amp):
+        initial, noise = self.fields(grid, initial_amp, noise_amp)
+        eta = pinned_window(sine_window(TG), TG)
         for p in range(3):
             path = sample_brownian(7, p, TG)
-            fast = ito_process(None, declared, path, grid, initial)
-            loop = ito_process(None, plain, path, grid, initial)
-            assert loop.support is None and fast.support is not None
-            assert fast.coefficients.tobytes() == loop.coefficients.tobytes()
-            fast_w = windowed_ito_process(None, declared, sine_window, path, grid, initial)
-            loop_w = windowed_ito_process(None, plain, sine_window, path, grid, initial)
-            assert fast_w.coefficients.tobytes() == loop_w.coefficients.tobytes()
+            fast = additive_process(initial, noise, UNWINDOWED, path, grid)
+            assert fast.coefficients.shape == (TG.steps + 1, 1)
+            loop = stepped(initial, noise, path, UNWINDOWED)
+            assert full_width(fast).tobytes() == loop.tobytes()
+            fast_w = additive_process(initial, noise, eta, path, grid)
+            loop_w = stepped(initial, noise, path, eta)
+            assert full_width(fast_w).tobytes() == loop_w.tobytes()
 
     @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
     def test_support_is_the_non_zero_columns(self, grid, initial_amp, noise_amp):
-        initial, declared, _ = self.rules(grid, initial_amp, noise_amp)
+        initial, noise = self.fields(grid, initial_amp, noise_amp)
         path = sample_brownian(7, 0, TG)
-        for z in (ito_process(None, declared, path, grid, initial),
-                  windowed_ito_process(None, declared, parabolic_window, path, grid, initial)):
-            flat = z.coefficients.reshape(TG.steps + 1, -1)
+        for eta in (UNWINDOWED, pinned_window(parabolic_window(TG), TG)):
+            z = additive_process(initial, noise, eta, path, grid)
+            flat = full_width(z).reshape(TG.steps + 1, -1)
             assert np.array_equal(z.support, np.flatnonzero(np.any(flat != 0, axis=0)))
             assert z.support.tolist() == [np.ravel_multi_index((1,) + (0,) * (grid.dim - 1),
                                                                grid.shape)]
 
     def test_union_of_initial_and_noise_columns(self):
         path = sample_brownian(7, 0, TG)
-        g = ConstantRule(SpectralField.pure_mode(GRID, 3, 0.2).coefficients)
-        z = ito_process(None, g, path, GRID, SpectralField.pure_mode(GRID, -2, 1.0))
+        initial = SpectralField.pure_mode(GRID, -2, 1.0).coefficients
+        noise = SpectralField.pure_mode(GRID, 3, 0.2).coefficients
+        z = additive_process(initial, noise, UNWINDOWED, path, GRID)
         assert z.support.tolist() == [3, 14]
-        loop = ito_process(None, lambda t, slc, y: g.coefficients, path, GRID,
-                           SpectralField.pure_mode(GRID, -2, 1.0))
-        assert z.coefficients.tobytes() == loop.coefficients.tobytes()
-
-    def test_constant_rule_is_a_field_rule(self):
-        g = SpectralField.pure_mode(GRID, 1, 0.5).coefficients
-        rule = constant_field_rule(SpectralField.pure_mode(GRID, 1, 0.5))
-        assert isinstance(rule, ConstantRule)
-        path = sample_brownian(0, 0, TG)
-        assert np.array_equal(rule(0.0, path.slice_at(0), np.zeros(GRID.shape)), g)
-
-    def test_other_rules_keep_the_loop_and_full_width(self):
-        path = sample_brownian(0, 0, TG)
-        initial = SpectralField.pure_mode(GRID, 1, 1.0)
-        f = ConstantRule(SpectralField.pure_mode(GRID, 0, 1.0).coefficients)
-        g = ConstantRule(SpectralField.pure_mode(GRID, 2, 0.1).coefficients)
-        state_dependent = ito_process(None, lambda t, slc, y: 0.1 * y, path, GRID, initial)
-        drift_and_noise = ito_process(f, g, path, GRID, initial)
-        drift_only = ito_process(f, None, path, GRID, initial)
-        for z in (state_dependent, drift_and_noise, drift_only):
-            assert z.support is None
-        # (y + dt f) + dw g, stepped in that order
-        y = initial.coefficients.copy()
-        dw = np.diff(path.values)
-        for k in range(TG.steps):
-            y = y + TG.dt * f.coefficients + dw[k] * g.coefficients
-        assert drift_and_noise.coefficients[-1].tobytes() == y.tobytes()
+        loop = stepped(initial, noise, path, UNWINDOWED)
+        assert full_width(z).tobytes() == loop.tobytes()
 
 
 class TestWindows:
@@ -202,17 +183,15 @@ class TestWindows:
     def test_pinned_process_endpoints_exact(self):
         g = SpectralField.pure_mode(GRID, 1, 0.3)
         path = sample_brownian(2, 0, TG)
-        z = windowed_ito_process(None, constant_field_rule(g), sine_window, path, GRID)
-        assert l2_norm(z.snapshot(0)) == 0.0
-        assert l2_norm(z.snapshot(TG.steps)) == 0.0
+        z = additive_process(np.zeros(GRID.shape, complex), g.coefficients,
+                             pinned_window(sine_window(TG), TG), path, GRID)
+        assert l2_norm(snapshot(z, 0)) == 0.0
+        assert l2_norm(snapshot(z, TG.steps)) == 0.0
 
     def test_non_vanishing_window_rejected(self):
-        path = sample_brownian(0, 0, TG)
         with pytest.raises(WindowError):
-            windowed_ito_process(None, None, np.ones(TG.steps + 1), path, GRID,
-                                 SpectralField.pure_mode(GRID, 1))
+            pinned_window(np.ones(TG.steps + 1), TG)
 
     def test_wrong_window_shape_rejected(self):
-        path = sample_brownian(0, 0, TG)
         with pytest.raises(WindowError):
-            windowed_ito_process(None, None, np.zeros(5), path, GRID)
+            pinned_window(np.zeros(5), TG)
