@@ -232,6 +232,21 @@ class TestStochasticAggregation:
         assert np.array_equal(a.term_means, b.term_means)
         assert a.gap == b.gap and a.gap_se == b.gap_se
 
+    def test_process_and_window_built_once_per_cell(self, monkeypatch):
+        # the selector is parsed and the window checked once for the cell,
+        # while every path gets its own process
+        calls = {"resolve_process": 0, "pinned_window": 0, "additive_process": 0}
+        for name in calls:
+            real = getattr(carleman, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(carleman, name, counted)
+        verify_inequality(cfg(paths=8))
+        assert calls == {"resolve_process": 1, "pinned_window": 1, "additive_process": 8}
+
     def test_se_positive_for_stochastic_runs(self):
         report = verify_inequality(cfg(paths=16))
         assert report.gap_se > 0.0

@@ -171,6 +171,15 @@ class TestAdditiveNoiseRoute:
         loop = stepped(initial, noise, path, UNWINDOWED)
         assert full_width(z).tobytes() == loop.tobytes()
 
+    def test_zero_fields_hold_no_columns(self):
+        # Y_0 = g = 0: no column can leave zero, so the process holds none
+        path = sample_brownian(7, 0, TG)
+        zero = np.zeros(GRID.shape, complex)
+        z = additive_process(zero, zero, pinned_window(sine_window(TG), TG), path, GRID)
+        assert z.support.size == 0
+        assert z.coefficients.shape == (TG.steps + 1, 0)
+        assert not np.any(full_width(z))
+
 
 class TestWindows:
     @given(window=st.sampled_from([sine_window, parabolic_window]))
@@ -187,6 +196,16 @@ class TestWindows:
                              pinned_window(sine_window(TG), TG), path, GRID)
         assert l2_norm(snapshot(z, 0)) == 0.0
         assert l2_norm(snapshot(z, TG.steps)) == 0.0
+
+    def test_pinned_window_clamps_a_copy(self):
+        # sin(pi) is 1.2e-16, inside the tolerance: the pinned window ends at
+        # exactly zero, and the caller's array keeps its value
+        raw = sine_window(TG)
+        last = raw[-1]
+        eta = pinned_window(raw, TG)
+        assert last != 0.0 and raw[-1] == last
+        assert eta[0] == 0.0 and eta[-1] == 0.0
+        assert np.array_equal(eta[1:-1], raw[1:-1])
 
     def test_non_vanishing_window_rejected(self):
         with pytest.raises(WindowError):
