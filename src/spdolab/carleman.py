@@ -16,11 +16,17 @@ left-endpoint (Ito) evaluation against realized increments; |dz|^2 and
 use the trapezoidal rule. The verdict compares the gap rhs - lhs against
 -3 standard errors; a scan maps the (mu, T) validity region empirically.
 
-Every spatial pairing is taken in Fourier coefficients by Parseval, and the
-weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)} <= 1:
-the unscaled maximum e^{mu T^2} overflows once mu T^2 exceeds about 709. The
-verdict is unchanged by a common positive factor; `log_weight_scale` = mu T^2
-recovers absolute values.
+Every process is windowed additive noise z = eta (Y_0 + g w), and A1, B1, B1*
+are linear and frozen, so A z = eta (A Y_0 + w A g). A cell applies each
+family once, to the generators (Y_0, g), and every path builds z and its
+images in one cumulative sum (`paths.additive_process`), held on the Fourier
+columns where any of them can be non-zero. Every spatial pairing is taken in
+Fourier coefficients by Parseval over those columns.
+
+The weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)}
+<= 1: the unscaled maximum e^{mu T^2} overflows once mu T^2 exceeds about
+709. The verdict is unchanged by a common positive factor;
+`log_weight_scale` = mu T^2 recovers absolute values.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatchError, NonFiniteError
+from .errors import NonFiniteError
 from .grid import SpectralField, TorusGrid
 from .paths import (Semimartingale, TimeGrid, additive_process, parabolic_window,
                     pinned_window, sample_brownian, sine_window)
@@ -200,123 +206,101 @@ class CarlemanReport:
 # per-path evaluation
 
 
-class _PathArrays:
-    """The (K+1, S) and (K, S) arrays in which one path's terms are computed,
-    S being the number of coefficient columns in use, and the zeroed
-    full-width array into which a process is written when the terms need
-    every column. A cell computes all its paths in one set: allocating and
-    freeing arrays of this size on every path costs page faults whenever the
-    allocator hands the freed memory back to the operating system."""
-
-    shape: tuple[int, int] | None = None
-    full: np.ndarray | None = None
-    written: np.ndarray | None = None  # the columns of `full` that may be non-zero
-
-    def sized(self, steps: int, width: int) -> "_PathArrays":
-        if self.shape != (steps, width):
-            self.shape = (steps, width)
-            self.b1_z, self.mixed = (np.empty((steps + 1, width), complex) for _ in range(2))
-            self.dz, self.bracket, self.work = (np.empty((steps, width), complex)
-                                                for _ in range(3))
-        return self
-
-    def full_width(self, z: Semimartingale) -> np.ndarray:
-        """z's (K+1, M^n) coefficients, zero off its support."""
-        shape = (z.time_grid.steps + 1, z.grid.size)
-        if self.full is None or self.full.shape != shape:
-            self.full = np.zeros(shape, complex)
-        elif not np.array_equal(self.written, z.support):
-            self.full[:, self.written] = 0.0
-        self.full[:, z.support] = z.coefficients
-        self.written = z.support
-        return self.full
+def generator_images(generators: Sequence[np.ndarray], a1: SpdoOperator,
+                     b1: SpdoOperator) -> np.ndarray:
+    """The (R, J, M^n) stack whose row r holds G_r, A1 G_r, B1 G_r and B1* G_r
+    for R coefficient rows G_r. For the process generators (Y_0, g) its two
+    rows are the `initial` and `noise` stacks of `additive_process`, whose
+    row j is then z's j-th image. B1* is left out (J = 3) when B1 is
+    self-adjoint."""
+    rows = np.stack([np.reshape(c, -1) for c in generators])
+    b1_adj = b1.adjoint()
+    families = (a1, b1) if b1_adj is b1 else (a1, b1, b1_adj)
+    return np.stack([rows] + [op.apply_coefficients(rows) for op in families], axis=1)
 
 
-def _multiply_by(m: np.ndarray) -> Callable[..., np.ndarray]:
-    return lambda rows, out=None: np.multiply(rows, m, out=out)
-
-
-def path_terms(z: Semimartingale, a1: SpdoOperator, b1: SpdoOperator,
-               b1_adjoint: SpdoOperator, mu: float,
-               arrays: _PathArrays | None = None) -> np.ndarray:
-    """Six inequality terms along one realized path, (term1, term2, r1..r4),
-    with the weight scaled by e^{-mu T^2}. When A1, B1 and B1* are Fourier
-    multipliers, only z's support columns are summed; otherwise z is written
-    at full width and every column is."""
-    if z.grid != a1.grid or z.grid != b1.grid:
-        raise GridMismatchError("process and operator families on different grids")
-    tg = z.time_grid
-    horizon, dt = tg.horizon, tg.dt
-    shift = tg.nodes() - horizon
-    weight = np.exp(mu * (shift**2 - horizon**2))
-    trap = np.full(tg.steps + 1, dt)
+def time_weights(time_grid: TimeGrid, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The node weights of a cell: the shift t - T, the weight e^{mu (t-T)^2}
+    scaled by e^{-mu T^2}, and the trapezoid weights."""
+    horizon, dt = time_grid.horizon, time_grid.dt
+    shift = time_grid.nodes() - horizon
+    trap = np.full(time_grid.steps + 1, dt)
     trap[0] = trap[-1] = dt / 2.0
+    return shift, np.exp(mu * (shift**2 - horizon**2)), trap
 
-    ops = (a1, b1, b1_adjoint)
-    multipliers = [op.multiplier() for op in ops]
-    arrays = arrays or _PathArrays()
-    if any(m is None for m in multipliers):
-        coeffs = arrays.full_width(z)  # (K+1, M^n)
-        apply_a1, apply_b1, apply_b1_adjoint = (op.apply_coefficients for op in ops)
-    else:
-        # multipliers map the support into itself, and over the other columns
-        # every Parseval sum would add exact zeros
-        coeffs = z.coefficients  # (K+1, S)
-        apply_a1, apply_b1, apply_b1_adjoint = (_multiply_by(m[z.support])
-                                                for m in multipliers)
-    arrays.sized(tg.steps, coeffs.shape[1])
-    b1_z = apply_b1(coeffs, out=arrays.b1_z)
+
+def path_terms(z: Semimartingale, mu: float,
+               weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """Six inequality terms along one realized path, (term1, term2, r1..r4),
+    with the weight scaled by e^{-mu T^2}.
+
+    `z.coefficients` is the (J, K+1, S) stack of z, A1 z, B1 z and, unless B1
+    is self-adjoint (J = 3), B1* z, held on the S columns where any of them
+    can be non-zero; every other column would add exact zeros to each sum.
+    `weights` is `time_weights(z.time_grid, mu)` and `work` a complex
+    (2, K+1, S) array; a cell passes one of each to all its paths."""
+    tg = z.time_grid
+    dt, ks = tg.dt, slice(0, tg.steps)
+    shift, weight, trap = weights if weights is not None else time_weights(tg, mu)
+    work = np.empty_like(z.coefficients[:2]) if work is None else work
+    coeffs, a1_z, b1_z = z.coefficients[:3]
 
     def pair(f, g):
         # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
         # (vecdot conjugates its first argument)
         return np.vecdot(g, f)
 
-    norm2 = pair(coeffs, coeffs).real
-    mixed = np.multiply(mu * shift[:, None], coeffs, out=arrays.mixed)
-    mixed -= b1_z
-    term1 = float(np.sum(trap * weight * norm2))
-    term2 = float(np.sum(trap * weight * pair(mixed, mixed).real) / mu)
+    def mixed(rows):  # mu (t-T) z - B1 z at the nodes `rows`, in work[0]
+        out = np.multiply(mu * shift[rows, None], coeffs[rows], out=work[0, rows])
+        out -= b1_z[rows]
+        return out
 
-    dz = np.subtract(coeffs[1:], coeffs[:-1], out=arrays.dz)
-    ks = slice(0, tg.steps)
-    # bracket = -i dz - dt A1 z - i dt B1 z, one operand at a time in `work`
-    bracket = np.multiply(-1j, dz, out=arrays.bracket)
-    work = apply_a1(coeffs[ks], out=arrays.work)
-    work *= dt
-    bracket -= work
-    bracket -= np.multiply(b1_z[ks], 1j * dt, out=work)
-    # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
-    r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, mixed[ks]).imag))
-    if b1_adjoint is b1:
-        r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
-    else:
-        skew = np.subtract(b1_z[ks], apply_b1_adjoint(coeffs[ks], out=work),
-                           out=work)
-        r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
+    norm2 = pair(coeffs, coeffs).real
+    term1 = float(np.sum(trap * weight * norm2))
+    m = mixed(slice(None))
+    term2 = float(np.sum(trap * weight * pair(m, m).real) / mu)
+
+    dz = np.subtract(coeffs[1:], coeffs[:-1], out=work[1, ks])
     qv = pair(dz, dz).real
     r3 = float(-2.0 * np.sum(shift[ks] * weight[ks] * qv))
-    b1_dz = np.subtract(b1_z[1:], b1_z[:-1], out=work)  # B1 is linear
+    b1_dz = np.subtract(b1_z[1:], b1_z[:-1], out=work[0, ks])
     r4 = float(-2.0 / mu * np.sum(weight[ks] * pair(dz, b1_dz).real))
+
+    # bracket = -i dz - dt A1 z - i dt B1 z, in dz's place
+    bracket = np.multiply(-1j, dz, out=dz)
+    bracket -= np.multiply(a1_z[ks], dt, out=work[0, ks])
+    bracket -= np.multiply(b1_z[ks], 1j * dt, out=work[0, ks])
+    # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
+    r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, mixed(ks)).imag))
+    if len(z.coefficients) == 3:
+        r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
+    else:
+        skew = np.subtract(b1_z[ks], z.coefficients[3, ks], out=work[0, ks])
+        r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
     return np.array([term1, term2, r1, r2, r3, r4])
 
 
 def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
-    """Assemble the estimate over `paths` simulated paths and aggregate."""
+    """Assemble the estimate over `paths` simulated paths and aggregate.
+
+    A1, B1 and B1* apply once per cell, to the generators (Y_0, g) of the
+    process; each path then builds z and its images in one cumulative sum."""
     grid = config.torus()
     tg = config.time_grid()
     a1 = resolve_operator_family(config.a1, grid)
     b1 = resolve_operator_family(config.b1, grid)
-    b1_adj = b1.adjoint()
-
-    initial, noise = resolve_process(config.process, grid)
+    initial, noise = generator_images(resolve_process(config.process, grid), a1, b1)
     eta = pinned_window(resolve_window(config.window)(tg), tg)
+    weights = time_weights(tg, config.mu)
 
     terms = np.zeros((config.paths, 6))
-    arrays = _PathArrays()
+    z = work = None
     for p in range(config.paths):
-        z = additive_process(initial, noise, eta, sample_brownian(config.seed, p, tg), grid)
-        terms[p] = path_terms(z, a1, b1, b1_adj, config.mu, arrays)
+        z = additive_process(initial, noise, eta, sample_brownian(config.seed, p, tg), grid,
+                             out=None if z is None else z.coefficients)
+        work = np.empty_like(z.coefficients[:2]) if work is None else work
+        terms[p] = path_terms(z, config.mu, weights, work)
 
     means = terms.mean(axis=0)
     if config.paths > 1:

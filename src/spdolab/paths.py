@@ -5,7 +5,9 @@ Randomness discipline: every stream is derived from a single 64-bit seed and a
 tuple of integer keys via numpy's SeedSequence spawn keys, so Monte Carlo
 results do not depend on scheduling order. Every simulated process is additive
 noise, dY = g dw from Y_0, windowed by eta(t): z = eta (Y_0 + g w), held on the
-Fourier columns where Y_0 or g is non-zero.
+Fourier columns where Y_0 or g is non-zero. A linear map A takes z to
+eta (A Y_0 + w A g), so stacked generators build z and its images under
+frozen operators in one cumulative sum.
 """
 
 from __future__ import annotations
@@ -121,7 +123,8 @@ class Semimartingale:
     """A simulated L2-valued process along one path, held on its support: the
     flat Fourier coefficient indices it can occupy. `coefficients` stacks the
     support columns of every time-node snapshot as one (K+1, len(support))
-    array; every other column is zero at every node."""
+    array, or as (J, K+1, len(support)) for J processes driven by one path;
+    every other column is zero at every node."""
 
     time_grid: TimeGrid
     grid: TorusGrid
@@ -130,7 +133,7 @@ class Semimartingale:
     support: np.ndarray
 
     def __post_init__(self):
-        if self.coefficients.shape != (self.time_grid.steps + 1, self.support.size):
+        if self.coefficients.shape[-2:] != (self.time_grid.steps + 1, self.support.size):
             raise ValueError(
                 f"coefficient array shape {self.coefficients.shape} does not hold "
                 f"{self.support.size} support columns per time node")
@@ -161,21 +164,31 @@ def pinned_window(eta: np.ndarray, time_grid: TimeGrid) -> np.ndarray:
 
 
 def additive_process(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
-                     path: BrownianPath, grid: TorusGrid) -> Semimartingale:
+                     path: BrownianPath, grid: TorusGrid,
+                     out: np.ndarray | None = None) -> Semimartingale:
     """The windowed additive-noise process z_k = eta_k Y_k with dY = g dw from
     Y_0, given the coefficients of Y_0 (`initial`) and g (`noise`) on the grid
     and a window from `pinned_window`.
 
-    The support is the columns where Y_0 or g is non-zero. There Y_k =
+    `initial` and `noise` may also be (J, M^n) stacks of generators. Row j of
+    the result is then the process of (Y_0[j], g[j]) along the same path, so
+    stacking (A Y_0, A g) for a linear A gives A z without applying A.
+
+    The support is the columns where any Y_0 or g is non-zero. There Y_k =
     Y_0 + sum_{j<k} dw_j g is one cumulative sum, which adds in the order of
     the Ito steps Y_{k+1} = Y_k + dw_k g, and z is then one multiply by eta.
+    The result is written into `out` when it is given, an array of its shape
+    such as the previous path's coefficients from the same generators.
     """
     tg = path.time_grid
-    initial, noise = initial.reshape(-1), noise.reshape(-1)
-    support = np.flatnonzero((initial != 0) | (noise != 0))
-    coeffs = np.empty((tg.steps + 1, support.size), dtype=np.complex128)
-    coeffs[0] = initial[support]
-    np.multiply(np.diff(path.values)[:, None], noise[support], out=coeffs[1:])
-    np.cumsum(coeffs, axis=0, out=coeffs)
+    single = initial.shape in (grid.shape, (grid.size,))
+    initial, noise = initial.reshape(-1, grid.size), noise.reshape(-1, grid.size)
+    support = np.flatnonzero(((initial != 0) | (noise != 0)).any(axis=0))
+    shape = (len(initial), tg.steps + 1, support.size)
+    coeffs = np.empty(shape, dtype=np.complex128) if out is None else out.reshape(shape)
+    coeffs[:, 0] = initial[:, support]
+    dw = path.values[1:] - path.values[:-1]
+    np.multiply(dw[:, None], noise[:, None, support], out=coeffs[:, 1:])
+    np.add.accumulate(coeffs, axis=1, out=coeffs)
     coeffs *= eta[:, None]
-    return Semimartingale(tg, grid, coeffs, path, support)
+    return Semimartingale(tg, grid, coeffs[0] if single else coeffs, path, support)

@@ -1,14 +1,17 @@
 """Weighted energy inequality: per-term assembly, aggregation, and the scan."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from spdolab import (CarlemanConfig, NonFiniteError, SpectralField, TorusGrid, scan,
                      verify_inequality)
 from spdolab import carleman, catalog
-from spdolab.carleman import (path_terms, resolve_operator_family, resolve_process,
-                              resolve_window)
-from spdolab.operators import quantize
+from spdolab.cli import main
+from spdolab.carleman import (generator_images, path_terms, resolve_operator_family,
+                              resolve_process, resolve_window)
+from spdolab.operators import SpdoOperator, quantize
 from spdolab.paths import (Semimartingale, TimeGrid, additive_process, pinned_window,
                            sample_brownian)
 
@@ -24,19 +27,29 @@ def cfg(**overrides):
     return CarlemanConfig(**merged)
 
 
-def process(selector, window, grid, seed, path_index, tg):
-    """Path `path_index` of a cell's process, as `verify_inequality` builds it."""
-    initial, noise = resolve_process(selector, grid)
+def process(selector, window, grid, seed, path_index, tg, a1=None, b1=None):
+    """Path `path_index` of a cell's process: z alone, or given the families
+    the (J, K+1, S) stack of z and its images as `verify_inequality` builds it."""
+    generators = resolve_process(selector, grid)
+    if a1 is not None:
+        generators = generator_images(generators, a1, b1)
     eta = pinned_window(resolve_window(window)(tg), tg)
-    return additive_process(initial, noise, eta, sample_brownian(seed, path_index, tg), grid)
+    return additive_process(*generators, eta, sample_brownian(seed, path_index, tg), grid)
 
 
 def full_width(z):
-    """z written into a zeroed (K+1, M^n) array: a process whose support is
-    every column."""
-    full = np.zeros((z.time_grid.steps + 1, z.grid.size), dtype=complex)
-    full[:, z.support] = z.coefficients
+    """z written into zeroed arrays over all M^n columns: a process whose
+    support is every column."""
+    full = np.zeros(z.coefficients.shape[:-1] + (z.grid.size,), dtype=complex)
+    full[..., z.support] = z.coefficients
     return Semimartingale(z.time_grid, z.grid, full, z.path, np.arange(z.grid.size))
+
+
+def with_images(z, a1, b1):
+    """A full-width z stacked with its images, each applied at every node."""
+    stack = np.ascontiguousarray(generator_images(full_width(z).coefficients, a1, b1)
+                                 .transpose(1, 0, 2))
+    return Semimartingale(z.time_grid, z.grid, stack, z.path, np.arange(z.grid.size))
 
 
 def quadrature_oracle(mu, horizon, a1_mode, b1_shift, nodes=100001):
@@ -67,7 +80,8 @@ def value_space_terms(z, a1_selector, b1_selector, mu, weight_scaled=True):
 
     a1, b1 = dense(a1_selector), dense(b1_selector)
     tg = z.time_grid
-    coeffs = full_width(z).coefficients.reshape((-1,) + grid.shape)
+    coeffs = full_width(z).coefficients
+    coeffs = (coeffs[0] if coeffs.ndim == 3 else coeffs).reshape((-1,) + grid.shape)
     values = np.fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1)), norm="forward")
     values = values.reshape(tg.steps + 1, -1)
     shift = tg.nodes() - tg.horizon
@@ -232,20 +246,34 @@ class TestStochasticAggregation:
         assert np.array_equal(a.term_means, b.term_means)
         assert a.gap == b.gap and a.gap_se == b.gap_se
 
-    def test_process_and_window_built_once_per_cell(self, monkeypatch):
-        # the selector is parsed and the window checked once for the cell,
-        # while every path gets its own process
-        calls = {"resolve_process": 0, "pinned_window": 0, "additive_process": 0}
-        for name in calls:
-            real = getattr(carleman, name)
+    @pytest.mark.parametrize("b1, applies", [("lambda:1", 2), ("mod:1", 3)])
+    def test_process_and_window_built_once_per_cell(self, monkeypatch, b1, applies):
+        # the selector is parsed, the window checked and each family applied
+        # (to the two generators) once for the cell, while every path gets
+        # its own process
+        names = ("resolve_process", "pinned_window", "additive_process")
+        for paths in (8, 16):
+            calls = dict.fromkeys(names + ("apply_coefficients",), 0)
+            for name in names:
+                real = getattr(carleman, name)
 
-            def counted(*args, _real=real, _name=name):
-                calls[_name] += 1
-                return _real(*args)
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
 
-            monkeypatch.setattr(carleman, name, counted)
-        verify_inequality(cfg(paths=8))
-        assert calls == {"resolve_process": 1, "pinned_window": 1, "additive_process": 8}
+                monkeypatch.setattr(carleman, name, counted)
+            real_apply = SpdoOperator.apply_coefficients
+
+            def counted_apply(self, rows, out=None, _real=real_apply):
+                calls["apply_coefficients"] += 1
+                assert rows.shape == (2, 32)  # (Y_0, g), never a path
+                return _real(self, rows, out)
+
+            monkeypatch.setattr(SpdoOperator, "apply_coefficients", counted_apply)
+            verify_inequality(cfg(b1=b1, paths=paths))
+            monkeypatch.undo()
+            assert calls == {"resolve_process": 1, "pinned_window": 1,
+                             "additive_process": paths, "apply_coefficients": applies}
 
     def test_se_positive_for_stochastic_runs(self):
         report = verify_inequality(cfg(paths=16))
@@ -255,10 +283,10 @@ class TestStochasticAggregation:
     def test_path_terms_direct_row(self):
         grid = TorusGrid(1, 16)
         tg = TimeGrid(T, 64)
-        a1 = resolve_operator_family("zero", grid)
-        b1 = resolve_operator_family("zero", grid)
-        z = process("deterministic-mode:1", "sine", grid, 0, 0, tg)
-        terms = path_terms(z, a1, b1, b1, MU)
+        zero = resolve_operator_family("zero", grid)
+        z = process("deterministic-mode:1", "sine", grid, 0, 0, tg, zero, zero)
+        assert z.coefficients.shape == (3, tg.steps + 1, 1)
+        terms = path_terms(z, MU)
         assert terms.shape == (6,)
         assert terms[0] > 0.0 and terms[3] == 0.0
 
@@ -272,14 +300,15 @@ class TestCoefficientSpace:
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = resolve_operator_family(b1, grid)
-        z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
+        z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg, fam_a1, fam_b1)
         # a state on every mode, pinned at both ends, reaches every matrix entry
         rng = np.random.default_rng(5)
         shape = (tg.steps + 1, grid.size)
         spread = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         spread[0] = spread[-1] = 0.0
-        for z in (z, Semimartingale(tg, grid, 0.01 * spread, z.path, np.arange(grid.size))):
-            got = path_terms(z, fam_a1, fam_b1, fam_b1.adjoint(), MU)
+        spread = Semimartingale(tg, grid, 0.01 * spread, z.path, np.arange(grid.size))
+        for z in (z, with_images(spread, fam_a1, fam_b1)):
+            got = path_terms(z, MU)
             ref = value_space_terms(z, a1, b1, MU)
             scale = np.max(np.abs(ref))
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
@@ -318,7 +347,8 @@ class TestCoefficientSpace:
             assert np.allclose(unscaled, terms.mean(axis=0), rtol=1e-11, atol=1e-11 * scale)
 
     def test_non_finite_terms_raise(self):
-        with pytest.raises(NonFiniteError):
+        # |z|^2 overflows on purpose; the warning is asserted, not let through
+        with pytest.raises(NonFiniteError), pytest.warns(RuntimeWarning):
             verify_inequality(cfg(process="brownian-mode:1e200,1", paths=2))
 
 
@@ -331,82 +361,50 @@ def skew_multiplier(grid):
 
 
 class TestSupportRoute:
-    """Multiplier families sum the six terms over the process's support
-    columns only; the bytes are those of the full-width sums."""
+    """A cell applies A1, B1 and B1* to the generators (Y_0, g) once; each path
+    builds z and its images on the columns where any of them is non-zero,
+    and sums the six terms over those columns only."""
 
-    @pytest.mark.parametrize("a1, b1, dim, kappa", [
+    FAMILIES = [
         ("c-dx", "lambda:1", 1, 64.0),
         ("c-dx", "lambda:1", 1, 1024.0),
         ("xi", "lambda:0.5", 1, 16.0),
         ("zero", "skew", 1, 256.0),
         ("c-dx", "lambda:1", 2, 64.0),
         ("lambda:1", "skew", 2, 1024.0),
-    ])
+        ("trig-lambda:2,1,0,1", "mod:1", 1, 64.0),
+        ("c-dx", "trig-lambda:1,0,0.5,1", 1, 1024.0),
+        ("trig-lambda:2,1,0,1", "mod-xi:1", 2, 64.0),
+    ]
+
+    @pytest.mark.parametrize("a1, b1, dim, kappa", FAMILIES)
     @pytest.mark.parametrize("selector", ["brownian-mode:0.1,1", "deterministic-mode:1"])
     def test_support_columns_match_full_width_bytes(self, a1, b1, dim, kappa, selector):
         grid = TorusGrid(dim, 32 if dim == 1 else 8)
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = skew_multiplier(grid) if b1 == "skew" else resolve_operator_family(b1, grid)
-        fam_adj = fam_b1.adjoint()
-        assert (fam_adj is fam_b1) == (b1 != "skew")
+        self_adjoint = fam_b1.adjoint() is fam_b1
+        assert self_adjoint == (b1 in ("lambda:1", "lambda:0.5"))
+        x_dependent = fam_a1.multiplier() is None or fam_b1.multiplier() is None
         mu = kappa / T**2
         for p in range(3):
-            z = process(selector, "sine", grid, 0, p, tg)
-            assert z.support.size == 1
-            got = path_terms(z, fam_a1, fam_b1, fam_adj, mu)
-            full = path_terms(full_width(z), fam_a1, fam_b1, fam_adj, mu)
-            assert got.tobytes() == full.tobytes()
+            z = process(selector, "sine", grid, 0, p, tg, fam_a1, fam_b1)
+            assert len(z.coefficients) == (3 if self_adjoint else 4)
+            # multipliers keep the mode; FFT rounding puts an x-dependent
+            # image on every column of the line through the mode
+            assert z.support.size == (grid.shape[0] if x_dependent else 1)
+            got = path_terms(z, mu)
+            full = path_terms(full_width(z), mu)
             assert np.all(np.isfinite(got))
-            assert (got[3] != 0.0) == (b1 == "skew")
-
-    def test_cell_path_arrays_follow_the_width(self):
-        # one set of arrays serves a supported and a full-width process in turn
-        grid = TorusGrid(1, 32)
-        tg = TimeGrid(T, 64)
-        a1 = resolve_operator_family("c-dx", grid)
-        b1 = resolve_operator_family("lambda:1", grid)
-        z = process("brownian-mode:0.1,1", "sine", grid, 0, 0, tg)
-        arrays = carleman._PathArrays()
-        first = path_terms(z, a1, b1, b1, MU, arrays)
-        assert arrays.shape == (tg.steps, 1)
-        wide = path_terms(full_width(z), a1, b1, b1, MU, arrays)
-        assert arrays.shape == (tg.steps, 32)
-        again = path_terms(z, a1, b1, b1, MU, arrays)
-        assert first.tobytes() == wide.tobytes() == again.tobytes()
-
-    def test_multiplier_cell_holds_its_support_column(self, monkeypatch):
-        # an n = 2, M = 128 multiplier cell: each path holds (K+1, 1)
-        # coefficients, not a (K+1, 128^2) array with one column written,
-        # and its terms are the bytes of the sums over every column
-        recorded = []
-        real = carleman.path_terms
-
-        def record(z, *args):
-            terms = real(z, *args)
-            recorded.append((z, args[:4], terms))
-            return terms
-
-        monkeypatch.setattr(carleman, "path_terms", record)
-        verify_inequality(cfg(dim=2, grid_points=128, steps=16, paths=2))
-        assert len(recorded) == 2
-        for z, families, terms in recorded:
-            assert z.coefficients.shape == (17, 1)
-            assert terms.tobytes() == real(full_width(z), *families).tobytes()
-
-    def test_full_width_array_follows_the_support(self):
-        # an x-dependent cell writes each process into one full-width array;
-        # the columns a process on another support left there must read zero
-        grid = TorusGrid(1, 32)
-        tg = TimeGrid(T, 64)
-        a1 = resolve_operator_family("trig-lambda:2,1,0,1", grid)
-        b1 = resolve_operator_family("mod:1", grid)
-        b1_adj = b1.adjoint()
-        arrays = carleman._PathArrays()
-        for selector in ("brownian-mode:0.1,1", "deterministic-mode:3", "brownian-mode:0.1,2"):
-            z = process(selector, "sine", grid, 0, 0, tg)
-            got = path_terms(z, a1, b1, b1_adj, MU, arrays)
-            assert got.tobytes() == path_terms(z, a1, b1, b1_adj, MU).tobytes()
+            assert (got[3] != 0.0) == (not self_adjoint)
+            if z.support.size in (1, grid.size):
+                assert got.tobytes() == full.tobytes()
+            else:
+                # BLAS blocks each column sum by position, and the support's
+                # 8 columns sit 8 apart at full width: rounding only
+                scale = np.max(np.abs(full))
+                assert np.all(np.abs(got - full) <= 1e-15 * scale)
 
     @pytest.mark.parametrize("a1, b1, dim, m", [
         ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 1, 32),
@@ -414,19 +412,61 @@ class TestSupportRoute:
         ("c-dx", "mod:1", 1, 32),               # only B1 moves the mode
         ("trig-lambda:2,1,0,1", "lambda:1", 1, 32),  # only A1 does
     ])
-    def test_x_dependent_families_keep_full_width(self, a1, b1, dim, m):
-        # an x-dependent family moves mass off the support, so the terms of a
-        # supported process must still agree with the dense value-space oracle
+    def test_x_dependent_families_match_dense_oracle(self, a1, b1, dim, m):
+        # an x-dependent family moves mass off the mode, so the images hold
+        # more columns than z; the terms must still agree with the dense
+        # value-space oracle
         grid = TorusGrid(dim, m)
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = resolve_operator_family(b1, grid)
-        z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
-        assert z.support.size == 1
-        got = path_terms(z, fam_a1, fam_b1, fam_b1.adjoint(), MU)
+        z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg, fam_a1, fam_b1)
+        assert np.count_nonzero(np.any(z.coefficients[0], axis=0)) == 1
+        assert z.support.size > 1
+        got = path_terms(z, MU)
         ref = value_space_terms(z, a1, b1, MU)
         scale = np.max(np.abs(ref))
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
+
+    def test_multiplier_cell_holds_its_support_column(self, monkeypatch):
+        # an n = 2, M = 128 multiplier cell: each path holds (3, K+1, 1)
+        # coefficients, not (K+1, 128^2) arrays with one column written, and
+        # its terms are the bytes of the sums over every column
+        checked = []
+        real = carleman.path_terms
+
+        def record(z, *args):
+            terms = real(z, *args)
+            assert z.coefficients.shape == (3, 17, 1)
+            checked.append(terms.tobytes() == real(full_width(z), *args[:2]).tobytes())
+            return terms
+
+        monkeypatch.setattr(carleman, "path_terms", record)
+        verify_inequality(cfg(dim=2, grid_points=128, steps=16, paths=2))
+        assert checked == [True, True]
+
+    def test_self_adjoint_skew_term_is_positive_zero(self, tmp_path):
+        # B1 = B1*: r2 is +0.0 on every path, never -0.0 from B1 z - B1 z, and
+        # scan.csv prints 0 (the path mean alone would hide a -0.0: numpy's
+        # mean adds to +0.0)
+        grid = TorusGrid(1, 32)
+        tg = TimeGrid(T, 64)
+        a1, b1 = resolve_operator_family("c-dx", grid), resolve_operator_family("lambda:1", grid)
+        for process_selector in ("brownian-mode:0.1,1", "deterministic-mode:1"):
+            z = process(process_selector, "sine", grid, 0, 0, tg, a1, b1)
+            terms = path_terms(z, MU)
+            assert terms[3] == 0.0 and not np.signbit(terms[3])
+            report = verify_inequality(cfg(process=process_selector, paths=4))
+            assert report.term_means[3] == 0.0 and not np.signbit(report.term_means[3])
+            assert not np.signbit(report.term_ses[3])
+        text = ("command = carleman-scan\nK = 64\nP = 4\nM = 16\nb1 = lambda:1\n"
+                "T-list = 0.25\nkappa-list = 16,64\n")
+        (tmp_path / "scan.cfg").write_text(text)
+        out = tmp_path / "out"
+        assert main(["carleman-scan", "--config", str(tmp_path / "scan.cfg"),
+                     "--out", str(out)]) == 0
+        with open(out / "scan.csv") as fh:
+            assert [row["term4"] for row in csv.DictReader(fh)] == ["0", "0"]
 
 
 class TestScan:

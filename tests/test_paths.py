@@ -171,6 +171,53 @@ class TestAdditiveNoiseRoute:
         loop = stepped(initial, noise, path, UNWINDOWED)
         assert full_width(z).tobytes() == loop.tobytes()
 
+    @pytest.mark.parametrize("grid", [GRID, TorusGrid(2, 8)], ids=["1d", "2d"])
+    def test_generator_stack_rows_match_single_calls(self, grid):
+        # row j of a stacked call is the single call on (Y_0[j], g[j]), on the
+        # union of the rows' supports; row 0 is the Ito steps of (Y_0, g)
+        def mode(k, amp):
+            return SpectralField.pure_mode(grid, (k,) + (0,) * (grid.dim - 1),
+                                           amp).coefficients.reshape(-1)
+
+        initial = np.stack([mode(1, 0.5), 2.0 * mode(1, 0.5), np.zeros(grid.size), mode(-3, 1.0)])
+        noise = np.stack([mode(1, 0.1), mode(1, 0.2) - 1j * mode(2, 0.3), mode(2, 0.1),
+                          np.zeros(grid.size)])
+        eta = pinned_window(sine_window(TG), TG)
+        for p in range(3):
+            path = sample_brownian(7, p, TG)
+            z = additive_process(initial, noise, eta, path, grid)
+            assert z.coefficients.shape == (4, TG.steps + 1, 3)
+            assert z.support.tolist() == sorted(np.flatnonzero(mode(k, 1.0))[0] for k in (1, 2, -3))
+            for j in range(4):
+                single = additive_process(initial[j], noise[j], eta, path, grid)
+                assert single.coefficients.ndim == 2
+                assert full_width(single).reshape(TG.steps + 1, -1)[:, z.support].tobytes() \
+                    == z.coefficients[j].tobytes()
+            loop = stepped(initial[0], noise[0], path, eta)
+            assert loop[:, z.support].tobytes() == z.coefficients[0].tobytes()
+            assert not np.any(np.delete(loop, z.support, axis=1))
+
+    def test_output_array_is_reused(self):
+        # a cell hands each path the previous path's coefficients to write into
+        initial = np.zeros((3, GRID.size), complex)
+        noise = np.stack([SpectralField.pure_mode(GRID, k, 0.1).coefficients for k in (1, 2, 3)])
+        eta = pinned_window(sine_window(TG), TG)
+        first = additive_process(initial, noise, eta, sample_brownian(7, 0, TG), GRID)
+        path = sample_brownian(7, 1, TG)
+        again = additive_process(initial, noise, eta, path, GRID, out=first.coefficients)
+        assert np.shares_memory(again.coefficients, first.coefficients)
+        fresh = additive_process(initial, noise, eta, path, GRID)
+        assert again.coefficients.tobytes() == fresh.coefficients.tobytes()
+        with pytest.raises(ValueError):
+            additive_process(initial[:2], noise[:2], eta, path, GRID, out=first.coefficients)
+
+    def test_zero_stack_holds_no_columns(self):
+        zero = np.zeros((3, GRID.size), complex)
+        z = additive_process(zero, zero, pinned_window(sine_window(TG), TG),
+                             sample_brownian(7, 0, TG), GRID)
+        assert z.support.size == 0
+        assert z.coefficients.shape == (3, TG.steps + 1, 0)
+
     def test_zero_fields_hold_no_columns(self):
         # Y_0 = g = 0: no column can leave zero, so the process holds none
         path = sample_brownian(7, 0, TG)
