@@ -18,10 +18,14 @@ use the trapezoidal rule. The verdict compares the gap rhs - lhs against
 
 Every process is windowed additive noise z = eta (Y_0 + g w), and A1, B1, B1*
 are linear and frozen, so A z = eta (A Y_0 + w A g). A cell applies each
-family once, to the generators (Y_0, g), and every path builds z and its
-images in one cumulative sum (`paths.additive_process`), held on the Fourier
-columns where any of them can be non-zero. Every spatial pairing is taken in
-Fourier coefficients by Parseval over those columns.
+family once, to the generators (Y_0, g). Every spatial pairing the terms take
+is an inner product among those at most 2J generator images (J = 3 or 4
+images per generator), so the cell also takes, once, their coordinates in an
+orthonormal basis of their span (`image_coordinates`). By Parseval and
+Q^H Q = I these coordinates pair as the Fourier coefficients do, exactly up
+to rounding, on at most 2J columns, and on one column for Fourier multipliers
+on a one-mode process. Every path then builds z and its images on those coordinates in
+one cumulative sum (`paths.additive_process`).
 
 The weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)}
 <= 1: the unscaled maximum e^{mu T^2} overflows once mu T^2 exceeds about
@@ -210,13 +214,36 @@ def generator_images(generators: Sequence[np.ndarray], a1: SpdoOperator,
                      b1: SpdoOperator) -> np.ndarray:
     """The (R, J, M^n) stack whose row r holds G_r, A1 G_r, B1 G_r and B1* G_r
     for R coefficient rows G_r. For the process generators (Y_0, g) its two
-    rows are the `initial` and `noise` stacks of `additive_process`, whose
-    row j is then z's j-th image. B1* is left out (J = 3) when B1 is
-    self-adjoint."""
+    rows, or their `image_coordinates`, are the `initial` and `noise` stacks
+    of `additive_process`, whose row j is then z's j-th image. B1* is left
+    out (J = 3) when B1 is self-adjoint."""
     rows = np.stack([np.reshape(c, -1) for c in generators])
     b1_adj = b1.adjoint()
     families = (a1, b1) if b1_adj is b1 else (a1, b1, b1_adj)
     return np.stack([rows] + [op.apply_coefficients(rows) for op in families], axis=1)
+
+
+def image_coordinates(images: np.ndarray) -> np.ndarray:
+    """The generator images as coordinates in an orthonormal basis of their span.
+
+    `images` is the stack of `generator_images`. Every pairing the six terms
+    take is an inner product among its rows, and coordinates in an
+    orthonormal basis Q of their span give the same inner products, since
+    Q^H Q = I. Q is that of the QR factorization of the non-zero rows,
+    restricted to the Fourier columns where any row is non-zero, so row i is
+    Q times column i of the triangular factor. The result has the stack's
+    shape with r columns, r at most the number of non-zero rows; an all-zero
+    row stays out of the factorization and gets zero coordinates. On a
+    one-column support (Fourier multipliers on a one-mode process) r = 1, and
+    the coordinates are the coefficients themselves when the first non-zero
+    one is real."""
+    flat = images.reshape(-1, images.shape[-1])
+    non_zero = flat != 0
+    rows, columns = np.flatnonzero(non_zero.any(axis=1)), np.flatnonzero(non_zero.any(axis=0))
+    tri = np.linalg.qr(flat[np.ix_(rows, columns)].T, mode="r")
+    coords = np.zeros((len(flat), len(tri)), dtype=np.complex128)
+    coords[rows] = tri.T
+    return coords.reshape(images.shape[:-1] + (len(tri),))
 
 
 def time_weights(time_grid: TimeGrid, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,10 +263,12 @@ def path_terms(z: Semimartingale, mu: float,
     with the weight scaled by e^{-mu T^2}.
 
     `z.coefficients` is the (J, K+1, S) stack of z, A1 z, B1 z and, unless B1
-    is self-adjoint (J = 3), B1* z, held on the S columns where any of them
-    can be non-zero; every other column would add exact zeros to each sum.
-    `weights` is `time_weights(z.time_grid, mu)` and `work` a complex
-    (2, K+1, S) array; a cell passes one of each to all its paths."""
+    is self-adjoint (J = 3), B1* z, as coordinates in an orthonormal system:
+    Fourier coefficients, or the at most 2J of `image_coordinates`. Every
+    spatial pairing is the sum of f conj(g) over the S columns, and S = 0
+    gives six terms of +0.0. `weights` is
+    `time_weights(z.time_grid, mu)` and `work` a complex (2, K+1, S) array; a
+    cell passes one of each to all its paths."""
     tg = z.time_grid
     dt, ks = tg.dt, slice(0, tg.steps)
     shift, weight, trap = weights if weights is not None else time_weights(tg, mu)
@@ -278,26 +307,31 @@ def path_terms(z: Semimartingale, mu: float,
     else:
         skew = np.subtract(b1_z[ks], z.coefficients[3, ks], out=work[0, ks])
         r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
-    return np.array([term1, term2, r1, r2, r3, r4])
+    # + 0.0 turns the -0.0 of a negative factor times an empty or zero sum
+    # into +0.0, and leaves every other value's bytes as they are
+    return np.array([term1, term2, r1, r2, r3, r4]) + 0.0
 
 
 def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
     """Assemble the estimate over `paths` simulated paths and aggregate.
 
     A1, B1 and B1* apply once per cell, to the generators (Y_0, g) of the
-    process; each path then builds z and its images in one cumulative sum."""
+    process, and the images become coordinates in an orthonormal basis of
+    their span, also once per cell; each path then builds z and its images on
+    those coordinates in one cumulative sum."""
     grid = config.torus()
     tg = config.time_grid()
     a1 = resolve_operator_family(config.a1, grid)
     b1 = resolve_operator_family(config.b1, grid)
-    initial, noise = generator_images(resolve_process(config.process, grid), a1, b1)
+    initial, noise = image_coordinates(
+        generator_images(resolve_process(config.process, grid), a1, b1))
     eta = pinned_window(resolve_window(config.window)(tg), tg)
     weights = time_weights(tg, config.mu)
 
     terms = np.zeros((config.paths, 6))
     z = work = None
     for p in range(config.paths):
-        z = additive_process(initial, noise, eta, sample_brownian(config.seed, p, tg), grid,
+        z = additive_process(initial, noise, eta, sample_brownian(config.seed, p, tg),
                              out=None if z is None else z.coefficients)
         work = np.empty_like(z.coefficients[:2]) if work is None else work
         terms[p] = path_terms(z, config.mu, weights, work)

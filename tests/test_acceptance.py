@@ -146,9 +146,9 @@ def test_criterion_08a_zero_process_equality():
     report = verify_inequality(baseline(process="deterministic-mode:1,0.0",
                                         paths=2, grid_points=32, steps=256))
     assert report.lhs_mean == 0.0 and report.rhs_mean == 0.0
-    assert np.all(report.term_means == 0.0)
+    assert np.all(report.term_means == 0.0) and not np.any(np.signbit(report.term_means))
     assert report.verdict
-    note("8a", "zero process gives exact equality, all six terms zero")
+    note("8a", "zero process gives exact equality, all six terms +0.0")
 
 
 def test_criterion_08b_self_adjoint_kills_skew_term():
@@ -243,16 +243,23 @@ def test_criterion_08d_scan_reports_pass_region():
 
 def test_criterion_09_cli_reproducibility(tmp_path):
     experiments = {
-        "roots-check": "command = roots-check\nprincipal = wave:2\nepsilon = 1.0\n",
-        "carleman-scan": ("command = carleman-scan\nM = 32\nK = 64\nP = 8\n"
+        "roots-check": ("roots-check",
+                        "command = roots-check\nprincipal = wave:2\nepsilon = 1.0\n"),
+        "carleman-scan": ("carleman-scan",
+                          "command = carleman-scan\nM = 32\nK = 64\nP = 8\n"
                           "T-list = 0.25\nkappa-list = 16\n"),
+        # x-dependent families: each cell factorizes its generator images
+        "carleman-scan-xdep": ("carleman-scan",
+                               "command = carleman-scan\na1 = trig-lambda:2,1,0,1\n"
+                               "b1 = trig-lambda:1,0,0.5,1\nM = 128\nK = 64\nP = 8\n"
+                               "T-list = 0.25\nkappa-list = 16,64\n"),
     }
-    for subcommand, text in experiments.items():
-        config = tmp_path / f"{subcommand}.cfg"
+    for label, (subcommand, text) in experiments.items():
+        config = tmp_path / f"{label}.cfg"
         config.write_text(text)
         outs, codes = [], []
         for tag in ("a", "b"):
-            out = tmp_path / f"{subcommand}-{tag}"
+            out = tmp_path / f"{label}-{tag}"
             codes.append(main([subcommand, "--config", str(config),
                                "--out", str(out)]))
             outs.append(out)

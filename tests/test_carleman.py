@@ -9,8 +9,8 @@ from spdolab import (CarlemanConfig, NonFiniteError, SpectralField, TorusGrid, s
                      verify_inequality)
 from spdolab import carleman, catalog
 from spdolab.cli import main
-from spdolab.carleman import (generator_images, path_terms, resolve_operator_family,
-                              resolve_process, resolve_window)
+from spdolab.carleman import (generator_images, image_coordinates, path_terms,
+                              resolve_operator_family, resolve_process, resolve_window)
 from spdolab.operators import SpdoOperator, quantize
 from spdolab.paths import (Semimartingale, TimeGrid, additive_process, pinned_window,
                            sample_brownian)
@@ -27,29 +27,30 @@ def cfg(**overrides):
     return CarlemanConfig(**merged)
 
 
-def process(selector, window, grid, seed, path_index, tg, a1=None, b1=None):
-    """Path `path_index` of a cell's process: z alone, or given the families
-    the (J, K+1, S) stack of z and its images as `verify_inequality` builds it."""
-    generators = resolve_process(selector, grid)
+def fourier_process(selector, window, grid, seed, path_index, tg, a1=None, b1=None):
+    """Path `path_index` of a cell's process in Fourier coefficients on every
+    column: z alone, or given the families the (J, K+1, M^n) stack of z and
+    its images."""
+    generators = [np.reshape(c, -1) for c in resolve_process(selector, grid)]
     if a1 is not None:
         generators = generator_images(generators, a1, b1)
     eta = pinned_window(resolve_window(window)(tg), tg)
-    return additive_process(*generators, eta, sample_brownian(seed, path_index, tg), grid)
+    return additive_process(*generators, eta, sample_brownian(seed, path_index, tg))
 
 
-def full_width(z):
-    """z written into zeroed arrays over all M^n columns: a process whose
-    support is every column."""
-    full = np.zeros(z.coefficients.shape[:-1] + (z.grid.size,), dtype=complex)
-    full[..., z.support] = z.coefficients
-    return Semimartingale(z.time_grid, z.grid, full, z.path, np.arange(z.grid.size))
+def process(selector, window, grid, seed, path_index, tg, a1, b1):
+    """Path `path_index` of a cell's process as `verify_inequality` builds it:
+    the (J, K+1, r) stack of z and its images in the basis of
+    `image_coordinates`."""
+    generators = image_coordinates(generator_images(resolve_process(selector, grid), a1, b1))
+    eta = pinned_window(resolve_window(window)(tg), tg)
+    return additive_process(*generators, eta, sample_brownian(seed, path_index, tg))
 
 
 def with_images(z, a1, b1):
     """A full-width z stacked with its images, each applied at every node."""
-    stack = np.ascontiguousarray(generator_images(full_width(z).coefficients, a1, b1)
-                                 .transpose(1, 0, 2))
-    return Semimartingale(z.time_grid, z.grid, stack, z.path, np.arange(z.grid.size))
+    stack = np.ascontiguousarray(generator_images(z.coefficients, a1, b1).transpose(1, 0, 2))
+    return Semimartingale(z.time_grid, stack, z.path)
 
 
 def quadrature_oracle(mu, horizon, a1_mode, b1_shift, nodes=100001):
@@ -70,17 +71,18 @@ def quadrature_oracle(mu, horizon, a1_mode, b1_shift, nodes=100001):
     return term1, term2, term3
 
 
-def value_space_terms(z, a1_selector, b1_selector, mu, weight_scaled=True):
+def value_space_terms(z, grid, a1_selector, b1_selector, mu, weight_scaled=True):
     """The six terms of one path evaluated as on the value grid: snapshot
-    values, value-basis dense matrices and grid-mean pairings."""
-    grid = z.grid
+    values, value-basis dense matrices and grid-mean pairings. z holds
+    Fourier coefficients on every column of `grid`, alone or stacked with its
+    images (only z is read)."""
 
     def dense(selector):
         return resolve_operator_family(selector, grid).dense_matrix()
 
     a1, b1 = dense(a1_selector), dense(b1_selector)
     tg = z.time_grid
-    coeffs = full_width(z).coefficients
+    coeffs = z.coefficients
     coeffs = (coeffs[0] if coeffs.ndim == 3 else coeffs).reshape((-1,) + grid.shape)
     values = np.fft.ifftn(coeffs, axes=tuple(range(1, grid.dim + 1)), norm="forward")
     values = values.reshape(tg.steps + 1, -1)
@@ -164,9 +166,9 @@ class TestFamilies:
     def test_process_selectors(self):
         grid = TorusGrid(1, 16)
         tg = TimeGrid(T, 32)
-        z = process("deterministic-mode:2,0.5", "sine", grid, 0, 0, tg)
-        assert abs(full_width(z).coefficients[16, 2]) > 0.0
-        z2 = process("brownian-mode:0.1,1", "parabolic", grid, 0, 0, tg)
+        z = fourier_process("deterministic-mode:2,0.5", "sine", grid, 0, 0, tg)
+        assert abs(z.coefficients[16, 2]) > 0.0
+        z2 = fourier_process("brownian-mode:0.1,1", "parabolic", grid, 0, 0, tg)
         assert len(z2.coefficients) == 33
         with pytest.raises(ValueError):
             resolve_process("levy-mode:1", grid)
@@ -174,10 +176,22 @@ class TestFamilies:
 
 class TestEqualityAndStructure:
     def test_zero_process_every_term_vanishes(self):
-        report = verify_inequality(cfg(process="deterministic-mode:1,0.0", paths=2))
-        assert report.lhs_mean == 0.0 and report.rhs_mean == 0.0
-        assert np.all(report.term_means == 0.0)
-        assert report.verdict and report.borderline
+        # no image is non-zero, so the basis is empty: each path holds
+        # (J, K+1, 0) coordinates and every term is an exact +0.0
+        for b1 in ("lambda:1", "mod:1"):
+            report = verify_inequality(cfg(process="deterministic-mode:1,0.0", b1=b1, paths=2))
+            assert report.lhs_mean == 0.0 and report.rhs_mean == 0.0
+            assert np.all(report.term_means == 0.0) and not np.any(np.signbit(report.term_means))
+            assert not np.any(np.signbit(report.term_ses))
+            assert report.verdict and report.borderline
+
+    @pytest.mark.parametrize("images", [3, 4])
+    def test_zero_width_path_terms_are_positive_zeros(self, images):
+        tg = TimeGrid(T, 64)
+        z = Semimartingale(tg, np.zeros((images, tg.steps + 1, 0), complex),
+                           sample_brownian(0, 0, tg))
+        terms = path_terms(z, MU)
+        assert np.all(terms == 0.0) and not np.any(np.signbit(terms))
 
     def test_self_adjoint_family_kills_skew_term(self):
         det = verify_inequality(cfg(process="deterministic-mode:1", paths=1))
@@ -248,10 +262,10 @@ class TestStochasticAggregation:
 
     @pytest.mark.parametrize("b1, applies", [("lambda:1", 2), ("mod:1", 3)])
     def test_process_and_window_built_once_per_cell(self, monkeypatch, b1, applies):
-        # the selector is parsed, the window checked and each family applied
-        # (to the two generators) once for the cell, while every path gets
-        # its own process
-        names = ("resolve_process", "pinned_window", "additive_process")
+        # the selector is parsed, the window checked, each family applied (to
+        # the two generators) and the images' basis taken once for the cell,
+        # while every path gets its own process
+        names = ("resolve_process", "pinned_window", "image_coordinates", "additive_process")
         for paths in (8, 16):
             calls = dict.fromkeys(names + ("apply_coefficients",), 0)
             for name in names:
@@ -272,7 +286,7 @@ class TestStochasticAggregation:
             monkeypatch.setattr(SpdoOperator, "apply_coefficients", counted_apply)
             verify_inequality(cfg(b1=b1, paths=paths))
             monkeypatch.undo()
-            assert calls == {"resolve_process": 1, "pinned_window": 1,
+            assert calls == {"resolve_process": 1, "pinned_window": 1, "image_coordinates": 1,
                              "additive_process": paths, "apply_coefficients": applies}
 
     def test_se_positive_for_stochastic_runs(self):
@@ -301,15 +315,16 @@ class TestCoefficientSpace:
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = resolve_operator_family(b1, grid)
         z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg, fam_a1, fam_b1)
+        fourier = fourier_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg)
         # a state on every mode, pinned at both ends, reaches every matrix entry
         rng = np.random.default_rng(5)
         shape = (tg.steps + 1, grid.size)
         spread = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         spread[0] = spread[-1] = 0.0
-        spread = Semimartingale(tg, grid, 0.01 * spread, z.path, np.arange(grid.size))
-        for z in (z, with_images(spread, fam_a1, fam_b1)):
+        spread = Semimartingale(tg, 0.01 * spread, z.path)
+        for z, fourier in ((z, fourier), (with_images(spread, fam_a1, fam_b1), spread)):
             got = path_terms(z, MU)
-            ref = value_space_terms(z, a1, b1, MU)
+            ref = value_space_terms(fourier, grid, a1, b1, MU)
             scale = np.max(np.abs(ref))
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
             if b1 == "mod:1":
@@ -334,9 +349,9 @@ class TestCoefficientSpace:
         for row in result.rows:
             tg = TimeGrid(row.horizon, base.steps)
             terms = np.array([
-                value_space_terms(process(base.process, base.window, base.torus(),
-                                          base.seed, p, tg),
-                                  base.a1, base.b1, row.mu, weight_scaled=False)
+                value_space_terms(fourier_process(base.process, base.window, base.torus(),
+                                                  base.seed, p, tg),
+                                  base.torus(), base.a1, base.b1, row.mu, weight_scaled=False)
                 for p in range(base.paths)])
             gap = terms[:, 2:].sum(axis=1) - terms[:, :2].sum(axis=1)
             gap_mean, gap_se = gap.mean(), gap.std(ddof=1) / np.sqrt(base.paths)
@@ -361,9 +376,11 @@ def skew_multiplier(grid):
 
 
 class TestSupportRoute:
-    """A cell applies A1, B1 and B1* to the generators (Y_0, g) once; each path
-    builds z and its images on the columns where any of them is non-zero,
-    and sums the six terms over those columns only."""
+    """A cell applies A1, B1 and B1* to the generators (Y_0, g) once, finds the
+    Fourier columns where any image is non-zero and takes the images'
+    coordinates in an orthonormal basis of their span; each path builds z and
+    its images on those at most 2J coordinates and sums the six terms over
+    them."""
 
     FAMILIES = [
         ("c-dx", "lambda:1", 1, 64.0),
@@ -377,34 +394,98 @@ class TestSupportRoute:
         ("trig-lambda:2,1,0,1", "mod-xi:1", 2, 64.0),
     ]
 
+    @staticmethod
+    def families(a1, b1, grid):
+        fam_b1 = skew_multiplier(grid) if b1 == "skew" else resolve_operator_family(b1, grid)
+        return resolve_operator_family(a1, grid), fam_b1
+
     @pytest.mark.parametrize("a1, b1, dim, kappa", FAMILIES)
     @pytest.mark.parametrize("selector", ["brownian-mode:0.1,1", "deterministic-mode:1"])
-    def test_support_columns_match_full_width_bytes(self, a1, b1, dim, kappa, selector):
+    def test_basis_coordinates_match_full_width_terms(self, a1, b1, dim, kappa, selector):
+        # against the same path held as Fourier coefficients on every column:
+        # the same bytes on a multiplier's one column, rounding otherwise
         grid = TorusGrid(dim, 32 if dim == 1 else 8)
         tg = TimeGrid(T, 128)
-        fam_a1 = resolve_operator_family(a1, grid)
-        fam_b1 = skew_multiplier(grid) if b1 == "skew" else resolve_operator_family(b1, grid)
+        fam_a1, fam_b1 = self.families(a1, b1, grid)
         self_adjoint = fam_b1.adjoint() is fam_b1
         assert self_adjoint == (b1 in ("lambda:1", "lambda:0.5"))
         x_dependent = fam_a1.multiplier() is None or fam_b1.multiplier() is None
+        images = 3 if self_adjoint else 4
         mu = kappa / T**2
         for p in range(3):
             z = process(selector, "sine", grid, 0, p, tg, fam_a1, fam_b1)
-            assert len(z.coefficients) == (3 if self_adjoint else 4)
-            # multipliers keep the mode; FFT rounding puts an x-dependent
-            # image on every column of the line through the mode
-            assert z.support.size == (grid.shape[0] if x_dependent else 1)
-            got = path_terms(z, mu)
-            full = path_terms(full_width(z), mu)
+            full = fourier_process(selector, "sine", grid, 0, p, tg, fam_a1, fam_b1)
+            assert len(z.coefficients) == images
+            # one generator is non-zero, so at most J images span the basis
+            width = z.coefficients.shape[-1]
+            assert (1 < width <= images) if x_dependent else width == 1
+            got, ref = path_terms(z, mu), path_terms(full, mu)
             assert np.all(np.isfinite(got))
             assert (got[3] != 0.0) == (not self_adjoint)
-            if z.support.size in (1, grid.size):
-                assert got.tobytes() == full.tobytes()
+            if x_dependent:
+                scale = np.max(np.abs(ref))
+                assert np.all(np.abs(got - ref) <= 1e-15 * scale)
             else:
-                # BLAS blocks each column sum by position, and the support's
-                # 8 columns sit 8 apart at full width: rounding only
-                scale = np.max(np.abs(full))
-                assert np.all(np.abs(got - full) <= 1e-15 * scale)
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("a1, b1", [("c-dx", "lambda:1"), ("lambda:1", "skew"),
+                                        ("trig-lambda:2,1,0,1", "mod-xi:1")])
+    @pytest.mark.parametrize("dim, m", [(1, 128), (2, 32)])
+    def test_basis_coordinates_reproduce_fourier_gram(self, a1, b1, dim, m):
+        # every pairing the terms take is an entry of the images' Gram matrix
+        grid = TorusGrid(dim, m)
+        fam_a1, fam_b1 = self.families(a1, b1, grid)
+
+        def mode(k, amp):
+            return SpectralField.pure_mode(grid, (k,) + (0,) * (dim - 1), amp).coefficients
+
+        for generators in (resolve_process("brownian-mode:0.1,1", grid),
+                           resolve_process("deterministic-mode:2,0.5", grid),
+                           (mode(1, 1.0), mode(-2, 0.3) + mode(3, 0.2j))):
+            images = generator_images(generators, fam_a1, fam_b1)
+            flat = images.reshape(-1, grid.size)
+            coords = image_coordinates(images)
+            basis = coords.reshape(len(flat), -1)
+            assert coords.shape[:-1] == images.shape[:-1] and basis.shape[1] <= len(flat)
+            gram = flat @ flat.conj().T
+            assert np.all(np.abs(basis @ basis.conj().T - gram) <= 1e-13 * np.max(np.abs(gram)))
+
+    def test_zero_image_gets_zero_coordinates(self):
+        # A1 = zero and Y_0 = 0: those images stay out of the factorization,
+        # so the basis holds three columns, for g, B1 g and B1* g, and the
+        # zero images get exact zero coordinates
+        grid = TorusGrid(1, 128)
+        fam_a1, fam_b1 = self.families("zero", "trig-lambda:1,0,0.5,1", grid)
+        images = generator_images(resolve_process("brownian-mode:0.1,1", grid), fam_a1, fam_b1)
+        assert not np.any(images[0]) and not np.any(images[1, 1]) and len(images[1]) == 4
+        coords = image_coordinates(images)
+        assert coords.shape == (2, 4, 3)
+        assert not np.any(coords[0]) and not np.any(coords[1, 1])
+        assert np.all(np.any(coords[1, [0, 2, 3]], axis=-1))
+        report = verify_inequality(cfg(a1="zero", b1="trig-lambda:1,0,0.5,1", grid_points=128,
+                                       paths=4))
+        assert np.all(np.isfinite(report.term_means))
+
+    @pytest.mark.parametrize("a1, b1, width", [
+        ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 4),
+        ("trig-lambda:2,1,0,1", "mod-xi:1", 4),
+        ("c-dx", "mod:1", 4),
+        ("trig-lambda:2,1,0,1", "lambda:1", 3),  # self-adjoint B1: J = 3
+    ])
+    def test_paths_hold_at_most_the_non_zero_images(self, monkeypatch, a1, b1, width):
+        # M = 128: an x-dependent path holds the cell's J non-zero generator
+        # images, not the 128 columns they touch (multipliers: one column,
+        # `test_multiplier_cell_holds_its_support_column`)
+        widths = []
+        real = carleman.path_terms
+
+        def record(z, *args):
+            widths.append(z.coefficients.shape[-1])
+            return real(z, *args)
+
+        monkeypatch.setattr(carleman, "path_terms", record)
+        verify_inequality(cfg(a1=a1, b1=b1, grid_points=128, steps=16, paths=2))
+        assert widths == [width, width]
 
     @pytest.mark.parametrize("a1, b1, dim, m", [
         ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 1, 32),
@@ -413,36 +494,42 @@ class TestSupportRoute:
         ("trig-lambda:2,1,0,1", "lambda:1", 1, 32),  # only A1 does
     ])
     def test_x_dependent_families_match_dense_oracle(self, a1, b1, dim, m):
-        # an x-dependent family moves mass off the mode, so the images hold
-        # more columns than z; the terms must still agree with the dense
-        # value-space oracle
+        # an x-dependent family moves mass off the mode, so the images span
+        # more than z; the terms on the basis must still agree with the
+        # dense value-space oracle
         grid = TorusGrid(dim, m)
         tg = TimeGrid(T, 128)
         fam_a1 = resolve_operator_family(a1, grid)
         fam_b1 = resolve_operator_family(b1, grid)
         z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg, fam_a1, fam_b1)
         assert np.count_nonzero(np.any(z.coefficients[0], axis=0)) == 1
-        assert z.support.size > 1
+        assert z.coefficients.shape[-1] > 1
         got = path_terms(z, MU)
-        ref = value_space_terms(z, a1, b1, MU)
+        ref = value_space_terms(fourier_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg),
+                                grid, a1, b1, MU)
         scale = np.max(np.abs(ref))
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
 
     def test_multiplier_cell_holds_its_support_column(self, monkeypatch):
         # an n = 2, M = 128 multiplier cell: each path holds (3, K+1, 1)
         # coefficients, not (K+1, 128^2) arrays with one column written, and
-        # its terms are the bytes of the sums over every column
+        # its terms are the bytes of the sums over every Fourier column
         checked = []
         real = carleman.path_terms
+        base = cfg(dim=2, grid_points=128, steps=16, paths=2)
+        grid, tg = base.torus(), base.time_grid()
+        fam_a1, fam_b1 = self.families(base.a1, base.b1, grid)
 
         def record(z, *args):
             terms = real(z, *args)
             assert z.coefficients.shape == (3, 17, 1)
-            checked.append(terms.tobytes() == real(full_width(z), *args[:2]).tobytes())
+            full = fourier_process(base.process, base.window, grid, base.seed,
+                                   z.path.path_index, tg, fam_a1, fam_b1)
+            checked.append(terms.tobytes() == real(full, *args[:2]).tobytes())
             return terms
 
         monkeypatch.setattr(carleman, "path_terms", record)
-        verify_inequality(cfg(dim=2, grid_points=128, steps=16, paths=2))
+        verify_inequality(base)
         assert checked == [True, True]
 
     def test_self_adjoint_skew_term_is_positive_zero(self, tmp_path):

@@ -14,15 +14,9 @@ TG = TimeGrid(0.25, 128)
 UNWINDOWED = np.ones(TG.steps + 1)  # eta = 1: the process Y itself
 
 
-def full_width(z):
-    """z's coefficients at every node, written into a zeroed (K+1, *grid.shape) array."""
-    full = np.zeros((z.time_grid.steps + 1, z.grid.size), dtype=complex)
-    full[:, z.support] = z.coefficients
-    return full.reshape((-1,) + z.grid.shape)
-
-
-def snapshot(z, k):
-    return SpectralField.from_coefficients(z.grid, full_width(z)[k])
+def snapshot(z, k, grid=GRID):
+    """Node k of a process built from a grid's flat Fourier coefficients."""
+    return SpectralField.from_coefficients(grid, z.coefficients[k].reshape(grid.shape))
 
 
 def stepped(initial, noise, path, eta):
@@ -101,19 +95,17 @@ class TestAdditiveProcess:
         # dY = g dw with constant g integrates exactly: Y_k = g w_k
         g = SpectralField.pure_mode(GRID, 2, 0.5)
         path = sample_brownian(1, 0, TG)
-        z = additive_process(np.zeros(GRID.shape, complex), g.coefficients, UNWINDOWED,
-                             path, GRID)
+        z = additive_process(np.zeros(GRID.size, complex), g.coefficients, UNWINDOWED, path)
         for k in (0, 7, TG.steps):
             expected = float(path.values[k]) * g.values
             assert np.allclose(snapshot(z, k).values, expected, atol=1e-13)
 
     def test_quadratic_variation_identity(self):
         # for Y = g w the realized QV equals ||g||^2 sum (dw)^2 exactly; by
-        # Parseval it is the sum of |dz|^2 over the support columns
+        # Parseval it is the sum of |dz|^2 over the Fourier columns
         g = SpectralField.pure_mode(GRID, 1, 2.0)
         path = sample_brownian(4, 0, TG)
-        z = additive_process(np.zeros(GRID.shape, complex), g.coefficients, UNWINDOWED,
-                             path, GRID)
+        z = additive_process(np.zeros(GRID.size, complex), g.coefficients, UNWINDOWED, path)
         qv = np.sum(np.abs(np.diff(z.coefficients, axis=0)) ** 2, axis=1)
         expected = l2_norm(g) ** 2 * np.diff(path.values) ** 2
         assert np.allclose(qv, expected, atol=1e-12)
@@ -121,60 +113,67 @@ class TestAdditiveProcess:
     def test_snapshot_count_guard(self):
         path = sample_brownian(0, 0, TG)
         with pytest.raises(ValueError):
-            Semimartingale(TG, GRID, np.zeros((3, 1), dtype=complex), path, np.array([1]))
+            Semimartingale(TG, np.zeros((3, 1), dtype=complex), path)
+        with pytest.raises(ValueError):
+            Semimartingale(TG, np.zeros(TG.steps + 1, dtype=complex), path)
 
 
 class TestAdditiveNoiseRoute:
-    """One cumulative sum on the support, with the bytes of the Ito steps
-    taken at full width."""
+    """One cumulative sum on exactly the columns given, with the bytes of the
+    Ito steps taken at full width."""
 
     CASES = [(GRID, 1, 0.0), (GRID, 0, 0.1), (TorusGrid(2, 8), 0, 0.1), (TorusGrid(2, 8), 1, 0.0)]
     IDS = ["deterministic-mode", "brownian-mode", "brownian-mode-2d", "deterministic-mode-2d"]
 
     @staticmethod
     def fields(grid, initial_amp, noise_amp):
+        """Flat coefficients of Y_0 and g on one mode, and that mode's column."""
         mode = (1,) + (0,) * (grid.dim - 1)
-        return (SpectralField.pure_mode(grid, mode, initial_amp).coefficients,
-                SpectralField.pure_mode(grid, mode, noise_amp).coefficients)
+        return (SpectralField.pure_mode(grid, mode, initial_amp).coefficients.reshape(-1),
+                SpectralField.pure_mode(grid, mode, noise_amp).coefficients.reshape(-1),
+                np.ravel_multi_index(mode, grid.shape))
 
     @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
     def test_cumulative_sum_reproduces_step_bytes(self, grid, initial_amp, noise_amp):
-        initial, noise = self.fields(grid, initial_amp, noise_amp)
+        # given the mode's column alone, the process is that column of the
+        # Ito steps at full width, byte for byte, and the steps leave every
+        # other column zero
+        initial, noise, col = self.fields(grid, initial_amp, noise_amp)
         eta = pinned_window(sine_window(TG), TG)
         for p in range(3):
             path = sample_brownian(7, p, TG)
-            fast = additive_process(initial, noise, UNWINDOWED, path, grid)
-            assert fast.coefficients.shape == (TG.steps + 1, 1)
-            loop = stepped(initial, noise, path, UNWINDOWED)
-            assert full_width(fast).tobytes() == loop.tobytes()
-            fast_w = additive_process(initial, noise, eta, path, grid)
-            loop_w = stepped(initial, noise, path, eta)
-            assert full_width(fast_w).tobytes() == loop_w.tobytes()
+            for window in (UNWINDOWED, eta):
+                fast = additive_process(initial[[col]], noise[[col]], window, path)
+                assert fast.coefficients.shape == (TG.steps + 1, 1)
+                loop = stepped(initial, noise, path, window)
+                assert fast.coefficients.tobytes() == loop[:, [col]].tobytes()
+                assert not np.any(np.delete(loop, col, axis=1))
 
     @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
-    def test_support_is_the_non_zero_columns(self, grid, initial_amp, noise_amp):
-        initial, noise = self.fields(grid, initial_amp, noise_amp)
+    def test_holds_every_given_column(self, grid, initial_amp, noise_amp):
+        # full-width fields give a full-width process, zero columns included:
+        # finding the non-zero columns is the caller's, once per cell
+        initial, noise, _ = self.fields(grid, initial_amp, noise_amp)
         path = sample_brownian(7, 0, TG)
         for eta in (UNWINDOWED, pinned_window(parabolic_window(TG), TG)):
-            z = additive_process(initial, noise, eta, path, grid)
-            flat = full_width(z).reshape(TG.steps + 1, -1)
-            assert np.array_equal(z.support, np.flatnonzero(np.any(flat != 0, axis=0)))
-            assert z.support.tolist() == [np.ravel_multi_index((1,) + (0,) * (grid.dim - 1),
-                                                               grid.shape)]
+            z = additive_process(initial, noise, eta, path)
+            assert z.coefficients.shape == (TG.steps + 1, grid.size)
+            assert np.array_equal(z.coefficients, stepped(initial, noise, path, eta))
 
-    def test_union_of_initial_and_noise_columns(self):
+    def test_initial_and_noise_share_the_given_columns(self):
+        # columns 3 and 14 (modes 3 and -2): Y_0 sits on one and g on the other
         path = sample_brownian(7, 0, TG)
         initial = SpectralField.pure_mode(GRID, -2, 1.0).coefficients
         noise = SpectralField.pure_mode(GRID, 3, 0.2).coefficients
-        z = additive_process(initial, noise, UNWINDOWED, path, GRID)
-        assert z.support.tolist() == [3, 14]
+        z = additive_process(initial[[3, 14]], noise[[3, 14]], UNWINDOWED, path)
+        assert z.coefficients.shape == (TG.steps + 1, 2)
         loop = stepped(initial, noise, path, UNWINDOWED)
-        assert full_width(z).tobytes() == loop.tobytes()
+        assert z.coefficients.tobytes() == loop[:, [3, 14]].tobytes()
 
     @pytest.mark.parametrize("grid", [GRID, TorusGrid(2, 8)], ids=["1d", "2d"])
     def test_generator_stack_rows_match_single_calls(self, grid):
-        # row j of a stacked call is the single call on (Y_0[j], g[j]), on the
-        # union of the rows' supports; row 0 is the Ito steps of (Y_0, g)
+        # row j of a stacked call is the single call on (Y_0[j], g[j]); row 0
+        # is the Ito steps of (Y_0, g)
         def mode(k, amp):
             return SpectralField.pure_mode(grid, (k,) + (0,) * (grid.dim - 1),
                                            amp).coefficients.reshape(-1)
@@ -182,50 +181,53 @@ class TestAdditiveNoiseRoute:
         initial = np.stack([mode(1, 0.5), 2.0 * mode(1, 0.5), np.zeros(grid.size), mode(-3, 1.0)])
         noise = np.stack([mode(1, 0.1), mode(1, 0.2) - 1j * mode(2, 0.3), mode(2, 0.1),
                           np.zeros(grid.size)])
+        cols = sorted(np.flatnonzero(mode(k, 1.0))[0] for k in (1, 2, -3))
         eta = pinned_window(sine_window(TG), TG)
         for p in range(3):
             path = sample_brownian(7, p, TG)
-            z = additive_process(initial, noise, eta, path, grid)
+            z = additive_process(initial[:, cols], noise[:, cols], eta, path)
             assert z.coefficients.shape == (4, TG.steps + 1, 3)
-            assert z.support.tolist() == sorted(np.flatnonzero(mode(k, 1.0))[0] for k in (1, 2, -3))
             for j in range(4):
-                single = additive_process(initial[j], noise[j], eta, path, grid)
+                single = additive_process(initial[j, cols], noise[j, cols], eta, path)
                 assert single.coefficients.ndim == 2
-                assert full_width(single).reshape(TG.steps + 1, -1)[:, z.support].tobytes() \
-                    == z.coefficients[j].tobytes()
+                assert single.coefficients.tobytes() == z.coefficients[j].tobytes()
             loop = stepped(initial[0], noise[0], path, eta)
-            assert loop[:, z.support].tobytes() == z.coefficients[0].tobytes()
-            assert not np.any(np.delete(loop, z.support, axis=1))
+            assert loop[:, cols].tobytes() == z.coefficients[0].tobytes()
+            assert not np.any(np.delete(loop, cols, axis=1))
 
     def test_output_array_is_reused(self):
         # a cell hands each path the previous path's coefficients to write into
         initial = np.zeros((3, GRID.size), complex)
         noise = np.stack([SpectralField.pure_mode(GRID, k, 0.1).coefficients for k in (1, 2, 3)])
         eta = pinned_window(sine_window(TG), TG)
-        first = additive_process(initial, noise, eta, sample_brownian(7, 0, TG), GRID)
+        first = additive_process(initial, noise, eta, sample_brownian(7, 0, TG))
         path = sample_brownian(7, 1, TG)
-        again = additive_process(initial, noise, eta, path, GRID, out=first.coefficients)
+        again = additive_process(initial, noise, eta, path, out=first.coefficients)
         assert np.shares_memory(again.coefficients, first.coefficients)
-        fresh = additive_process(initial, noise, eta, path, GRID)
+        fresh = additive_process(initial, noise, eta, path)
         assert again.coefficients.tobytes() == fresh.coefficients.tobytes()
         with pytest.raises(ValueError):
-            additive_process(initial[:2], noise[:2], eta, path, GRID, out=first.coefficients)
+            additive_process(initial[:2], noise[:2], eta, path, out=first.coefficients)
 
-    def test_zero_stack_holds_no_columns(self):
-        zero = np.zeros((3, GRID.size), complex)
-        z = additive_process(zero, zero, pinned_window(sine_window(TG), TG),
-                             sample_brownian(7, 0, TG), GRID)
-        assert z.support.size == 0
+    def test_zero_width_stack_holds_no_columns(self):
+        # the zero process has no basis vector: (J, 0) stacks, (J, K+1, 0) paths
+        empty = np.zeros((3, 0), complex)
+        z = additive_process(empty, empty, pinned_window(sine_window(TG), TG),
+                             sample_brownian(7, 0, TG))
         assert z.coefficients.shape == (3, TG.steps + 1, 0)
+        again = additive_process(empty, empty, pinned_window(sine_window(TG), TG),
+                                 sample_brownian(7, 1, TG), out=z.coefficients)
+        assert again.coefficients.shape == (3, TG.steps + 1, 0)
 
-    def test_zero_fields_hold_no_columns(self):
-        # Y_0 = g = 0: no column can leave zero, so the process holds none
+    def test_zero_fields_keep_their_columns(self):
+        # Y_0 = g = 0 on 16 columns: the process holds all 16, zero at every node
         path = sample_brownian(7, 0, TG)
-        zero = np.zeros(GRID.shape, complex)
-        z = additive_process(zero, zero, pinned_window(sine_window(TG), TG), path, GRID)
-        assert z.support.size == 0
-        assert z.coefficients.shape == (TG.steps + 1, 0)
-        assert not np.any(full_width(z))
+        zero = np.zeros(GRID.size, complex)
+        z = additive_process(zero, zero, pinned_window(sine_window(TG), TG), path)
+        assert z.coefficients.shape == (TG.steps + 1, GRID.size)
+        assert not np.any(z.coefficients)
+        empty = additive_process(zero[:0], zero[:0], UNWINDOWED, path)
+        assert empty.coefficients.shape == (TG.steps + 1, 0)
 
 
 class TestWindows:
@@ -239,8 +241,8 @@ class TestWindows:
     def test_pinned_process_endpoints_exact(self):
         g = SpectralField.pure_mode(GRID, 1, 0.3)
         path = sample_brownian(2, 0, TG)
-        z = additive_process(np.zeros(GRID.shape, complex), g.coefficients,
-                             pinned_window(sine_window(TG), TG), path, GRID)
+        z = additive_process(np.zeros(GRID.size, complex), g.coefficients,
+                             pinned_window(sine_window(TG), TG), path)
         assert l2_norm(snapshot(z, 0)) == 0.0
         assert l2_norm(snapshot(z, TG.steps)) == 0.0
 
