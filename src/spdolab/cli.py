@@ -13,6 +13,7 @@ byte-identical elsewhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 from pathlib import Path
@@ -101,13 +102,15 @@ def run_roots_check(cfg: ExperimentConfig, out: Path):
                               seed=cfg["seed"])
     payload = {"principal": cfg["principal"], "m": ps.m, **report.as_dict()}
     files = [write_json(out / "hypotheses.json", payload)]
-    return report.all_pass, files, payload
+    results = {**payload, "work": {"root_samples_solved": report.root_samples_solved}}
+    return report.all_pass, files, results
 
 
 def run_reduce(cfg: ExperimentConfig, out: Path):
     ps = catalog.make_principal(cfg["principal"])
-    rows = reduction.reduction_table(ps, dim=cfg["n"], num_angles=cfg["num-angles"],
-                                     num_x=cfg["num-x"], seed=cfg["seed"])
+    table = reduction.reduction_table(ps, dim=cfg["n"], num_angles=cfg["num-angles"],
+                                      num_x=cfg["num-x"], seed=cfg["seed"])
+    rows = table.rows
     files = [write_csv(out / "reduce.csv",
                        ["t", "x", "angle", "branch", "re_lambda", "im_lambda", "resid",
                         "cond"],
@@ -122,6 +125,7 @@ def run_reduce(cfg: ExperimentConfig, out: Path):
         "max_resid": max_resid,
         "resid_tolerance": REDUCE_RESID_TOL,
         "passed": ok,
+        "work": {"root_samples_solved": table.root_samples_solved},
     }
     return ok, files, results
 
@@ -158,7 +162,9 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="spdo-lab",
         description="desk-scale experiments for stochastic pseudo-differential "

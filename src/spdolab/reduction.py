@@ -27,8 +27,7 @@ from .errors import (BranchCrossingError, DegenerateDiagonalizationError, Stenci
 from .grid import TorusGrid
 from .paths import PathSlice, TimeGrid
 from .symbols import (COMPLEX_ROOT_REL_TOL, Coords, PrincipalSymbol, RootStack, Symbol,
-                      _cmul, _cpow, pairwise_distances, sample_contexts,
-                      sample_directions, sample_grid, sample_positions, solve_roots)
+                      _cmul, _cpow, audit_roots, pairwise_distances, solve_roots)
 from .catalog import lambda_symbol, symbol_product
 from .operators import SpdoOperator
 
@@ -249,7 +248,7 @@ class SplitRootSet:
     directions: list[np.ndarray]
     table: np.ndarray  # (num_t, num_x, num_angles, m) branch-consistent roots
     branches: list[SplitRoot]
-    solves: list[RootStack]  # per time, over sample_grid(positions, directions), sorted
+    solve: RootStack  # over sample_grid(positions, directions) in each context, sorted
 
 
 def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
@@ -257,29 +256,24 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
     """Track root branches over (t, x, angle) samples on the unit sphere and
     split each branch into real and imaginary symbol parts.
 
-    Branches are labeled by sorting at the first sample and continued by
-    minimum-distance matching along angle, then position, then time. A sample
-    whose distinct roots approach within 1e-6 makes continuation ambiguous.
+    The samples are the distinct ones of `audit_roots`. Branches are labeled
+    by sorting at the first sample and continued by minimum-distance matching
+    along angle, then position, then time. A sample whose distinct roots
+    approach within 1e-6 makes continuation ambiguous.
     """
-    contexts = (sample_contexts(seed) if ps.requires_path
-                else [(t, None) for t in (0.0, 0.125, 0.25)])
-    positions = sample_positions(dim, num_x) if ps.x_dependent else [
-        tuple(np.array(0.0) for _ in range(dim))]
-    directions = sample_directions(dim, num_angles)
+    contexts, positions, directions, solve = audit_roots(ps, dim, num_angles, num_x, seed)
     nt, nx, na, m = len(contexts), len(positions), len(directions), ps.m
     perms = _permutations(m)
 
-    x, xi = sample_grid(positions, directions)
-    solves = [solve_roots(ps, t, slc, x, xi) for t, slc in contexts]
-    roots = np.stack([s.roots for s in solves]).reshape(nt, nx, na, m)
-    failed = np.stack([s.failed for s in solves]).reshape(nt, nx, na)
+    roots = solve.roots.reshape(nt, nx, na, m)
+    failed = solve.failed.reshape(nt, nx, na)
     ambiguous = (_min_distinct_gap(roots) < BRANCH_AMBIGUITY_TOL if m > 1
                  else np.zeros_like(failed))
     bad = np.argwhere(failed | ambiguous)
     if len(bad):  # the first in (t, x, angle) order
         it, ix, ia = (int(i) for i in bad[0])
         if failed[it, ix, ia]:
-            raise solves[it].error(ix * na + ia)
+            raise solve.error((it * nx + ix) * na + ia)
         raise BranchCrossingError(
             f"distinct roots within {BRANCH_AMBIGUITY_TOL:g} at "
             f"t={contexts[it][0]}, x={positions[ix]}, direction={directions[ia]}: "
@@ -314,7 +308,7 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
             flag = "mixed"
         branches.append(SplitRoot(k, vals, flag))
     return SplitRootSet(ps, dim, [t for t, _ in contexts], [s for _, s in contexts],
-                        positions, directions, table, branches, solves)
+                        positions, directions, table, branches, solve)
 
 
 def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
@@ -348,7 +342,7 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
         nearest = np.argmin(np.sqrt(np.vecdot(diff, diff)), axis=1)
         x0 = tuple(np.zeros(len(uniq)) for _ in range(split.dim))
         xi_unit = tuple(unit_dirs[nearest, ax] for ax in range(split.dim))
-        roots = solve_roots(ps, t, slc, x0, xi_unit).checked().roots
+        roots = solve_roots(ps, [(t, slc)], x0, xi_unit).checked().roots
         reference = split.table[0, 0, nearest]
         matched = np.take_along_axis(
             roots, perms[_best_permutation(roots, reference, perms)], axis=-1)
@@ -486,19 +480,24 @@ class ReductionRow:
     cond: float  # condition number of the sample's eigenvector matrix
 
 
+@dataclass
+class ReductionTable:
+    rows: list[ReductionRow]
+    root_samples_solved: int  # samples of the one stacked root solve
+
+
 def reduction_table(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
-                    num_x: int = 8, seed: int = 0) -> list[ReductionRow]:
-    """Per-sample eigenvalue/diagonalization rows for the tracked branches."""
+                    num_x: int = 8, seed: int = 0) -> ReductionTable:
+    """Per-sample eigenvalue/diagonalization rows for the tracked branches,
+    from one diagonalization of the split's root stack."""
     split = split_roots(ps, dim, num_angles=num_angles, num_x=num_x, seed=seed)
+    diag = diagonalize(split.solve)
     xs = [float(np.asarray(x[0])) for x in split.positions]
     angles = [float(math.atan2(d[1] if dim == 2 else 0.0, d[0])) for d in split.directions]
-    samples = list(itertools.product(range(len(xs)), range(len(angles))))
-    rows = []
-    for t, solved, lam in zip(split.times, split.solves, split.table):
-        diag = diagonalize(solved)
-        re, im = lam.real.tolist(), lam.imag.tolist()
-        resid, cond = diag.residual.tolist(), diag.condition_number.tolist()
-        rows += [ReductionRow(float(t), xs[ix], angles[ia], k, re[ix][ia][k], im[ix][ia][k],
-                              resid[s], cond[s])
-                 for s, (ix, ia) in enumerate(samples) for k in range(ps.m)]
-    return rows
+    samples = itertools.product(split.times, xs, angles)
+    re = split.table.real.reshape(-1, ps.m).tolist()
+    im = split.table.imag.reshape(-1, ps.m).tolist()
+    resid, cond = diag.residual.tolist(), diag.condition_number.tolist()
+    rows = [ReductionRow(float(t), x, angle, k, re[s][k], im[s][k], resid[s], cond[s])
+            for s, (t, x, angle) in enumerate(samples) for k in range(ps.m)]
+    return ReductionTable(rows, len(resid))

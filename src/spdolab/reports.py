@@ -36,11 +36,27 @@ def format_cell(value) -> str:
     return str(value)
 
 
+# str.format fields that print a cell of exactly this type as format_cell does
+_CELL_FIELDS = {float: "{:.17g}", int: "{:d}"}
+
+
 def write_csv(path: str | Path, header: list[str], rows) -> Path:
+    """One line per row, each through one template per tuple of cell types;
+    cells of other types are first put through format_cell."""
     path = Path(path)
     lines = [",".join(header)]
+    templates: dict[tuple, tuple[str, list[int]]] = {}
     for row in rows:
-        lines.append(",".join(format_cell(v) for v in row))
+        types = tuple(map(type, row))
+        if types not in templates:
+            templates[types] = (",".join(_CELL_FIELDS.get(t, "{}") for t in types),
+                                [i for i, t in enumerate(types) if t not in _CELL_FIELDS])
+        template, other = templates[types]
+        if other:
+            row = list(row)
+            for i in other:
+                row[i] = format_cell(row[i])
+        lines.append(template.format(*row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 

@@ -28,6 +28,8 @@ SymbolFn = Callable[[float, PathSlice | None, Coords, Coords], np.ndarray]
 FactorFn = Callable[[float, PathSlice | None, Coords], np.ndarray]
 # one term f_r(t, w, x) g_r(t, w, xi); f_r = None means 1
 SeparatedTerm = tuple[FactorFn | None, FactorFn]
+# a (t, path slice) at which a symbol is evaluated; no slice for a path-free one
+Context = tuple[float, PathSlice | None]
 
 # A root counts as complex when its imaginary part clears this relative floor.
 COMPLEX_ROOT_REL_TOL = 1e-8
@@ -112,15 +114,21 @@ class Symbol:
 # sampling helpers
 
 
+def _sample_nodes() -> list[int]:
+    """The distinct sampled nodes of SAMPLE_TIME_GRID, in increasing order."""
+    spread = np.linspace(0, SAMPLE_TIME_GRID.steps, SAMPLE_TIMES).astype(int).tolist()
+    return sorted(set(spread))
+
+
 def sample_contexts(seed: int) -> list[tuple[float, PathSlice]]:
     """(t, adapted slice) pairs spread over the horizon for a few sampled paths."""
     tg = SAMPLE_TIME_GRID
-    ks = np.unique(np.linspace(0, tg.steps, SAMPLE_TIMES).astype(int))
+    ks = _sample_nodes()
     out = []
     for p in range(SAMPLE_PATHS):
         path = sample_brownian(seed, p, tg)
         for k in ks:
-            out.append((tg.node(int(k)), path.slice_at(int(k))))
+            out.append((tg.node(k), path.slice_at(k)))
     return out
 
 
@@ -426,7 +434,7 @@ def _poly_roots_monic(minus_c: np.ndarray) -> np.ndarray:
     nonzero = minus_c != 0
     zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m)
     roots = np.zeros((n, m), dtype=complex)
-    for z in np.unique(zeros[zeros < m]):
+    for z in sorted(set(zeros[zeros < m].tolist())):
         rows = np.flatnonzero(zeros == z)
         size = m - z
         p = poly[rows, :size + 1]
@@ -439,14 +447,16 @@ def _poly_roots_monic(minus_c: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RootStack:
-    """Characteristic roots at N samples that share one (t, path slice)."""
+    """Characteristic roots at the S samples of one stacked solve. They are
+    context-major: with N samples per (t, path slice), sample c * N + i is
+    sample i in context c."""
 
     name: str  # of the principal symbol
-    xi: Coords  # (N,) per axis
-    coefficients: np.ndarray  # (N, m)
-    roots: np.ndarray  # (N, m), each row sorted by real part, then imaginary part
-    residual: np.ndarray  # (N,) max |p(root)| after the polish
-    limit: np.ndarray  # (N,) the largest residual accepted
+    xi: Coords  # (S,) per axis
+    coefficients: np.ndarray  # (S, m)
+    roots: np.ndarray  # (S, m), each row sorted by real part, then imaginary part
+    residual: np.ndarray  # (S,) max |p(root)| after the polish
+    limit: np.ndarray  # (S,) the largest residual accepted
 
     @property
     def failed(self) -> np.ndarray:
@@ -470,10 +480,11 @@ class RootStack:
         return self
 
 
-def solve_roots(ps: PrincipalSymbol, t: float, slc: PathSlice | None, x: Coords, xi: Coords,
+def solve_roots(ps: PrincipalSymbol, contexts: Sequence[Context], x: Coords, xi: Coords,
                 residual_tol: float | None = None) -> RootStack:
-    """All m roots of p(tau) = 0 at N samples that share (t, slc); x and xi
-    hold (N,) arrays per axis.
+    """All m roots of p(tau) = 0 at N samples in each (t, slc) context, in
+    one stack; x and xi hold (N,) arrays per axis. The coefficients are
+    evaluated once per context.
 
     Two Newton steps polish every root whose derivative clears
     1e-12 (1 + |root|)^(m-1). A sample fails when its final residual exceeds
@@ -482,7 +493,8 @@ def solve_roots(ps: PrincipalSymbol, t: float, slc: PathSlice | None, x: Coords,
     """
     if residual_tol is None:
         residual_tol = ROOT_RESIDUAL_TOL
-    c = ps.coefficients(t, slc, x, xi)
+    c = np.concatenate([ps.coefficients(t, slc, x, xi) for t, slc in contexts])
+    xi = tuple(np.tile(a, len(contexts)) for a in xi)
     m = ps.m
     roots = _poly_roots_monic(c)
     for _ in range(2):
@@ -501,7 +513,7 @@ def characteristic_roots(ps: PrincipalSymbol, t: float, slc: PathSlice | None, x
     """All m roots of p(tau) = 0 at one sample point, Newton-polished and
     sorted: `solve_roots` on one sample. Raises RootSolveError when the final
     residual misses its target."""
-    stack = solve_roots(ps, t, slc, one_sample(x), one_sample(xi), residual_tol)
+    stack = solve_roots(ps, [(t, slc)], one_sample(x), one_sample(xi), residual_tol)
     return stack.checked().roots[0]
 
 
@@ -530,7 +542,8 @@ class HypothesisReport:
     h2_margin: float
     h3_margin: float
     epsilon: float
-    num_samples: int
+    num_samples: int  # points of the audit grid
+    root_samples_solved: int  # distinct points, each solved once
 
     @property
     def h1_pass(self) -> bool:
@@ -558,23 +571,43 @@ class HypothesisReport:
         }
 
 
+def audit_roots(ps: PrincipalSymbol, dim: int, num_angles: int, num_x: int,
+                seed: int) -> tuple[list[Context], list[Coords], list[np.ndarray], RootStack]:
+    """The distinct samples of a root audit and their one stacked solve.
+
+    The audit grid is every sampled (t, path) context x num_x positions x the
+    unit directions. A principal that does not read the path takes each
+    distinct time once, with no slice, and one that does not depend on x takes
+    one position, since the other points of the grid repeat those roots.
+    Returns (contexts, positions, directions, solve), the solve over
+    sample_grid(positions, directions) in each context.
+    """
+    contexts = (sample_contexts(seed) if ps.requires_path
+                else [(SAMPLE_TIME_GRID.node(k), None) for k in _sample_nodes()])
+    positions = (sample_positions(dim, num_x) if ps.x_dependent
+                 else [tuple(np.array(0.0) for _ in range(dim))])
+    directions = sample_directions(dim, num_angles)
+    x, xi = sample_grid(positions, directions)
+    return contexts, positions, directions, solve_roots(ps, contexts, x, xi)
+
+
 def check_hypotheses(ps: PrincipalSymbol, dim: int = 1, *, epsilon: float = 0.1,
                      num_angles: int = 64, num_x: int = 8, seed: int = 0) -> HypothesisReport:
-    """Sample roots over the unit sphere x time x path x position and report margins."""
-    x, xi = sample_grid(sample_positions(dim, num_x), sample_directions(dim, num_angles))
+    """Sample roots over the unit sphere x time x path x position and report
+    margins. The margins are minima, so solving each distinct sample once
+    (`audit_roots`) gives those of the whole grid, whose size is num_samples."""
+    _, _, directions, solve = audit_roots(ps, dim, num_angles, num_x, seed)
+    roots = solve.checked().roots
     h1 = h2 = h3 = math.inf
-    count = 0
-    for t, slc in sample_contexts(seed):
-        roots = solve_roots(ps, t, slc, x, xi).checked().roots
-        count += len(roots)
-        dists = pairwise_distances(roots)
-        if dists.size:
-            h1 = min(h1, float(dists.min()))
-            distinct_tol = COMPLEX_ROOT_REL_TOL * (1.0 + np.abs(roots).max(axis=1, keepdims=True))
-            distinct = dists[dists > distinct_tol]
-            if distinct.size:
-                h3 = min(h3, float(distinct.min()))
-        complex_roots = is_complex_root(roots)
-        if complex_roots.any():
-            h2 = min(h2, float(np.abs(roots.imag[complex_roots]).min()))
-    return HypothesisReport(h1, h2, h3, epsilon, count)
+    dists = pairwise_distances(roots)
+    if dists.size:
+        h1 = float(dists.min())
+        distinct_tol = COMPLEX_ROOT_REL_TOL * (1.0 + np.abs(roots).max(axis=1, keepdims=True))
+        distinct = dists[dists > distinct_tol]
+        if distinct.size:
+            h3 = float(distinct.min())
+    complex_roots = is_complex_root(roots)
+    if complex_roots.any():
+        h2 = float(np.abs(roots.imag[complex_roots]).min())
+    num_samples = SAMPLE_PATHS * len(_sample_nodes()) * num_x * len(directions)
+    return HypothesisReport(h1, h2, h3, epsilon, num_samples, len(roots))

@@ -122,7 +122,7 @@ def test_criterion_06_diagonalization_on_random_samples():
         margin = float(pairwise_distances(
             characteristic_roots(ps, 0.0, None, x, unit)).min())
         min_margin = min(min_margin, margin)
-        diag = diagonalize(solve_roots(ps, 0.0, None, x, xi).checked())
+        diag = diagonalize(solve_roots(ps, [(0.0, None)], x, xi).checked())
         worst_resid = max(worst_resid, float(diag.residual[0]))
         roots = characteristic_roots(ps, 0.0, None, x, xi)
         for lam in diag.eigenvalues[0]:

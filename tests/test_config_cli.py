@@ -11,7 +11,7 @@ import pytest
 from spdolab import ConfigError, parse_config
 from spdolab import cli
 from spdolab.cli import main
-from spdolab.reports import format_number, jsonable, sha256_digest, write_csv
+from spdolab.reports import format_cell, format_number, jsonable, sha256_digest, write_csv
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -133,6 +133,17 @@ class TestReportFormats:
         assert data.decode().splitlines()[1].endswith("pass")
         assert data.decode().splitlines()[2].endswith("fail")
 
+    def test_csv_cells_match_format_cell(self, tmp_path):
+        cells = [True, False, np.True_, np.bool_(False), 0, -7, 2**70, np.int32(-3),
+                 np.uint8(200), 0.0, -0.0, math.pi, 1e-300, -2.5e300, math.nan, math.inf,
+                 -math.inf, np.float64(-0.0), np.float64(math.nan), np.float32(0.1),
+                 np.float64(-math.inf), "pass", "a;b"]
+        rows = [tuple(cells), tuple(reversed(cells)), (1.5, 2), (True, 0.25), (2, 1.5), ()]
+        p = tmp_path / "cells.csv"
+        write_csv(p, ["h"], rows)
+        lines = p.read_text().split("\n")
+        assert lines[1:] == [",".join(format_cell(v) for v in row) for row in rows] + [""]
+
     def test_jsonable_coercions(self):
         out = jsonable({"a": np.float64(1.5), "b": np.int32(2), "c": math.inf,
                         "d": np.array([1.0, 2.0]), "e": np.True_})
@@ -155,6 +166,23 @@ class TestCliRuns:
         assert payload["h1_margin"] == 4.0
         assert payload["h2_margin"] == "inf"
         assert payload["h3_margin"] == 4.0
+
+    # each distinct sample is solved once; num_samples counts the whole grid
+    @pytest.mark.parametrize("principal,solved", [
+        ("wave:2", 96), ("variable-wave:2,0.5,0", 768), ("variable-wave:2,0.5,0.3", 1536)])
+    def test_root_samples_solved(self, tmp_path, principal, solved):
+        common = f"principal = {principal}\nn = 2\nnum-angles = 32\nnum-x = 8\n"
+        code, out = self.run(tmp_path, "command = roots-check\n" + common, "roots-check")
+        assert code in (0, 1)
+        hypotheses = json.loads((out / "hypotheses.json").read_text())
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert hypotheses["num_samples"] == 1536 and "work" not in hypotheses
+        assert results == {**hypotheses, "work": {"root_samples_solved": solved}}
+        code, out = self.run(tmp_path, "command = reduce\n" + common, "reduce", "reduce")
+        assert code == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["work"] == {"root_samples_solved": solved}
+        assert results["samples"] == 2 * solved
 
     def test_misdeclared_symbol_exits_one(self, tmp_path):
         text = "command = symbol-verify\nsymbol = xi2\nl = 1\n"

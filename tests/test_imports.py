@@ -1,17 +1,22 @@
-"""Every module-level import in the package is used by its module.
+"""Imports: every module-level import in the package is used by its module,
+and a CLI run loads no module it does not need.
 
-No linter ships with the project, so this parses each module with `ast`:
-a name bound by a top-level `import` or `from ... import` must appear as a
-name somewhere in the module. `__init__.py` re-exports by importing, so it
-is left out.
+No linter ships with the project, so the first check parses each module with
+`ast`: a name bound by a top-level `import` or `from ... import` must appear
+as a name somewhere in the module. `__init__.py` re-exports by importing, so
+it is left out.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "spdolab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spdolab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +42,28 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+# np.unique imports numpy.ma on its first call, 10-17 ms per process
+NO_MASKED_ARRAYS = """
+import sys
+from pathlib import Path
+from spdolab.cli import main
+from spdolab.config import parse_config
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for cfg in sorted(configs.glob("*.cfg")):
+    command = parse_config(str(cfg)).command
+    assert main([command, "--config", str(cfg), "--out", str(out / cfg.stem)]) in (0, 1), cfg
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_shipped_configs_do_not_import_numpy_ma(tmp_path):
+    src = str(PACKAGE.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(ROOT / "configs"),
+                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    shipped = list((ROOT / "configs").glob("*.cfg"))
+    assert shipped and len(list(tmp_path.glob("*/report.json"))) == len(shipped)

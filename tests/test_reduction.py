@@ -113,7 +113,7 @@ class TestDiagonalization:
         ps = random_principal(int(rng.integers(2, 5)), rng, min_separation=0.6)
         x = samples([0.1])
         xi = samples([float(rng.uniform(1.0, 12.0)) * rng.choice([-1.0, 1.0])])
-        diag = diagonalize(solve_roots(ps, 0.0, None, x, xi).checked())
+        diag = diagonalize(solve_roots(ps, [(0.0, None)], x, xi).checked())
         assert diag.residual[0] <= 1e-10
         assert np.isfinite(diag.condition_number[0])
         recon = diag.vectors[0] @ np.diag(diag.eigenvalues[0]) @ diag.vectors_inverse[0]
@@ -121,7 +121,7 @@ class TestDiagonalization:
         assert np.max(np.abs(recon - mat)) <= 1e-8 * max(1.0, np.max(np.abs(mat)))
 
     def test_repeated_root_rejected(self):
-        solved = solve_roots(make_principal("double-root"), 0.0, None,
+        solved = solve_roots(make_principal("double-root"), [(0.0, None)],
                              samples([0.0]), samples([2.0])).checked()
         with pytest.raises(DegenerateDiagonalizationError):
             diagonalize(solved)
@@ -215,9 +215,11 @@ class TestConsistency:
 
 class TestReductionTable:
     def test_row_inventory_and_residuals(self):
-        rows = reduction_table(make_principal("mixed-cubic"), 1, num_angles=2)
+        table = reduction_table(make_principal("mixed-cubic"), 1, num_angles=2)
+        rows = table.rows
         # 3 times x 1 position x 2 directions x 3 branches
         assert len(rows) == 18
+        assert table.root_samples_solved == 6
         assert {r.branch for r in rows} == {0, 1, 2}
         # direction -1 is reported as the angle pi
         assert {r.angle for r in rows} == {0.0, np.pi}

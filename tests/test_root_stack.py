@@ -16,7 +16,7 @@ import pytest
 from spdolab import (BranchCrossingError, DegenerateDiagonalizationError, RootSolveError,
                      branch_symbol, check_elliptic, check_hypotheses, reduction_table,
                      split_roots, verify_symbol_order)
-from spdolab import symbols
+from spdolab import reduction, symbols
 from spdolab.catalog import make_principal, make_symbol, random_principal
 from spdolab.reduction import BRANCH_AMBIGUITY_TOL
 from spdolab.symbols import (COMPLEX_ROOT_REL_TOL, _multi_indices, _nested_fd,
@@ -34,6 +34,8 @@ def gallery():
     out.append(("from-roots:0,0.5,2", make_principal("from-roots:0,0.5,2"), (2,)))
     out.append(("from-roots:1,-1,2,0.5", make_principal("from-roots:1,-1,2,0.5"), (1, 2)))
     out.append(("random-trig-3", random_principal(3, np.random.default_rng(7), trig=True), (1, 2)))
+    # depends on x and on the path
+    out.append(("variable-wave:2,0.5,0.3", make_principal("variable-wave:2,0.5,0.3"), (1, 2)))
     return out
 
 
@@ -237,7 +239,7 @@ def test_stacked_roots_match_oracle(label, ps, dims):
         directions = sample_directions(dim, 32)
         x, xi = sample_grid(positions, directions)
         for t, slc in sample_contexts(0):
-            stack = solve_roots(ps, t, slc, x, xi)
+            stack = solve_roots(ps, [(t, slc)], x, xi)
             expected = [oracle_roots(ps, t, slc, p, tuple(np.array(d) for d in direction))
                         for p in positions for direction in directions]
             assert bitwise(stack.roots, np.array([e[0] for e in expected])), (label, dim, t)
@@ -249,7 +251,7 @@ def test_zero_coefficient_samples_deflate():
     # c_0 = 0: the zero root is exact, the others come from a 2x2 companion
     ps = make_principal("from-roots:0,0.5,2")
     x, xi = sample_grid(sample_positions(2, 8), sample_directions(2, 32))
-    roots = solve_roots(ps, 0.0, None, x, xi).roots
+    roots = solve_roots(ps, [(0.0, None)], x, xi).roots
     assert np.count_nonzero(roots == 0) == len(roots)
 
 
@@ -265,7 +267,7 @@ def test_first_failed_sample_named():
     ps = random_principal(3, np.random.default_rng(5))
     positions, directions = sample_positions(2, 8), sample_directions(2, 32)
     x, xi = sample_grid(positions, directions)
-    stack = solve_roots(ps, 0.0, None, x, xi, residual_tol=1e-18)
+    stack = solve_roots(ps, [(0.0, None)], x, xi, residual_tol=1e-18)
     expected = [oracle_roots(ps, 0.0, None, p, tuple(np.array(d) for d in direction), 1e-18)
                 for p in positions for direction in directions]
     assert stack.failed.tolist() == [res > lim for _, res, lim in expected]
@@ -329,7 +331,60 @@ def test_hypotheses_split_and_reduction_match_oracle(label, ps, dims):
         if isinstance(expected, Exception):
             assert same_error(got, expected), (got, expected)
         else:
-            assert [tuple(vars(r).values()) for r in got] == expected
+            assert [tuple(vars(r).values()) for r in got.rows] == expected
+
+
+@pytest.mark.parametrize("selector,contexts", [
+    ("wave:2", 3), ("variable-wave:2,0.5,0", 3), ("variable-wave:2,0.5,0.3", 6)])
+def test_audits_solve_once_per_call(monkeypatch, selector, contexts):
+    # one stacked solve per audit, with the coefficients evaluated once per
+    # distinct context: each time once for a path-free principal, every
+    # sampled (t, path) context for one that reads the path; the reduction
+    # table diagonalizes that one stack once
+    ps = make_principal(selector)
+    calls = {}
+    coefficients, poly_roots = symbols.PrincipalSymbol.coefficients, symbols._poly_roots_monic
+    diagonalize = reduction.diagonalize
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(symbols.PrincipalSymbol, "coefficients",
+                        counted("coefficients", coefficients))
+    monkeypatch.setattr(symbols, "_poly_roots_monic", counted("solves", poly_roots))
+    monkeypatch.setattr(reduction, "diagonalize", counted("diagonalizations", diagonalize))
+    for audit, diagonalizations in ((check_hypotheses, 0), (split_roots, 0),
+                                    (reduction_table, 1)):
+        calls.update(coefficients=0, solves=0, diagonalizations=0)
+        audit(ps, 2, num_angles=8)
+        assert calls == {"coefficients": contexts, "solves": 1,
+                         "diagonalizations": diagonalizations}, audit.__name__
+
+
+@pytest.mark.parametrize("selector,dim", [
+    ("mixed-cubic", 2), ("random-trig-3", 1), ("random-trig-3", 2),
+    ("variable-wave:2,0.5,0.3", 2)])
+def test_hypotheses_name_first_failed_sample_of_the_grid(monkeypatch, selector, dim):
+    # with a residual target below rounding, check_hypotheses raises for the
+    # first failed sample of the whole grid in (t, path, x, angle) order
+    ps = dict((g[0], g[1]) for g in gallery())[selector]
+    monkeypatch.setattr(symbols, "ROOT_RESIDUAL_TOL", 1e-18)
+    first = None
+    for t, slc in sample_contexts(3):
+        for x in sample_positions(dim, 8):
+            for direction in sample_directions(dim, 16):
+                xi = tuple(np.array(d) for d in direction)
+                _, residual, limit = oracle_roots(ps, t, slc, x, xi, 1e-18)
+                if first is None and residual > limit:
+                    first = (f"root refinement for {ps.name} did not converge at xi={xi}: "
+                             f"residual {residual:.3e} exceeds {limit:.3e}")
+    assert first is not None
+    with pytest.raises(RootSolveError) as info:
+        check_hypotheses(ps, dim, num_angles=16, seed=3)
+    assert str(info.value) == first
 
 
 @pytest.mark.parametrize("selector,error", [
