@@ -1,6 +1,7 @@
 """Numerical laboratory for stochastic pseudo-differential operator calculus.
 
-Layers, bottom up: periodic grids and spectral fields (`grid`), Brownian
+Fields are arrays of Fourier coefficients throughout. Layers, bottom up:
+periodic grids, pure-mode coefficients and Sobolev norms (`grid`), Brownian
 paths and windowed additive-noise processes (`paths`), symbols with
 empirical class checkers (`symbols`, `catalog`), quantized operators with
 boundedness and parametrix harnesses (`operators`), companion reduction and
@@ -11,11 +12,10 @@ weighted energy inequality (`carleman`), and the experiment CLI (`config`,
 
 from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
                      DegenerateDiagonalizationError,
-                     DenseCapError, EllipticityError, GridMismatchError,
+                     DenseCapError, EllipticityError,
                      NonFiniteError, OrderFitError, RootSolveError, SpdoLabError,
                      StencilError, WindowError)
-from .grid import (SpectralField, TorusGrid, differentiate, inner, l2_norm,
-                   random_band_limited_field, sobolev_norm)
+from .grid import TorusGrid, mode_coefficients, sobolev_norm
 from .paths import (BrownianPath, PathSlice, Semimartingale, TimeGrid,
                     additive_process, derive_rng, parabolic_window, pinned_window,
                     sample_brownian, sine_window)

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteError
-from .grid import SpectralField, TorusGrid
+from .grid import TorusGrid, mode_coefficients
 from .paths import (Semimartingale, TimeGrid, additive_process, parabolic_window,
                     pinned_window, sample_brownian, sine_window)
 from .operators import SpdoOperator, quantize
@@ -109,8 +109,7 @@ def resolve_process(selector: str, grid: TorusGrid) -> tuple[np.ndarray, np.ndar
     args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
 
     def mode(k, amp):
-        return SpectralField.pure_mode(grid, (int(k),) + (0,) * (grid.dim - 1),
-                                       amp).coefficients
+        return mode_coefficients(grid, (int(k),) + (0,) * (grid.dim - 1), amp)
 
     if name == "deterministic-mode":
         k = args[0] if args else 1
@@ -380,9 +379,6 @@ class ScanResult:
 
     def all_pass(self) -> bool:
         return all(r.verdict for r in self.rows)
-
-    def any_pass(self) -> bool:
-        return any(r.verdict for r in self.rows)
 
 
 def scan(base: CarlemanConfig, mu_list: Sequence[float] | None = None,

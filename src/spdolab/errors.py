@@ -5,10 +5,6 @@ class SpdoLabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class GridMismatchError(SpdoLabError):
-    """An operation combined objects living on different grids."""
-
-
 class DenseCapError(SpdoLabError):
     """A dense-matrix realization was requested beyond the configured size cap."""
 

@@ -1,6 +1,6 @@
 """Quantization of symbols into grid operators.
 
-An operator acts on spectral fields by the left-quantization sum
+An operator acts on fields by the left-quantization sum
 (Au)(x) = sum_xi e^{i x.xi} a(t, w, x, xi) u_hat(xi) over all retained
 frequencies, frozen at a (t, path-slice) context. Every symbol is a short sum
 a = sum_r f_r(x) g_r(xi) (`Symbol.separated`), so the operator applies as
@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DenseCapError, EllipticityError, GridMismatchError
-from .grid import SpectralField, TorusGrid, sobolev_norm
+from .errors import DenseCapError, EllipticityError
+from .grid import TorusGrid, mode_coefficients, sobolev_norm
 from .paths import PathSlice, derive_rng, STREAM_TRIAL_FIELDS
 from .symbols import EllipticityReport, Symbol, check_elliptic, magnitude
 from . import catalog
@@ -40,11 +40,6 @@ def _flat_nodes(grid: TorusGrid) -> tuple[np.ndarray, ...]:
 
 def _flat_frequencies(grid: TorusGrid) -> tuple[np.ndarray, ...]:
     return tuple(g.ravel() for g in grid.frequency_grids())
-
-
-def _check_grid(grid: TorusGrid, u: SpectralField) -> None:
-    if u.grid != grid:
-        raise GridMismatchError(f"field on {u.grid} does not match operator grid {grid}")
 
 
 def _check_dense_cap(grid: TorusGrid) -> None:
@@ -148,15 +143,6 @@ class SpdoOperator:
             else:
                 out += term
         return out
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        _check_grid(self.grid, u)
-        m = self.multiplier()
-        if m is not None:
-            return SpectralField.from_coefficients(
-                self.grid, u.coefficients * m.reshape(self.grid.shape))
-        out = self.apply_many(u.values.reshape(-1, 1))
-        return SpectralField.from_values(self.grid, out.reshape(self.grid.shape))
 
     def apply_many(self, values: np.ndarray) -> np.ndarray:
         """Apply to every column of a (size, n) array of grid values."""
@@ -304,20 +290,22 @@ def boundedness_harness(symbol: Symbol, s: float, *, cutoffs: Sequence[int] = (3
     for cutoff in cutoffs:
         grid = TorusGrid(1, 2 * cutoff)
         op = SpdoOperator(symbol, grid, t, slc)
-        fields = []
-        for spectrum in master:
-            coeffs = np.zeros(grid.size, dtype=complex)
-            for offset, c in zip(range(-band, band + 1), spectrum):
-                coeffs[offset % grid.size] = c
-            fields.append(SpectralField.from_coefficients(grid, coeffs))
-        fields.append(SpectralField.pure_mode(grid, cutoff - 1))
-        fields.append(SpectralField.pure_mode(grid, -cutoff))
+        fields = np.zeros((trials + 2, grid.size), dtype=complex)
+        fields[:trials, np.arange(-band, band + 1) % grid.size] = master
+        fields[trials] = mode_coefficients(grid, cutoff - 1)
+        fields[trials + 1] = mode_coefficients(grid, -cutoff)
+        m = op.multiplier()
+        if m is not None:
+            images = fields * m
+        else:
+            values = _transform(grid, fields.copy(), inverse=True)
+            images = _transform(grid, op.apply_many(values.T).T)
         best = 0.0
-        for u in fields:
-            denom = sobolev_norm(u, s)
+        for u, au in zip(fields, images):
+            denom = sobolev_norm(grid, u, s)
             if denom == 0:
                 continue
-            best = max(best, sobolev_norm(op.apply(u), s - l) / denom)
+            best = max(best, sobolev_norm(grid, au, s - l) / denom)
         rows.append(BoundednessRow(int(cutoff), float(best)))
     return BoundednessReport(symbol.name, l, s, rows)
 
@@ -418,8 +406,8 @@ def parametrix_residual_scan(result: ParametrixResult, op: SpdoOperator,
     if frequencies is None:
         top = grid.frequency_cutoff // 2
         frequencies = sorted(set(np.geomspace(8, top, 7).astype(int))) if top >= 8 else [top]
-    modes = np.stack([SpectralField.pure_mode(grid, (int(k),) + (0,) * (grid.dim - 1))
-                      .values.ravel() for k in frequencies], axis=1)
+    modes = np.stack([np.fft.ifftn(mode_coefficients(grid, (int(k),) + (0,) * (grid.dim - 1)),
+                                   norm="forward").ravel() for k in frequencies], axis=1)
     if side == "left":
         out = result.left.apply_many(op.apply_many(modes)) - modes
     else:

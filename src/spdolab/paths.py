@@ -69,9 +69,6 @@ class BrownianPath:
             raise ValueError(f"cutoff index {cutoff_index} outside [0, {self.time_grid.steps}]")
         return PathSlice(self, cutoff_index)
 
-    def full_slice(self) -> "PathSlice":
-        return PathSlice(self, self.time_grid.steps)
-
 
 @dataclass(frozen=True)
 class PathSlice:
@@ -87,12 +84,6 @@ class PathSlice:
     @property
     def cutoff_time(self) -> float:
         return self.underlying.time_grid.node(self.cutoff_index)
-
-    def value_at_index(self, k: int) -> float:
-        if k > self.cutoff_index:
-            raise AdaptednessError(
-                f"requested node {k} beyond adapted cutoff {self.cutoff_index}")
-        return float(self.underlying.values[k])
 
     def value(self, t: float) -> float:
         """Piecewise-linear interpolant of the path, defined for t <= cutoff_time."""

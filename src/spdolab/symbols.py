@@ -171,6 +171,20 @@ def _direction_rays(dim: int, num_angles: int, radii: np.ndarray) -> Coords:
                  for ax in range(dim))
 
 
+def audit_samples(subject: Symbol | PrincipalSymbol, dim: int, num_x: int,
+                  seed: int) -> tuple[list[Context], list[Coords]]:
+    """The distinct (t, path) contexts and positions an audit evaluates.
+
+    The audit grid is every sampled (t, path) context x num_x positions. A
+    subject that does not read the path takes each distinct time once, with
+    no slice, and one that does not depend on x takes one position, since the
+    other points of the grid repeat those values."""
+    contexts = (sample_contexts(seed) if subject.requires_path
+                else [(SAMPLE_TIME_GRID.node(k), None) for k in _sample_nodes()])
+    positions = (sample_positions(dim, num_x) if subject.x_dependent
+                 else [tuple(np.array(0.0) for _ in range(dim))])
+    return contexts, positions
+
 
 # ---------------------------------------------------------------------------
 # symbol-class verification
@@ -248,8 +262,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
     the floor at fewer than two radii raise OrderFitError.
     """
     radii = np.geomspace(1.0, XI_MAX, NUM_XI)
-    positions = sample_positions(dim, ORDER_NUM_X)
-    contexts = sample_contexts(seed)
+    contexts, positions = audit_samples(symbol, dim, ORDER_NUM_X, seed)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
     xi = _direction_rays(dim, 8, radii)
 
@@ -316,20 +329,19 @@ def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int 
                    seed: int = 0) -> EllipticityReport:
     """Estimate C = min |a| / (1+|xi|)^l over samples with |xi| >= the lower bound."""
     radii = np.geomspace(lower_frequency_bound, XI_MAX, NUM_XI)
-    positions = sample_positions(dim, ELLIPTIC_NUM_X)
-    contexts = sample_contexts(seed)
+    contexts, positions = audit_samples(symbol, dim, ELLIPTIC_NUM_X, seed)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
     xi = _direction_rays(dim, 16, radii)
 
     c_est = math.inf
-    count = 0
     for t, slc in contexts:
         vals = symbol.evaluate(t, slc, xs, xi)
         ratios = np.abs(vals) / (1.0 + radii.reshape(1, -1)) ** symbol.order
         c_est = float(np.minimum(c_est, ratios.min()))  # a NaN stays: not elliptic
-        count += ratios.size
+    num_samples = (SAMPLE_PATHS * len(_sample_nodes()) * ELLIPTIC_NUM_X
+                   * len(sample_directions(dim, 16)) * NUM_XI)
     return EllipticityReport(symbol.name, symbol.order, lower_frequency_bound,
-                             c_est, ELLIPTICITY_FLOOR, count)
+                             c_est, ELLIPTICITY_FLOOR, num_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +585,12 @@ class HypothesisReport:
 
 def audit_roots(ps: PrincipalSymbol, dim: int, num_angles: int, num_x: int,
                 seed: int) -> tuple[list[Context], list[Coords], list[np.ndarray], RootStack]:
-    """The distinct samples of a root audit and their one stacked solve.
-
-    The audit grid is every sampled (t, path) context x num_x positions x the
-    unit directions. A principal that does not read the path takes each
-    distinct time once, with no slice, and one that does not depend on x takes
-    one position, since the other points of the grid repeat those roots.
-    Returns (contexts, positions, directions, solve), the solve over
-    sample_grid(positions, directions) in each context.
+    """The distinct samples of a root audit (`audit_samples` x the unit
+    directions) and their one stacked solve. Returns (contexts, positions,
+    directions, solve), the solve over sample_grid(positions, directions) in
+    each context.
     """
-    contexts = (sample_contexts(seed) if ps.requires_path
-                else [(SAMPLE_TIME_GRID.node(k), None) for k in _sample_nodes()])
-    positions = (sample_positions(dim, num_x) if ps.x_dependent
-                 else [tuple(np.array(0.0) for _ in range(dim))])
+    contexts, positions = audit_samples(ps, dim, num_x, seed)
     directions = sample_directions(dim, num_angles)
     x, xi = sample_grid(positions, directions)
     return contexts, positions, directions, solve_roots(ps, contexts, x, xi)

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from spdolab import (CarlemanConfig, NonFiniteError, SpectralField, TorusGrid, scan,
+from spdolab import (CarlemanConfig, NonFiniteError, TorusGrid, mode_coefficients, scan,
                      verify_inequality)
 from spdolab import carleman, catalog
 from spdolab.cli import main
@@ -129,7 +129,7 @@ class TestFamilies:
     def test_catalog_family(self):
         grid = TorusGrid(1, 16)
         fam = resolve_operator_family("c-dx:2", grid)
-        rows = SpectralField.pure_mode(grid, 3).coefficients.reshape(1, -1)
+        rows = mode_coefficients(grid, 3).reshape(1, -1)
         out = fam.apply_coefficients(rows)
         assert np.allclose(out, 6.0 * rows, atol=1e-12)
 
@@ -144,7 +144,7 @@ class TestFamilies:
         grid = TorusGrid(1, 16)
         fam = resolve_operator_family("reduction-im:laplace:1", grid)
         k = -5
-        rows = SpectralField.pure_mode(grid, k).coefficients.reshape(1, -1)
+        rows = mode_coefficients(grid, k).reshape(1, -1)
         out = fam.apply_coefficients(rows)
         ratio = out[0, k % 16] / rows[0, k % 16]
         assert abs(abs(ratio) - abs(k)) <= 1e-9 or abs(ratio) <= 1e-9
@@ -437,7 +437,7 @@ class TestSupportRoute:
         fam_a1, fam_b1 = self.families(a1, b1, grid)
 
         def mode(k, amp):
-            return SpectralField.pure_mode(grid, (k,) + (0,) * (dim - 1), amp).coefficients
+            return mode_coefficients(grid, (k,) + (0,) * (dim - 1), amp)
 
         for generators in (resolve_process("brownian-mode:0.1,1", grid),
                            resolve_process("deterministic-mode:2,0.5", grid),

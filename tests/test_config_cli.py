@@ -286,6 +286,17 @@ class TestCliRuns:
         assert report["error"]["type"] == "NonFiniteError"
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_process_mode_outside_band_exits_two(self, tmp_path, dim):
+        text = ("command = carleman-scan\nK = 64\nP = 2\nM = 128\n"
+                f"n = {dim}\nprocess = deterministic-mode:200\n")
+        code, out = self.run(tmp_path, text, "carleman-scan")
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"] == {"type": "ValueError",
+                                   "message": "mode 200 outside retained band [-64, 63]"}
+        assert (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("text, error", [
         ("symbol = lambda:103\n", "NonFiniteError"),
         # only the top radius clears the magnitude floor: one point fits no slope

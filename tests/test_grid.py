@@ -1,23 +1,24 @@
-"""Spectral grid and field fundamentals: transforms, norms, derivatives."""
+"""Torus grids, pure-mode coefficients, Parseval and Sobolev norms."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdolab import (GridMismatchError, SpectralField, TorusGrid, differentiate,
-                     inner, l2_norm, random_band_limited_field, sobolev_norm)
+from conftest import band_coefficients, l2_norm, values
+from spdolab import TorusGrid, mode_coefficients, sobolev_norm
+from spdolab.grid import SpectralField
 
 G32 = TorusGrid(1, 32)
 G2D = TorusGrid(2, 16)
 
 modes = st.integers(min_value=-16, max_value=15)
-amps = st.tuples(st.floats(-4, 4), st.floats(-4, 4)).map(lambda p: complex(*p))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def band_field(grid, seed, band=None):
-    rng = np.random.default_rng(seed)
-    return random_band_limited_field(grid, rng, band or grid.frequency_cutoff // 2)
+def band_field(grid, seed):
+    return band_coefficients(grid, np.random.default_rng(seed), grid.frequency_cutoff // 2)
 
 
 class TestTorusGrid:
@@ -45,85 +46,80 @@ class TestTorusGrid:
         assert G2D.frequency_magnitude().shape == (16, 16)
 
 
-class TestSpectralField:
+class TestModeCoefficients:
     def test_pure_mode_coefficient(self):
-        u = SpectralField.pure_mode(G32, 5, 2.0 + 1.0j)
-        assert np.isclose(u.coefficient_at((5,)), 2.0 + 1.0j)
+        c = mode_coefficients(G32, 5, 2.0 + 1.0j)
+        assert c.shape == G32.shape
+        assert c[5] == 2.0 + 1.0j
         # no spectral leakage anywhere else
-        total = np.sum(np.abs(u.coefficients) ** 2)
-        assert np.isclose(total, abs(2.0 + 1.0j) ** 2, atol=1e-14)
+        assert np.count_nonzero(c) == 1
 
     def test_pure_mode_values(self):
-        u = SpectralField.pure_mode(G32, 3)
         x = G32.axis_nodes()
-        assert np.allclose(u.values, np.exp(3j * x), atol=1e-13)
+        assert np.allclose(values(mode_coefficients(G32, 3)), np.exp(3j * x), atol=1e-13)
+        assert np.allclose(values(mode_coefficients(G32, -16)), np.exp(-16j * x), atol=1e-13)
+
+    def test_pure_mode_values_2d(self):
+        x0, x1 = G2D.node_grids()
+        expected = np.exp(1j * (3 * x0 - 2 * x1))
+        assert np.allclose(values(mode_coefficients(G2D, (3, -2))), expected, atol=1e-13)
+
+    @pytest.mark.parametrize("grid, mode, message", [
+        (G32, 16, "mode 16 outside retained band [-16, 15]"),
+        (G32, -17, "mode -17 outside retained band [-16, 15]"),
+        (G2D, (0, 8), "mode 8 outside retained band [-8, 7]"),
+        (G2D, 3, "mode (3,) does not match grid dim 2"),
+    ])
+    def test_rejects_modes_outside_the_grid(self, grid, mode, message):
+        with pytest.raises(ValueError) as info:
+            mode_coefficients(grid, mode)
+        assert str(info.value) == message
 
     @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
     def test_round_trip(self, seed):
-        u = band_field(G32, seed)
-        v = SpectralField.from_coefficients(G32, u.coefficients.copy())
-        assert np.allclose(v.values, u.values, atol=1e-12)
+        c = band_field(G32, seed)
+        assert np.allclose(np.fft.fftn(values(c), norm="forward"), c, atol=1e-12)
 
     @given(seed=seeds)
     @settings(max_examples=25, deadline=None)
     def test_parseval(self, seed):
         # L2 norm under the normalized measure equals the coefficient norm
-        u = band_field(G32, seed)
-        rms = np.sqrt(np.mean(np.abs(u.values) ** 2))
-        coeff = np.sqrt(np.sum(np.abs(u.coefficients) ** 2))
-        assert np.isclose(l2_norm(u), rms, atol=1e-12)
-        assert np.isclose(l2_norm(u), coeff, atol=1e-12)
-
-    @given(seed=seeds, a=amps, b=amps)
-    @settings(max_examples=25, deadline=None)
-    def test_linearity(self, seed, a, b):
-        u = band_field(G32, seed)
-        v = band_field(G32, seed + 1)
-        w = a * u + b * v
-        assert np.allclose(w.coefficients,
-                           a * u.coefficients + b * v.coefficients, atol=1e-10)
-
-    def test_grid_mismatch(self):
-        u = SpectralField.pure_mode(G32, 1)
-        v = SpectralField.pure_mode(TorusGrid(1, 64), 1)
-        with pytest.raises(GridMismatchError):
-            _ = u + v
+        c = band_field(G32, seed)
+        rms = np.sqrt(np.mean(np.abs(values(c)) ** 2))
+        assert np.isclose(l2_norm(c), rms, atol=1e-12)
 
 
-class TestCalculus:
-    @given(k=modes)
-    @settings(max_examples=25, deadline=None)
-    def test_differentiate_pure_mode(self, k):
-        # D_x = (1/i) d/dx multiplies mode k by k exactly
-        u = SpectralField.pure_mode(G32, k)
-        d = differentiate(u, order=1)
-        assert np.allclose(d.values, k * u.values, atol=1e-12)
-        d2 = differentiate(u, order=2)
-        assert np.allclose(d2.values, k**2 * u.values, atol=1e-11)
+class TestSpectralField:
+    def test_pure_mode_pairs_grid_and_coefficients(self):
+        u = SpectralField.pure_mode(G2D, (3, -2), 0.5)
+        assert u.grid == G2D
+        assert np.array_equal(u.coefficients, mode_coefficients(G2D, (3, -2), 0.5))
+        assert np.array_equal(u.values, values(u.coefficients))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.grid = G32
 
-    def test_differentiate_2d_axis(self):
-        u = SpectralField.pure_mode(G2D, (3, -2))
-        dx0 = differentiate(u, order=1, axis=0)
-        dx1 = differentiate(u, order=1, axis=1)
-        assert np.allclose(dx0.values, 3 * u.values, atol=1e-12)
-        assert np.allclose(dx1.values, -2 * u.values, atol=1e-12)
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            SpectralField(G2D, mode_coefficients(G32, 1))
 
+
+class TestSobolev:
     @given(k=modes, s=st.sampled_from([-1.0, 0.0, 1.0, 2.0]))
     @settings(max_examples=25, deadline=None)
     def test_sobolev_pure_mode(self, k, s):
         # closed form: ||e^{ikx}||_{H^s} = (1 + k^2)^{s/2}
-        u = SpectralField.pure_mode(G32, k)
-        assert np.isclose(sobolev_norm(u, s), (1 + k**2) ** (s / 2), rtol=1e-12)
+        c = mode_coefficients(G32, k)
+        assert np.isclose(sobolev_norm(G32, c, s), (1 + k**2) ** (s / 2), rtol=1e-12)
+
+    @pytest.mark.parametrize("s", [-1.0, 0.5, 2.0])
+    def test_sobolev_pure_mode_2d_flattened(self, s):
+        c = mode_coefficients(G2D, (3, -2), 2.0)
+        expected = 2.0 * (1 + 9 + 4) ** (s / 2)
+        assert np.isclose(sobolev_norm(G2D, c, s), expected, rtol=1e-12)
+        assert sobolev_norm(G2D, c.ravel(), s) == sobolev_norm(G2D, c, s)
 
     def test_sobolev_zero_is_l2(self):
-        u = band_field(G32, seed=11)
-        assert np.isclose(sobolev_norm(u, 0.0), l2_norm(u), rtol=1e-12)
-
-    @given(seed=seeds)
-    @settings(max_examples=25, deadline=None)
-    def test_inner_pairing(self, seed):
-        u = band_field(G32, seed)
-        v = band_field(G32, seed + 7)
-        assert np.isclose(inner(u, u).real, l2_norm(u) ** 2, rtol=1e-10)
-        assert np.isclose(inner(u, v), np.conj(inner(v, u)), atol=1e-12)
+        c = band_field(G32, seed=11)
+        rms = np.sqrt(np.mean(np.abs(values(c)) ** 2))
+        assert np.isclose(sobolev_norm(G32, c, 0.0), rms, rtol=1e-12)

@@ -1,10 +1,11 @@
 """Imports: every module-level import in the package is used by its module,
-and a CLI run loads no module it does not need.
+only `grid.py` names `SpectralField`, and a CLI run loads no module it does
+not need.
 
-No linter ships with the project, so the first check parses each module with
+No linter ships with the project, so the first checks parse each module with
 `ast`: a name bound by a top-level `import` or `from ... import` must appear
-as a name somewhere in the module. `__init__.py` re-exports by importing, so
-it is left out.
+as a name somewhere in the module (`__init__.py` re-exports by importing, so
+it is left out of that one).
 """
 
 import ast
@@ -42,6 +43,35 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(module):
     assert unused_imports(module.read_text()) == []
+
+
+def named(source: str) -> set[str]:
+    """Every identifier a module names: variables, attributes, imported names
+    and defined classes."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname)
+    return names
+
+
+def test_detects_a_named_class():
+    assert "SpectralField" in named("from .grid import SpectralField as F\n")
+    assert "SpectralField" in named("from . import grid\nf = grid.SpectralField\n")
+    assert "SpectralField" not in named('"""A SpectralField in a docstring."""\n')
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_grid_names_spectral_field(module):
+    # every other module holds a field as its coefficient array
+    assert ("SpectralField" in named(module.read_text())) == (module.name == "grid.py")
 
 
 # np.unique imports numpy.ma on its first call, 10-17 ms per process

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spdolab import (AdaptednessError, SpectralField, TimeGrid, TorusGrid, WindowError,
-                     additive_process, derive_rng, l2_norm, parabolic_window,
+from conftest import l2_norm, values
+from spdolab import (AdaptednessError, TimeGrid, TorusGrid, WindowError,
+                     additive_process, derive_rng, mode_coefficients, parabolic_window,
                      pinned_window, sample_brownian, sine_window)
 from spdolab.paths import Semimartingale
 
@@ -16,7 +17,7 @@ UNWINDOWED = np.ones(TG.steps + 1)  # eta = 1: the process Y itself
 
 def snapshot(z, k, grid=GRID):
     """Node k of a process built from a grid's flat Fourier coefficients."""
-    return SpectralField.from_coefficients(grid, z.coefficients[k].reshape(grid.shape))
+    return z.coefficients[k].reshape(grid.shape)
 
 
 def stepped(initial, noise, path, eta):
@@ -76,15 +77,13 @@ class TestBrownianPath:
     def test_adapted_access_guard(self):
         path = sample_brownian(0, 0, TG)
         slc = path.slice_at(10)
-        assert slc.value_at_index(10) == path.values[10]
-        with pytest.raises(AdaptednessError):
-            slc.value_at_index(11)
+        assert np.isclose(slc.value(TG.node(10)), path.values[10], rtol=0, atol=1e-15)
         with pytest.raises(AdaptednessError):
             slc.value(TG.node(10) + 2 * TG.dt)
 
     def test_slice_interpolant(self):
         path = sample_brownian(0, 0, TG)
-        slc = path.full_slice()
+        slc = path.slice_at(TG.steps)
         t = 0.5 * (TG.node(3) + TG.node(4))
         expected = 0.5 * (path.values[3] + path.values[4])
         assert np.isclose(slc.value(t), expected)
@@ -93,19 +92,19 @@ class TestBrownianPath:
 class TestAdditiveProcess:
     def test_constant_diffusion_is_exact(self):
         # dY = g dw with constant g integrates exactly: Y_k = g w_k
-        g = SpectralField.pure_mode(GRID, 2, 0.5)
+        g = mode_coefficients(GRID, 2, 0.5)
         path = sample_brownian(1, 0, TG)
-        z = additive_process(np.zeros(GRID.size, complex), g.coefficients, UNWINDOWED, path)
+        z = additive_process(np.zeros(GRID.size, complex), g, UNWINDOWED, path)
         for k in (0, 7, TG.steps):
-            expected = float(path.values[k]) * g.values
-            assert np.allclose(snapshot(z, k).values, expected, atol=1e-13)
+            expected = float(path.values[k]) * values(g)
+            assert np.allclose(values(snapshot(z, k)), expected, atol=1e-13)
 
     def test_quadratic_variation_identity(self):
         # for Y = g w the realized QV equals ||g||^2 sum (dw)^2 exactly; by
         # Parseval it is the sum of |dz|^2 over the Fourier columns
-        g = SpectralField.pure_mode(GRID, 1, 2.0)
+        g = mode_coefficients(GRID, 1, 2.0)
         path = sample_brownian(4, 0, TG)
-        z = additive_process(np.zeros(GRID.size, complex), g.coefficients, UNWINDOWED, path)
+        z = additive_process(np.zeros(GRID.size, complex), g, UNWINDOWED, path)
         qv = np.sum(np.abs(np.diff(z.coefficients, axis=0)) ** 2, axis=1)
         expected = l2_norm(g) ** 2 * np.diff(path.values) ** 2
         assert np.allclose(qv, expected, atol=1e-12)
@@ -129,8 +128,8 @@ class TestAdditiveNoiseRoute:
     def fields(grid, initial_amp, noise_amp):
         """Flat coefficients of Y_0 and g on one mode, and that mode's column."""
         mode = (1,) + (0,) * (grid.dim - 1)
-        return (SpectralField.pure_mode(grid, mode, initial_amp).coefficients.reshape(-1),
-                SpectralField.pure_mode(grid, mode, noise_amp).coefficients.reshape(-1),
+        return (mode_coefficients(grid, mode, initial_amp).reshape(-1),
+                mode_coefficients(grid, mode, noise_amp).reshape(-1),
                 np.ravel_multi_index(mode, grid.shape))
 
     @pytest.mark.parametrize("grid, initial_amp, noise_amp", CASES, ids=IDS)
@@ -163,8 +162,8 @@ class TestAdditiveNoiseRoute:
     def test_initial_and_noise_share_the_given_columns(self):
         # columns 3 and 14 (modes 3 and -2): Y_0 sits on one and g on the other
         path = sample_brownian(7, 0, TG)
-        initial = SpectralField.pure_mode(GRID, -2, 1.0).coefficients
-        noise = SpectralField.pure_mode(GRID, 3, 0.2).coefficients
+        initial = mode_coefficients(GRID, -2, 1.0)
+        noise = mode_coefficients(GRID, 3, 0.2)
         z = additive_process(initial[[3, 14]], noise[[3, 14]], UNWINDOWED, path)
         assert z.coefficients.shape == (TG.steps + 1, 2)
         loop = stepped(initial, noise, path, UNWINDOWED)
@@ -175,8 +174,7 @@ class TestAdditiveNoiseRoute:
         # row j of a stacked call is the single call on (Y_0[j], g[j]); row 0
         # is the Ito steps of (Y_0, g)
         def mode(k, amp):
-            return SpectralField.pure_mode(grid, (k,) + (0,) * (grid.dim - 1),
-                                           amp).coefficients.reshape(-1)
+            return mode_coefficients(grid, (k,) + (0,) * (grid.dim - 1), amp).reshape(-1)
 
         initial = np.stack([mode(1, 0.5), 2.0 * mode(1, 0.5), np.zeros(grid.size), mode(-3, 1.0)])
         noise = np.stack([mode(1, 0.1), mode(1, 0.2) - 1j * mode(2, 0.3), mode(2, 0.1),
@@ -198,7 +196,7 @@ class TestAdditiveNoiseRoute:
     def test_output_array_is_reused(self):
         # a cell hands each path the previous path's coefficients to write into
         initial = np.zeros((3, GRID.size), complex)
-        noise = np.stack([SpectralField.pure_mode(GRID, k, 0.1).coefficients for k in (1, 2, 3)])
+        noise = np.stack([mode_coefficients(GRID, k, 0.1) for k in (1, 2, 3)])
         eta = pinned_window(sine_window(TG), TG)
         first = additive_process(initial, noise, eta, sample_brownian(7, 0, TG))
         path = sample_brownian(7, 1, TG)
@@ -239,9 +237,9 @@ class TestWindows:
         assert np.max(eta) > 0.5
 
     def test_pinned_process_endpoints_exact(self):
-        g = SpectralField.pure_mode(GRID, 1, 0.3)
+        g = mode_coefficients(GRID, 1, 0.3)
         path = sample_brownian(2, 0, TG)
-        z = additive_process(np.zeros(GRID.size, complex), g.coefficients,
+        z = additive_process(np.zeros(GRID.size, complex), g,
                              pinned_window(sine_window(TG), TG), path)
         assert l2_norm(snapshot(z, 0)) == 0.0
         assert l2_norm(snapshot(z, TG.steps)) == 0.0

@@ -200,7 +200,7 @@ class TestConsistency:
     def test_manufactured_rows_and_order(self, principal, dim, path, forced):
         tg = TimeGrid(0.25, 64)
         man = detuned_solution(TorusGrid(dim, 16), omega=3.0, mode=2 if dim == 1 else (2, 1))
-        slc = sample_brownian(3, 0, tg).full_slice() if path else None
+        slc = sample_brownian(3, 0, tg).slice_at(tg.steps) if path else None
         lower = ((0, make_symbol("brownian-lambda:0.5,0")), (1, make_symbol("trig:1,0.3,0")))
         report = reduction_consistency_check(man, make_principal(principal), tg, slc=slc,
                                              lower_order=lower if forced else ())

@@ -25,7 +25,9 @@ from spdolab.symbols import (COMPLEX_ROOT_REL_TOL, _multi_indices, _nested_fd,
 
 ROOT_GALLERY = ["wave:1", "wave:2", "laplace", "mixed-cubic", "variable-wave:2,0.5,0",
                 "double-root", "from-roots:1,-1,2"]
-AUDITED_SYMBOLS = ["lambda:1", "xi", "c-dx", "abs-xi", "trig-lambda:2,1,0,1", "mod-xi:1"]
+# brownian-lambda reads the path
+AUDITED_SYMBOLS = ["lambda:1", "xi", "c-dx", "abs-xi", "trig-lambda:2,1,0,1", "mod-xi:1",
+                   "brownian-lambda:5,1"]
 
 
 def gallery():
@@ -362,6 +364,32 @@ def test_audits_solve_once_per_call(monkeypatch, selector, contexts):
         audit(ps, 2, num_angles=8)
         assert calls == {"coefficients": contexts, "solves": 1,
                          "diagonalizations": diagonalizations}, audit.__name__
+
+
+@pytest.mark.parametrize("selector,contexts,order_x,elliptic_x", [
+    ("lambda:1", 3, 1, 1), ("trig-lambda:2,1,0,1", 3, 8, 16), ("brownian-lambda:5,1", 6, 1, 1)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_symbol_audits_evaluate_distinct_samples(monkeypatch, selector, contexts, order_x,
+                                                 elliptic_x, dim):
+    # the order and ellipticity audits evaluate a symbol at each sampled time
+    # once, with no slice, unless it reads the path, and at one position
+    # unless it depends on x
+    sym = make_symbol(selector)
+    rule = sym.fn
+    seen = set()
+
+    def recorded(t, slc, x, xi):
+        path = None if slc is None else (slc.underlying.path_index, slc.cutoff_index)
+        seen.add((t, path, np.shape(x[0])[0]))
+        return rule(t, slc, x, xi)
+
+    monkeypatch.setattr(sym, "fn", recorded)
+    for audit, num_x in ((verify_symbol_order, order_x), (check_elliptic, elliptic_x)):
+        seen.clear()
+        audit(sym, dim=dim)
+        assert len({(t, path) for t, path, _ in seen}) == contexts, audit.__name__
+        assert all((path is None) == (contexts == 3) for _, path, _ in seen)
+        assert {n for _, _, n in seen} == {num_x}, audit.__name__
 
 
 @pytest.mark.parametrize("selector,dim", [

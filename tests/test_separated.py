@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spdolab import (SpdoOperator, TorusGrid, composition_symbol, parametrix, quantize,
-                     random_band_limited_field)
+from conftest import band_coefficients, values
+from spdolab import SpdoOperator, TorusGrid, composition_symbol, parametrix, quantize
 from spdolab.catalog import (make_symbol, symbol_conjugate, symbol_product, symbol_scale,
                              symbol_sum)
 from spdolab.operators import frequency_taper, parametrix_symbol
@@ -44,8 +44,8 @@ def transform(grid, rows, inverse=False):
 
 def random_columns(grid, n, seed):
     rng = np.random.default_rng(seed)
-    fields = [random_band_limited_field(grid, rng) for _ in range(n)]
-    return np.stack([u.values.ravel() for u in fields], axis=1)
+    fields = [band_coefficients(grid, rng) for _ in range(n)]
+    return np.stack([values(u).ravel() for u in fields], axis=1)
 
 
 def assert_close(got, expect, what):
