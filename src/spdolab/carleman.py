@@ -17,15 +17,24 @@ use the trapezoidal rule. The verdict compares the gap rhs - lhs against
 -3 standard errors; a scan maps the (mu, T) validity region empirically.
 
 Every process is windowed additive noise z = eta (Y_0 + g w), and A1, B1, B1*
-are linear and frozen, so A z = eta (A Y_0 + w A g). A cell applies each
+are linear and frozen, so A z = eta (A Y_0 + w A g). A scan applies each
 family once, to the generators (Y_0, g). Every spatial pairing the terms take
 is an inner product among those at most 2J generator images (J = 3 or 4
-images per generator), so the cell also takes, once, their coordinates in an
+images per generator), so the scan also takes, once, their coordinates in an
 orthonormal basis of their span (`image_coordinates`). By Parseval and
 Q^H Q = I these coordinates pair as the Fourier coefficients do, exactly up
 to rounding, on at most 2J columns, and on one column for Fourier multipliers
-on a one-mode process. Every path then builds z and its images on those coordinates in
-one cumulative sum (`paths.additive_process`).
+on a one-mode process.
+
+Path p uses the same K standard normals in every cell, so a scan draws them
+once (`paths.brownian_normals`), a block of paths at a time. Each horizon
+scales a block's normals to Brownian values and builds z and its images for
+the block in one cumulative sum (`paths.additive_paths`); the six terms of
+every mu of that horizon are then taken on the block, along its leading path
+axis (`block_terms`). A block holds at most `BLOCK_ENTRIES` complex entries,
+so memory is bounded whatever P is, but for the (P, 6) terms of each cell.
+Each path goes through the same operations in any block, so no result
+depends on the blocking, and `verify_inequality` is the one-cell scan.
 
 The weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)}
 <= 1: the unscaled maximum e^{mu T^2} overflows once mu T^2 exceeds about
@@ -35,6 +44,7 @@ The weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)}
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable, Sequence
@@ -43,12 +53,17 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .grid import TorusGrid, mode_coefficients
-from .paths import (Semimartingale, TimeGrid, additive_process, parabolic_window,
-                    pinned_window, sample_brownian, sine_window)
+from .paths import (Semimartingale, TimeGrid, additive_paths, brownian_normals, brownian_values,
+                    parabolic_window, pinned_window, sine_window)
 from .operators import SpdoOperator, quantize
 from . import catalog, reduction
 
 TERM_LABELS = ("term1", "term2", "term3", "term4", "term5", "term6")
+
+# complex entries of one block of paths, (B, J, K+1, S): bounds a scan's
+# memory whatever P is, and changes no result. 2^16 ran scans at most 16%
+# faster but raised the peak resident memory of a CLI run; 2^13 lowered it.
+BLOCK_ENTRIES = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -255,86 +270,74 @@ def time_weights(time_grid: TimeGrid, mu: float) -> tuple[np.ndarray, np.ndarray
     return shift, np.exp(mu * (shift**2 - horizon**2)), trap
 
 
-def path_terms(z: Semimartingale, mu: float,
-               weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-               work: np.ndarray | None = None) -> np.ndarray:
-    """Six inequality terms along one realized path, (term1, term2, r1..r4),
-    with the weight scaled by e^{-mu T^2}.
+def block_terms(coefficients: np.ndarray, time_grid: TimeGrid, mu: float,
+                weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Six inequality terms along each path of a block, (B, 6) = (term1, term2,
+    r1..r4) per path, with the weight scaled by e^{-mu T^2}.
 
-    `z.coefficients` is the (J, K+1, S) stack of z, A1 z, B1 z and, unless B1
-    is self-adjoint (J = 3), B1* z, as coordinates in an orthonormal system:
-    Fourier coefficients, or the at most 2J of `image_coordinates`. Every
-    spatial pairing is the sum of f conj(g) over the S columns, and S = 0
-    gives six terms of +0.0. `weights` is
-    `time_weights(z.time_grid, mu)` and `work` a complex (2, K+1, S) array; a
-    cell passes one of each to all its paths."""
-    tg = z.time_grid
-    dt, ks = tg.dt, slice(0, tg.steps)
-    shift, weight, trap = weights if weights is not None else time_weights(tg, mu)
-    work = np.empty_like(z.coefficients[:2]) if work is None else work
-    coeffs, a1_z, b1_z = z.coefficients[:3]
+    `coefficients` is the (B, J, K+1, S) array of `additive_paths`: per path,
+    z, A1 z, B1 z and, unless B1 is self-adjoint (J = 3), B1* z, as
+    coordinates in an orthonormal system: Fourier coefficients, or the at most
+    2J of `image_coordinates`. Every spatial pairing is the sum of f conj(g)
+    over the S columns, and S = 0 gives six terms of +0.0. Each path goes
+    through the same elementwise operations, last-axis pairings and last-axis
+    node sums whatever else the block holds, so its terms have the same bytes
+    in any block. `weights` is `time_weights(time_grid, mu)`."""
+    dt, ks = time_grid.dt, slice(0, time_grid.steps)
+    shift, weight, trap = weights if weights is not None else time_weights(time_grid, mu)
+    coeffs, a1_z, b1_z = coefficients[:, 0], coefficients[:, 1], coefficients[:, 2]
+    work = np.empty((2,) + coeffs.shape, dtype=coeffs.dtype)
 
     def pair(f, g):
         # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
         # (vecdot conjugates its first argument)
         return np.vecdot(g, f)
 
+    def total(x):  # each path's sum over the nodes
+        return np.sum(x, axis=-1)
+
     def mixed(rows):  # mu (t-T) z - B1 z at the nodes `rows`, in work[0]
-        out = np.multiply(mu * shift[rows, None], coeffs[rows], out=work[0, rows])
-        out -= b1_z[rows]
+        out = np.multiply(mu * shift[rows, None], coeffs[:, rows], out=work[0][:, rows])
+        out -= b1_z[:, rows]
         return out
 
     norm2 = pair(coeffs, coeffs).real
-    term1 = float(np.sum(trap * weight * norm2))
+    term1 = total(trap * weight * norm2)
     m = mixed(slice(None))
-    term2 = float(np.sum(trap * weight * pair(m, m).real) / mu)
+    term2 = total(trap * weight * pair(m, m).real) / mu
 
-    dz = np.subtract(coeffs[1:], coeffs[:-1], out=work[1, ks])
+    dz = np.subtract(coeffs[:, 1:], coeffs[:, :-1], out=work[1][:, ks])
     qv = pair(dz, dz).real
-    r3 = float(-2.0 * np.sum(shift[ks] * weight[ks] * qv))
-    b1_dz = np.subtract(b1_z[1:], b1_z[:-1], out=work[0, ks])
-    r4 = float(-2.0 / mu * np.sum(weight[ks] * pair(dz, b1_dz).real))
+    r3 = -2.0 * total(shift[ks] * weight[ks] * qv)
+    b1_dz = np.subtract(b1_z[:, 1:], b1_z[:, :-1], out=work[0][:, ks])
+    r4 = -2.0 / mu * total(weight[ks] * pair(dz, b1_dz).real)
 
     # bracket = -i dz - dt A1 z - i dt B1 z, in dz's place
     bracket = np.multiply(-1j, dz, out=dz)
-    bracket -= np.multiply(a1_z[ks], dt, out=work[0, ks])
-    bracket -= np.multiply(b1_z[ks], 1j * dt, out=work[0, ks])
+    bracket -= np.multiply(a1_z[:, ks], dt, out=work[0][:, ks])
+    bracket -= np.multiply(b1_z[:, ks], 1j * dt, out=work[0][:, ks])
     # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
-    r1 = float(4.0 / mu * np.sum(weight[ks] * pair(bracket, mixed(ks)).imag))
-    if len(z.coefficients) == 3:
-        r2 = 0.0  # self-adjoint: the skew part B1 - B1* vanishes identically
+    r1 = 4.0 / mu * total(weight[ks] * pair(bracket, mixed(ks)).imag)
+    if coefficients.shape[1] == 3:
+        r2 = np.zeros_like(r1)  # self-adjoint: the skew part B1 - B1* vanishes identically
     else:
-        skew = np.subtract(b1_z[ks], z.coefficients[3, ks], out=work[0, ks])
-        r2 = float(-2.0 / mu * np.sum(weight[ks] * pair(bracket, skew).imag))
+        skew = np.subtract(b1_z[:, ks], coefficients[:, 3, ks], out=work[0][:, ks])
+        r2 = -2.0 / mu * total(weight[ks] * pair(bracket, skew).imag)
     # + 0.0 turns the -0.0 of a negative factor times an empty or zero sum
     # into +0.0, and leaves every other value's bytes as they are
-    return np.array([term1, term2, r1, r2, r3, r4]) + 0.0
+    return np.stack([term1, term2, r1, r2, r3, r4], axis=-1) + 0.0
 
 
-def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
-    """Assemble the estimate over `paths` simulated paths and aggregate.
+def path_terms(z: Semimartingale, mu: float,
+               weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """The (6,) terms of one path: `block_terms` of the block that holds only
+    z, whose `coefficients` are one path's (J, K+1, S) stack."""
+    return block_terms(z.coefficients[None], z.time_grid, mu, weights)[0]
 
-    A1, B1 and B1* apply once per cell, to the generators (Y_0, g) of the
-    process, and the images become coordinates in an orthonormal basis of
-    their span, also once per cell; each path then builds z and its images on
-    those coordinates in one cumulative sum."""
-    grid = config.torus()
-    tg = config.time_grid()
-    a1 = resolve_operator_family(config.a1, grid)
-    b1 = resolve_operator_family(config.b1, grid)
-    initial, noise = image_coordinates(
-        generator_images(resolve_process(config.process, grid), a1, b1))
-    eta = pinned_window(resolve_window(config.window)(tg), tg)
-    weights = time_weights(tg, config.mu)
 
-    terms = np.zeros((config.paths, 6))
-    z = work = None
-    for p in range(config.paths):
-        z = additive_process(initial, noise, eta, sample_brownian(config.seed, p, tg),
-                             out=None if z is None else z.coefficients)
-        work = np.empty_like(z.coefficients[:2]) if work is None else work
-        terms[p] = path_terms(z, config.mu, weights, work)
-
+def aggregate(config: CarlemanConfig, terms: np.ndarray) -> CarlemanReport:
+    """The report of one cell from its (P, 6) per-path terms: term means and
+    standard errors, the two sides, the gap and the verdict."""
     means = terms.mean(axis=0)
     if config.paths > 1:
         ses = terms.std(axis=0, ddof=1) / math.sqrt(config.paths)
@@ -368,6 +371,57 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
                           labels=labels)
 
 
+def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], dict]:
+    """The reports of `cells`, in order, and the work they took. The cells
+    share every key but mu and the horizon; consecutive cells of one horizon
+    share its paths.
+
+    Once for all cells: A1, B1 and B1* apply to the generators (Y_0, g) and
+    the images become coordinates in an orthonormal basis of their span. Then
+    for each block of at most `BLOCK_ENTRIES` complex entries of paths: each
+    path draws its K standard normals, and once per horizon the block's
+    Brownian values, z and its images are built in one cumulative sum and the
+    six terms of every mu of that horizon taken on them. A path's terms do not
+    depend on the block it is in, and memory on P only through the terms."""
+    base = cells[0]
+    grid = base.torus()
+    a1 = resolve_operator_family(base.a1, grid)
+    b1 = resolve_operator_family(base.b1, grid)
+    initial, noise = image_coordinates(
+        generator_images(resolve_process(base.process, grid), a1, b1))
+    window = resolve_window(base.window)
+    horizons = []  # (time grid, window, cell indices, weights) per run of one horizon
+    for _, group in itertools.groupby(range(len(cells)), key=lambda i: cells[i].horizon):
+        group = list(group)
+        tg = cells[group[0]].time_grid()
+        horizons.append((tg, pinned_window(window(tg), tg), group,
+                         [time_weights(tg, cells[i].mu) for i in group]))
+    images, width = initial.shape
+    block = max(1, BLOCK_ENTRIES // (images * (base.steps + 1) * max(width, 1)))
+    work = {"paths": 0, "path_builds": 0, "brownian_draws": 0,
+            "operator_applies": images - 1, "path_blocks": 0}
+
+    terms = np.empty((len(cells), base.paths, 6))
+    for start in range(0, base.paths, block):
+        rows = range(start, min(start + block, base.paths))
+        normals = np.stack([brownian_normals(base.seed, p, base.steps) for p in rows])
+        work["brownian_draws"] += len(rows)
+        for tg, eta, group, weights in horizons:
+            z = additive_paths(initial, noise, eta, brownian_values(normals, tg.dt))
+            for i, w in zip(group, weights):
+                terms[i, start:rows.stop] = block_terms(z, tg, cells[i].mu, w)
+            work["path_blocks"] += 1
+            work["path_builds"] += len(rows)
+            work["paths"] += len(rows) * len(group)
+    return [aggregate(c, t) for c, t in zip(cells, terms)], work
+
+
+def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
+    """Assemble the estimate over `paths` simulated paths and aggregate: the
+    one-cell case of `run_cells`."""
+    return run_cells([config])[0][0]
+
+
 # ---------------------------------------------------------------------------
 # (mu, T) scan
 
@@ -376,6 +430,7 @@ def verify_inequality(config: CarlemanConfig) -> CarlemanReport:
 class ScanResult:
     rows: list[CarlemanReport]
     summary: dict
+    work: dict  # counts of run_cells
 
     def all_pass(self) -> bool:
         return all(r.verdict for r in self.rows)
@@ -387,11 +442,10 @@ def scan(base: CarlemanConfig, mu_list: Sequence[float] | None = None,
     """One report per (mu, T) pair; mu defaults to kappa/T^2 so that the
     large-weight and short-horizon limits move together."""
     horizons = list(T_list) if T_list is not None else [base.horizon]
-    rows = []
-    for T in horizons:
-        mus = list(mu_list) if mu_list is not None else [k / (T * T) for k in kappa_list]
-        for mu in mus:
-            rows.append(verify_inequality(replace(base, mu=float(mu), horizon=float(T))))
+    cells = [replace(base, mu=float(mu), horizon=float(T)) for T in horizons
+             for mu in (list(mu_list) if mu_list is not None
+                        else [k / (T * T) for k in kappa_list])]
+    rows, work = run_cells(cells) if cells else ([], {})
 
     passes = [r for r in rows if r.verdict]
     summary = {
@@ -411,4 +465,4 @@ def scan(base: CarlemanConfig, mu_list: Sequence[float] | None = None,
                 "increasing" if np.all(diffs > 0) else
                 "decreasing" if np.all(diffs < 0) else "mixed")
     summary["trends"] = trends
-    return ScanResult(rows, summary)
+    return ScanResult(rows, summary, work)

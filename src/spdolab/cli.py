@@ -148,6 +148,7 @@ def run_carleman_scan(cfg: ExperimentConfig, out: Path):
         "summary": result.summary,
         "rows": [r.as_dict() for r in result.rows],
         "passed": result.all_pass(),
+        "work": result.work,
     }
     return result.all_pass(), files, results
 

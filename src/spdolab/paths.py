@@ -100,11 +100,25 @@ class PathSlice:
         return float((1.0 - frac) * w[k] + frac * w[k + 1])
 
 
+def brownian_normals(seed: int, path_index: int, steps: int) -> np.ndarray:
+    """The K standard normals of path `path_index`, drawn from its own stream
+    (seed, STREAM_BROWNIAN, path_index). Path p draws the same normals on every
+    time grid of K steps; `brownian_values` scales them to one."""
+    return derive_rng(seed, STREAM_BROWNIAN, path_index).standard_normal(steps)
+
+
+def brownian_values(normals: np.ndarray, dt: float) -> np.ndarray:
+    """Brownian motion at the nodes, (..., K+1), from (..., K) standard normals:
+    w(0) = 0 and increments 0 + sqrt(dt) z, the bytes `Generator.normal(0,
+    sqrt(dt))` gives, summed in node order along the last axis."""
+    values = np.zeros(normals.shape[:-1] + (normals.shape[-1] + 1,))
+    np.cumsum(0.0 + math.sqrt(dt) * normals, axis=-1, out=values[..., 1:])
+    return values
+
+
 def sample_brownian(seed: int, path_index: int, time_grid: TimeGrid) -> BrownianPath:
     """Standard Brownian motion at the grid nodes, w(0) = 0, keyed by (seed, path_index)."""
-    rng = derive_rng(seed, STREAM_BROWNIAN, path_index)
-    increments = rng.normal(0.0, math.sqrt(time_grid.dt), size=time_grid.steps)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
+    values = brownian_values(brownian_normals(seed, path_index, time_grid.steps), time_grid.dt)
     values.setflags(write=False)
     return BrownianPath(time_grid, values, int(seed), int(path_index))
 
@@ -153,29 +167,36 @@ def pinned_window(eta: np.ndarray, time_grid: TimeGrid) -> np.ndarray:
     return eta
 
 
-def additive_process(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
-                     path: BrownianPath, out: np.ndarray | None = None) -> Semimartingale:
+def additive_paths(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
+                   values: np.ndarray) -> np.ndarray:
     """The windowed additive-noise process z_k = eta_k Y_k with dY = g dw from
-    Y_0, given the (S,) coordinates of Y_0 (`initial`) and g (`noise`) and a
-    window from `pinned_window`. The process holds exactly those S columns.
+    Y_0 along B paths at once: the (B, J, K+1, S) array whose [b, j] is the
+    process of (Y_0[j], g[j]) along path b, given (J, S) stacks of the
+    coordinates of Y_0 (`initial`) and g (`noise`), a window from
+    `pinned_window` and the paths' (B, K+1) node values. Stacking (A Y_0, A g)
+    for a linear A gives A z without applying A.
 
-    `initial` and `noise` may also be (J, S) stacks of generators. Row j of
-    the result is then the process of (Y_0[j], g[j]) along the same path, so
-    stacking (A Y_0, A g) for a linear A gives A z without applying A.
-
-    Y_k = Y_0 + sum_{j<k} dw_j g is one cumulative sum, which adds in the
-    order of the Ito steps Y_{k+1} = Y_k + dw_k g, and z is then one multiply
-    by eta. The result is written into `out` when it is given, an array of its
-    shape such as the previous path's coefficients from the same generators.
-    """
-    tg = path.time_grid
-    single = initial.ndim == 1
-    initial, noise = np.atleast_2d(initial), np.atleast_2d(noise)
-    shape = (len(initial), tg.steps + 1, initial.shape[-1])
-    coeffs = np.empty(shape, dtype=np.complex128) if out is None else out.reshape(shape)
-    coeffs[:, 0] = initial
-    dw = path.values[1:] - path.values[:-1]
-    np.multiply(dw[:, None], noise[:, None], out=coeffs[:, 1:])
-    np.add.accumulate(coeffs, axis=1, out=coeffs)
+    Y_k = Y_0 + sum_{j<k} dw_j g is one cumulative sum along the node axis,
+    which adds in the order of the Ito steps Y_{k+1} = Y_k + dw_k g, and z is
+    then one multiply by eta. Each path's entries are computed as they are
+    for that path alone, so a path's bytes do not depend on its block."""
+    dw = values[:, 1:] - values[:, :-1]
+    coeffs = np.empty((len(values), len(initial), values.shape[-1], initial.shape[-1]),
+                      dtype=np.complex128)
+    coeffs[:, :, 0] = initial
+    np.multiply(dw[:, None, :, None], noise[:, None], out=coeffs[:, :, 1:])
+    np.add.accumulate(coeffs, axis=2, out=coeffs)
     coeffs *= eta[:, None]
-    return Semimartingale(tg, coeffs[0] if single else coeffs, path)
+    return coeffs
+
+
+def additive_process(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
+                     path: BrownianPath) -> Semimartingale:
+    """`additive_paths` along one path. `initial` and `noise` are the (S,)
+    coordinates of Y_0 and g, or (J, S) stacks of generators; row j of the
+    result is then the process of (Y_0[j], g[j]). The process holds exactly
+    those S columns."""
+    single = initial.ndim == 1
+    coeffs = additive_paths(np.atleast_2d(initial), np.atleast_2d(noise), eta,
+                            path.values[None])[0]
+    return Semimartingale(path.time_grid, coeffs[0] if single else coeffs, path)

@@ -90,12 +90,26 @@ def write_json(path: str | Path, payload: dict) -> Path:
     return path
 
 
+def platform_name() -> str:
+    """The system-release-machine[-with-libc] string of `platform.platform()`,
+    from `platform.uname()` fields and `platform.libc_ver()`. It never reads
+    `uname().processor`, which on Linux runs `uname -p` in a subprocess. On
+    Linux, wherever that processor name is empty or the machine's, the two
+    strings agree."""
+    uname = platform.uname()
+    libc, version = platform.libc_ver()
+    parts = [uname.system, uname.release, uname.machine]
+    if libc:
+        parts += ["with", libc + version]
+    return "-".join(p.strip() for p in parts if p).replace(" ", "_").replace("/", "-")
+
+
 def environment_stamp() -> dict:
     return {
         "artifact_version": ARTIFACT_VERSION,
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": platform_name(),
     }
 
 

@@ -1,6 +1,7 @@
 """Weighted energy inequality: per-term assembly, aggregation, and the scan."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,34 +241,44 @@ class TestStochasticAggregation:
         assert a.gap != b.gap
 
     def test_path_terms_do_not_depend_on_path_count(self, monkeypatch):
-        # path p's six terms are the same bytes whether the run has 8 or 16
-        # paths, and the aggregated means repeat bitwise on rerun
-        recorded = {}
-        real = carleman.path_terms
+        # path p's six terms are the same bytes whether the run has 1, 8 or 16
+        # paths and whether a block holds 16 paths, 3 (boundaries after paths
+        # 2, 5, 8, ...) or 1, and the aggregated means repeat bitwise
+        recorded = []
+        real = carleman.aggregate
 
-        def record(z, *args):
-            terms = real(z, *args)
-            recorded.setdefault(z.path.path_index, []).append(terms.tobytes())
-            return terms
+        def record(config, terms):
+            recorded.append(terms.tobytes())
+            return real(config, terms)
 
-        monkeypatch.setattr(carleman, "path_terms", record)
-        verify_inequality(cfg(b1="mod:1", paths=8))
-        a = verify_inequality(cfg(b1="mod:1", paths=16))
-        b = verify_inequality(cfg(b1="mod:1", paths=16))
-        assert sorted(recorded) == list(range(16))
-        for p in range(8):
-            assert len(set(recorded[p])) == 1 and len(recorded[p]) == 3
-        assert np.array_equal(a.term_means, b.term_means)
-        assert a.gap == b.gap and a.gap_se == b.gap_se
+        monkeypatch.setattr(carleman, "aggregate", record)
+        per_path = 4 * (BASE["steps"] + 1) * 4  # c-dx and mod:1: J = 4 images on 4 columns
+        rows = []
+        for paths, block in ((1, 16), (8, 16), (16, 16), (16, 16), (16, 3), (16, 1)):
+            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", block * per_path)
+            result = scan(cfg(b1="mod:1", paths=paths), mu_list=(MU,), T_list=(T,))
+            assert result.work["path_blocks"] == -(-paths // block)
+            rows.append(result.rows[0])
+        one, eight, sixteen, again, threes, singles = recorded
+        row = 6 * 8  # bytes of one path's terms
+        assert one == sixteen[:row] and eight == sixteen[:8 * row]
+        assert again == sixteen and threes == sixteen and singles == sixteen
+        for other in rows[3:]:
+            assert np.array_equal(rows[2].term_means, other.term_means)
+            assert rows[2].gap == other.gap and rows[2].gap_se == other.gap_se
 
     @pytest.mark.parametrize("b1, applies", [("lambda:1", 2), ("mod:1", 3)])
-    def test_process_and_window_built_once_per_cell(self, monkeypatch, b1, applies):
-        # the selector is parsed, the window checked, each family applied (to
-        # the two generators) and the images' basis taken once for the cell,
-        # while every path gets its own process
-        names = ("resolve_process", "pinned_window", "image_coordinates", "additive_process")
-        for paths in (8, 16):
+    def test_set_up_once_per_scan_and_paths_once_per_horizon(self, monkeypatch, b1, applies):
+        # the selector is parsed, each family applied (to the two generators),
+        # the images' basis taken and each path's normals drawn once for the
+        # scan; the window is checked and the paths built once per horizon,
+        # for every mu of it
+        names = ("resolve_process", "image_coordinates", "brownian_normals", "pinned_window",
+                 "additive_paths")
+        for paths in (6, 12):
+            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", 1 << 20)  # one block per horizon
             calls = dict.fromkeys(names + ("apply_coefficients",), 0)
+            built = []
             for name in names:
                 real = getattr(carleman, name)
 
@@ -277,17 +288,74 @@ class TestStochasticAggregation:
 
                 monkeypatch.setattr(carleman, name, counted)
             real_apply = SpdoOperator.apply_coefficients
+            real_build = carleman.additive_paths
 
             def counted_apply(self, rows, out=None, _real=real_apply):
                 calls["apply_coefficients"] += 1
                 assert rows.shape == (2, 32)  # (Y_0, g), never a path
                 return _real(self, rows, out)
 
+            def build(initial, noise, eta, values, _real=real_build):
+                built.append(values.shape)
+                return _real(initial, noise, eta, values)
+
             monkeypatch.setattr(SpdoOperator, "apply_coefficients", counted_apply)
-            verify_inequality(cfg(b1=b1, paths=paths))
+            monkeypatch.setattr(carleman, "additive_paths", build)
+            result = scan(cfg(b1=b1, paths=paths), T_list=(0.125, 0.25),
+                          kappa_list=(16.0, 64.0, 256.0))
             monkeypatch.undo()
-            assert calls == {"resolve_process": 1, "pinned_window": 1, "image_coordinates": 1,
-                             "additive_process": paths, "apply_coefficients": applies}
+            assert calls == {"resolve_process": 1, "image_coordinates": 1,
+                             "brownian_normals": paths, "pinned_window": 2,
+                             "additive_paths": 2, "apply_coefficients": applies}
+            assert built == [(paths, BASE["steps"] + 1)] * 2
+            assert len(result.rows) == 6
+
+    @pytest.mark.parametrize("budget_paths, blocks", [(None, 1), (2, 3)])
+    def test_scan_work_counts(self, monkeypatch, budget_paths, blocks):
+        # closed forms: paths = P x cells, path_builds = P x horizons,
+        # brownian_draws = P, operator_applies = J - 1 (B1 self-adjoint: 2),
+        # path_blocks = horizons x ceil(P / B)
+        base = cfg(paths=5, steps=64, grid_points=16)
+        if budget_paths is not None:  # J = 3 images on one column
+            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", budget_paths * 3 * 65)
+        result = scan(base, T_list=(0.125, 0.25), kappa_list=(16.0, 64.0, 256.0))
+        assert result.work == {"paths": 30, "path_builds": 10, "brownian_draws": 5,
+                               "operator_applies": 2, "path_blocks": 2 * blocks}
+        again = scan(base, T_list=(0.125, 0.25), kappa_list=(16.0, 64.0, 256.0))
+        assert again.work == result.work
+        assert [r.as_dict() for r in again.rows] == [r.as_dict() for r in result.rows]
+
+    @pytest.mark.parametrize("b1", ["lambda:1", "mod:1"])
+    def test_verify_inequality_equals_its_scan_row(self, b1):
+        base = cfg(b1=b1, paths=6, steps=128)
+        result = scan(base, T_list=(0.125, 0.25), kappa_list=(16.0, 256.0))
+        for row in result.rows:
+            alone = verify_inequality(replace(base, mu=row.mu, horizon=row.horizon))
+            assert alone.term_means.tobytes() == row.term_means.tobytes()
+            assert alone.term_ses.tobytes() == row.term_ses.tobytes()
+            assert repr(alone.as_dict()) == repr(row.as_dict())
+
+    def test_scan_paths_are_the_sampled_brownian_paths(self, monkeypatch):
+        # row b of a block built at horizon T is sample_brownian(seed, p, tg)
+        # for the block's p-th path, byte for byte, across block boundaries
+        seen = []
+        real = carleman.additive_paths
+
+        def build(initial, noise, eta, values):
+            seen.append(values.copy())
+            return real(initial, noise, eta, values)
+
+        monkeypatch.setattr(carleman, "additive_paths", build)
+        monkeypatch.setattr(carleman, "BLOCK_ENTRIES", 3 * 3 * 65)
+        base = cfg(paths=7, steps=64, seed=11)
+        scan(base, T_list=(0.0625, 0.25), kappa_list=(16.0,))
+        # block by block, each built at both horizons
+        assert [len(v) for v in seen] == [3, 3, 3, 3, 1, 1]
+        for horizon, blocks in ((0.0625, seen[0::2]), (0.25, seen[1::2])):
+            tg = TimeGrid(horizon, 64)
+            rows = np.concatenate(blocks)
+            for p in range(7):
+                assert rows[p].tobytes() == sample_brownian(11, p, tg).values.tobytes()
 
     def test_se_positive_for_stochastic_runs(self):
         report = verify_inequality(cfg(paths=16))
@@ -476,16 +544,17 @@ class TestSupportRoute:
         # M = 128: an x-dependent path holds the cell's J non-zero generator
         # images, not the 128 columns they touch (multipliers: one column,
         # `test_multiplier_cell_holds_its_support_column`)
-        widths = []
-        real = carleman.path_terms
+        shapes = []
+        real = carleman.block_terms
 
         def record(z, *args):
-            widths.append(z.coefficients.shape[-1])
+            shapes.append(z.shape)
             return real(z, *args)
 
-        monkeypatch.setattr(carleman, "path_terms", record)
+        monkeypatch.setattr(carleman, "block_terms", record)
         verify_inequality(cfg(a1=a1, b1=b1, grid_points=128, steps=16, paths=2))
-        assert widths == [width, width]
+        images = 3 if b1 == "lambda:1" else 4
+        assert shapes == [(2, images, 17, width)]
 
     @pytest.mark.parametrize("a1, b1, dim, m", [
         ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 1, 32),
@@ -515,20 +584,22 @@ class TestSupportRoute:
         # coefficients, not (K+1, 128^2) arrays with one column written, and
         # its terms are the bytes of the sums over every Fourier column
         checked = []
-        real = carleman.path_terms
+        real = carleman.block_terms
         base = cfg(dim=2, grid_points=128, steps=16, paths=2)
         grid, tg = base.torus(), base.time_grid()
         fam_a1, fam_b1 = self.families(base.a1, base.b1, grid)
 
-        def record(z, *args):
-            terms = real(z, *args)
-            assert z.coefficients.shape == (3, 17, 1)
-            full = fourier_process(base.process, base.window, grid, base.seed,
-                                   z.path.path_index, tg, fam_a1, fam_b1)
-            checked.append(terms.tobytes() == real(full, *args[:2]).tobytes())
+        def record(z, time_grid, mu, weights):
+            terms = real(z, time_grid, mu, weights)
+            assert z.shape == (2, 3, 17, 1)
+            for p in range(2):
+                full = fourier_process(base.process, base.window, grid, base.seed, p, tg,
+                                       fam_a1, fam_b1)
+                alone = real(full.coefficients[None], time_grid, mu, weights)[0]
+                checked.append(terms[p].tobytes() == alone.tobytes())
             return terms
 
-        monkeypatch.setattr(carleman, "path_terms", record)
+        monkeypatch.setattr(carleman, "block_terms", record)
         verify_inequality(base)
         assert checked == [True, True]
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import platform
 from contextlib import nullcontext
 
 import numpy as np
@@ -11,7 +12,8 @@ import pytest
 from spdolab import ConfigError, parse_config
 from spdolab import cli
 from spdolab.cli import main
-from spdolab.reports import format_cell, format_number, jsonable, sha256_digest, write_csv
+from spdolab.reports import (environment_stamp, format_cell, format_number, jsonable,
+                             sha256_digest, write_csv)
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -144,6 +146,14 @@ class TestReportFormats:
         lines = p.read_text().split("\n")
         assert lines[1:] == [",".join(format_cell(v) for v in row) for row in rows] + [""]
 
+    def test_platform_stamp_matches_platform_module(self):
+        # the stamp reads no uname().processor; where that is empty or the
+        # machine name, platform.platform() prints the same string
+        uname = platform.uname()
+        if uname.processor not in ("", uname.machine):
+            pytest.skip(f"processor {uname.processor!r} is part of platform.platform()")
+        assert environment_stamp()["platform"] == platform.platform()
+
     def test_jsonable_coercions(self):
         out = jsonable({"a": np.float64(1.5), "b": np.int32(2), "c": math.inf,
                         "d": np.array([1.0, 2.0]), "e": np.True_})
@@ -240,14 +250,14 @@ class TestCliRuns:
         # every per-term column
         from spdolab import carleman as mod
 
-        real = mod.verify_inequality
+        real = mod.aggregate
 
-        def sabotage(config):
-            r = real(config)
+        def sabotage(config, terms):
+            r = real(config, terms)
             r.verdict = False
             return r
 
-        monkeypatch.setattr("spdolab.cli.carleman.verify_inequality", sabotage)
+        monkeypatch.setattr("spdolab.cli.carleman.aggregate", sabotage)
         text = ("command = carleman-scan\nK = 64\nP = 2\nM = 16\n"
                 "T-list = 0.25\nkappa-list = 16\n")
         code, out = self.run(tmp_path, text, "carleman-scan")
@@ -362,6 +372,22 @@ class TestCliRuns:
         for row in rows:
             terms = [abs(row[f"term{i}"]) for i in range(1, 7)]
             assert row["cancellation_ratio"] == pytest.approx(sum(terms) / abs(row["gap"]))
+
+
+    def test_scan_reports_its_work(self, tmp_path):
+        # closed forms on 2 horizons x 3 kappas at P = 5, one block per
+        # horizon; the report reruns byte for byte
+        text = ("command = carleman-scan\nK = 64\nP = 5\nM = 16\nb1 = mod:1\n"
+                "T-list = 0.125, 0.25\nkappa-list = 16, 64, 256\n")
+        reports = []
+        for name in ("a", "b"):
+            code, out = self.run(tmp_path, text, "carleman-scan", out_name=name)
+            assert code in (0, 1)
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        work = json.loads(reports[0])["results"]["work"]
+        assert work == {"paths": 30, "path_builds": 10, "brownian_draws": 5,
+                        "operator_applies": 3, "path_blocks": 2}
 
 
 class TestManifest:

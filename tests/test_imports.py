@@ -1,6 +1,6 @@
 """Imports: every module-level import in the package is used by its module,
 only `grid.py` names `SpectralField`, and a CLI run loads no module it does
-not need.
+not need (`numpy.ma`, `subprocess`).
 
 No linter ships with the project, so the first checks parse each module with
 `ast`: a name bound by a top-level `import` or `from ... import` must appear
@@ -9,6 +9,7 @@ it is left out of that one).
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -74,8 +75,10 @@ def test_only_grid_names_spectral_field(module):
     assert ("SpectralField" in named(module.read_text())) == (module.name == "grid.py")
 
 
-# np.unique imports numpy.ma on its first call, 10-17 ms per process
-NO_MASKED_ARRAYS = """
+# every shipped config through the CLI in one fresh interpreter, which then
+# prints the names of the modules it loaded
+SHIPPED_RUNS = """
+import json
 import sys
 from pathlib import Path
 from spdolab.cli import main
@@ -84,16 +87,31 @@ configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 for cfg in sorted(configs.glob("*.cfg")):
     command = parse_config(str(cfg)).command
     assert main([command, "--config", str(cfg), "--out", str(out / cfg.stem)]) in (0, 1), cfg
-assert "numpy.ma" not in sys.modules
+print(json.dumps(sorted(sys.modules)))
 """
 
 
-def test_shipped_configs_do_not_import_numpy_ma(tmp_path):
+@pytest.fixture(scope="module")
+def shipped_run_modules(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shipped")
     src = str(PACKAGE.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, str(ROOT / "configs"),
-                           str(tmp_path)], capture_output=True, text=True, env=env, timeout=300)
+    done = subprocess.run([sys.executable, "-c", SHIPPED_RUNS, str(ROOT / "configs"), str(out)],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     shipped = list((ROOT / "configs").glob("*.cfg"))
-    assert shipped and len(list(tmp_path.glob("*/report.json"))) == len(shipped)
+    assert shipped and len(list(out.glob("*/report.json"))) == len(shipped)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_shipped_configs_do_not_import_numpy_ma(shipped_run_modules):
+    # np.unique imports numpy.ma on its first call, 10-17 ms per process
+    assert "spdolab.cli" in shipped_run_modules
+    assert "numpy.ma" not in shipped_run_modules
+
+
+def test_shipped_configs_do_not_import_subprocess(shipped_run_modules):
+    # platform.platform() reads uname().processor, which imports subprocess
+    # and runs `uname -p`: 6-11 ms per process
+    assert "subprocess" not in shipped_run_modules

@@ -8,7 +8,8 @@ from conftest import l2_norm, values
 from spdolab import (AdaptednessError, TimeGrid, TorusGrid, WindowError,
                      additive_process, derive_rng, mode_coefficients, parabolic_window,
                      pinned_window, sample_brownian, sine_window)
-from spdolab.paths import Semimartingale
+from spdolab.paths import (STREAM_BROWNIAN, Semimartingale, additive_paths, brownian_normals,
+                           brownian_values)
 
 GRID = TorusGrid(1, 16)
 TG = TimeGrid(0.25, 128)
@@ -65,6 +66,20 @@ class TestBrownianPath:
         assert np.array_equal(w0, w0_again)
         assert not np.allclose(w0, w1)
         assert w0[0] == 0.0
+
+    @pytest.mark.parametrize("horizon", [0.0625, 0.25, 1.7])
+    def test_one_draw_of_normals_serves_every_horizon(self, horizon):
+        # the path's increments are the bytes of Generator.normal(0, sqrt(dt))
+        # on its own stream, whose normals are drawn once and scaled per grid;
+        # a stack of paths sums each row as that path alone
+        tg = TimeGrid(horizon, 64)
+        normals = np.stack([brownian_normals(3, p, 64) for p in range(4)])
+        stacked = brownian_values(normals, tg.dt)
+        for p in range(4):
+            increments = derive_rng(3, STREAM_BROWNIAN, p).normal(0.0, np.sqrt(tg.dt), size=64)
+            reference = np.concatenate([[0.0], np.cumsum(increments)])
+            assert sample_brownian(3, p, tg).values.tobytes() == reference.tobytes()
+            assert stacked[p].tobytes() == reference.tobytes()
 
     def test_realized_quadratic_variation_near_horizon(self):
         # sum of squared increments concentrates at T; 5 sigma band at K = 512
@@ -193,19 +208,18 @@ class TestAdditiveNoiseRoute:
             assert loop[:, cols].tobytes() == z.coefficients[0].tobytes()
             assert not np.any(np.delete(loop, cols, axis=1))
 
-    def test_output_array_is_reused(self):
-        # a cell hands each path the previous path's coefficients to write into
-        initial = np.zeros((3, GRID.size), complex)
-        noise = np.stack([mode_coefficients(GRID, k, 0.1) for k in (1, 2, 3)])
+    def test_block_rows_match_single_paths(self):
+        # additive_paths builds B paths at once; row b holds the bytes that
+        # additive_process gives along path b alone
+        initial = np.stack([mode_coefficients(GRID, k, 0.3) for k in (1, 2, 3)])
+        noise = np.stack([mode_coefficients(GRID, k, 0.1j) for k in (1, 2, 3)])
         eta = pinned_window(sine_window(TG), TG)
-        first = additive_process(initial, noise, eta, sample_brownian(7, 0, TG))
-        path = sample_brownian(7, 1, TG)
-        again = additive_process(initial, noise, eta, path, out=first.coefficients)
-        assert np.shares_memory(again.coefficients, first.coefficients)
-        fresh = additive_process(initial, noise, eta, path)
-        assert again.coefficients.tobytes() == fresh.coefficients.tobytes()
-        with pytest.raises(ValueError):
-            additive_process(initial[:2], noise[:2], eta, path, out=first.coefficients)
+        paths = [sample_brownian(7, p, TG) for p in range(5)]
+        block = additive_paths(initial, noise, eta, np.stack([w.values for w in paths]))
+        assert block.shape == (5, 3, TG.steps + 1, GRID.size)
+        for row, path in zip(block, paths):
+            alone = additive_process(initial, noise, eta, path).coefficients
+            assert row.tobytes() == alone.tobytes()
 
     def test_zero_width_stack_holds_no_columns(self):
         # the zero process has no basis vector: (J, 0) stacks, (J, K+1, 0) paths
@@ -213,9 +227,9 @@ class TestAdditiveNoiseRoute:
         z = additive_process(empty, empty, pinned_window(sine_window(TG), TG),
                              sample_brownian(7, 0, TG))
         assert z.coefficients.shape == (3, TG.steps + 1, 0)
-        again = additive_process(empty, empty, pinned_window(sine_window(TG), TG),
-                                 sample_brownian(7, 1, TG), out=z.coefficients)
-        assert again.coefficients.shape == (3, TG.steps + 1, 0)
+        block = additive_paths(empty, empty, pinned_window(sine_window(TG), TG),
+                               np.zeros((2, TG.steps + 1)))
+        assert block.shape == (2, 3, TG.steps + 1, 0)
 
     def test_zero_fields_keep_their_columns(self):
         # Y_0 = g = 0 on 16 columns: the process holds all 16, zero at every node
