@@ -2,7 +2,7 @@
 
 Fields are arrays of Fourier coefficients throughout. Layers, bottom up:
 periodic grids, pure-mode coefficients and Sobolev norms (`grid`), Brownian
-paths and windowed additive-noise processes (`paths`), symbols with
+paths and the windows of additive-noise processes (`paths`), symbols with
 empirical class checkers (`symbols`, `catalog`), quantized operators with
 boundedness and parametrix harnesses (`operators`), companion reduction and
 symbol-level diagonalization (`reduction`), Monte Carlo verification of the
@@ -16,9 +16,8 @@ from .errors import (AdaptednessError, BranchCrossingError, ConfigError,
                      NonFiniteError, OrderFitError, RootSolveError, SpdoLabError,
                      StencilError, WindowError)
 from .grid import TorusGrid, mode_coefficients, sobolev_norm
-from .paths import (BrownianPath, PathSlice, Semimartingale, TimeGrid,
-                    additive_process, derive_rng, parabolic_window, pinned_window,
-                    sample_brownian, sine_window)
+from .paths import (BrownianPath, PathSlice, TimeGrid, derive_rng, parabolic_window,
+                    pinned_window, sample_brownian, sine_window)
 from .symbols import (EllipticityReport, HypothesisReport, PrincipalSymbol,
                       RootStack, Symbol, SymbolOrderReport, characteristic_roots,
                       check_elliptic, check_hypotheses, solve_roots,

@@ -26,15 +26,27 @@ Q^H Q = I these coordinates pair as the Fourier coefficients do, exactly up
 to rounding, on at most 2J columns, and on one column for Fourier multipliers
 on a one-mode process.
 
+Image j of z at node k is then u_k a_j + v_k b_j, with u = eta, a_j and b_j
+the coordinates of the images of Y_0 and g, and v_k = eta_k w_k one real
+scalar per path and node. Each pairing the six terms take is a quadratic
+polynomial in the path scalars v_k and dv_k = v_{k+1} - v_k, whose per-node
+coefficients are inner products of path-free vectors (`node_coefficients`):
+each such vector, mu (t-T) a_0 - a_2 for one, is formed first and then
+paired, as a field would be. The Monte Carlo substitutes sampled scalars into
+these polynomials; expected ones (E v_k^2 = eta_k^2 t_k, ...) would give the
+exact expected terms from the same coefficients.
+
 Path p uses the same K standard normals in every cell, so a scan draws them
-once (`paths.brownian_normals`), a block of paths at a time. Each horizon
-scales a block's normals to Brownian values and builds z and its images for
-the block in one cumulative sum (`paths.additive_paths`); the six terms of
-every mu of that horizon are then taken on the block, along its leading path
-axis (`block_terms`). A block holds at most `BLOCK_ENTRIES` complex entries,
-so memory is bounded whatever P is, but for the (P, 6) terms of each cell.
-Each path goes through the same operations in any block, so no result
-depends on the blocking, and `verify_inequality` is the one-cell scan.
+once (`paths.brownian_normals`), a block of paths at a time. Per block and
+horizon the block's Brownian values and its scalars v and dv are built once
+(`path_scalars`) and the coefficients of every mu of that horizon taken once;
+each cell's terms are then elementwise products and last-axis sums along the
+block's leading path axis (`monomial_terms`). No per-path field array is
+built, and no pairing runs through BLAS. A block holds at most
+`BLOCK_ENTRIES` normals, so memory is bounded whatever P is, but for the
+(P, 6) terms of each cell. Each path goes through the same operations in any
+block, so no result depends on the blocking, and `verify_inequality` is the
+one-cell scan.
 
 The weight is reported scaled by e^{-mu T^2}, i.e. as e^{mu((t-T)^2 - T^2)}
 <= 1: the unscaled maximum e^{mu T^2} overflows once mu T^2 exceeds about
@@ -53,17 +65,27 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .grid import TorusGrid, mode_coefficients
-from .paths import (Semimartingale, TimeGrid, additive_paths, brownian_normals, brownian_values,
-                    parabolic_window, pinned_window, sine_window)
+from .paths import (TimeGrid, brownian_normals, brownian_values, parabolic_window,
+                    pinned_window, sine_window)
 from .operators import SpdoOperator, quantize
 from . import catalog, reduction
 
 TERM_LABELS = ("term1", "term2", "term3", "term4", "term5", "term6")
 
-# complex entries of one block of paths, (B, J, K+1, S): bounds a scan's
-# memory whatever P is, and changes no result. 2^16 ran scans at most 16%
-# faster but raised the peak resident memory of a CLI run; 2^13 lowered it.
+# standard normals of one block of paths, (B, K): with them each (B, K+1)
+# array of the block is bounded, so a scan's memory is bounded whatever P is,
+# and no result changes. 2^13 holds 16 paths at K = 512 whatever the families;
+# 2^14 raised the traced peak of an x-dependent scan above that of the field
+# route it replaced.
 BLOCK_ENTRIES = 1 << 13
+
+# the path scalars the six terms are polynomials in, the monomials of those
+# the terms read, and each term's monomials as indices into MONOMIALS
+SCALARS = ("1", "v", "dv")
+MONOMIALS = ("v", "v*v", "v*dv", "dv", "dv*dv")
+TERM_MONOMIALS = ((0, 1),) * 2 + ((0, 1, 2, 3),) * 2 + ((3, 4),) * 2
+MONOMIAL_OF = {(m, n): "*".join(s for s in sorted((m, n), key=SCALARS.index) if s != "1") or "1"
+               for m in SCALARS for n in SCALARS}
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +138,7 @@ def resolve_window(selector: str) -> Callable[[TimeGrid], np.ndarray]:
 
 
 def resolve_process(selector: str, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Process selectors, as the coefficients of (Y_0, g) for `additive_process`:
+    """Process selectors, as the coefficients of (Y_0, g) of z = eta (Y_0 + g w):
     `deterministic-mode:k[,amp]` for z = eta(t) amp e^{ikx}, and
     `brownian-mode:amp,k` for the windowed process with dY = amp e^{ikx} dw.
     In two dimensions the mode runs along the first axis, e^{ikx_1}."""
@@ -228,9 +250,8 @@ def generator_images(generators: Sequence[np.ndarray], a1: SpdoOperator,
                      b1: SpdoOperator) -> np.ndarray:
     """The (R, J, M^n) stack whose row r holds G_r, A1 G_r, B1 G_r and B1* G_r
     for R coefficient rows G_r. For the process generators (Y_0, g) its two
-    rows, or their `image_coordinates`, are the `initial` and `noise` stacks
-    of `additive_process`, whose row j is then z's j-th image. B1* is left
-    out (J = 3) when B1 is self-adjoint."""
+    rows hold the images a_j of Y_0 and b_j of g, so that image j of z is
+    eta (a_j + w b_j). B1* is left out (J = 3) when B1 is self-adjoint."""
     rows = np.stack([np.reshape(c, -1) for c in generators])
     b1_adj = b1.adjoint()
     families = (a1, b1) if b1_adj is b1 else (a1, b1, b1_adj)
@@ -260,79 +281,135 @@ def image_coordinates(images: np.ndarray) -> np.ndarray:
     return coords.reshape(images.shape[:-1] + (len(tri),))
 
 
-def time_weights(time_grid: TimeGrid, mu: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def time_weights(time_grid: TimeGrid, mu: float | np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The node weights of a cell: the shift t - T, the weight e^{mu (t-T)^2}
-    scaled by e^{-mu T^2}, and the trapezoid weights."""
+    scaled by e^{-mu T^2}, and the trapezoid weights. For a (G,) array of mu
+    the weight is (G, K+1), one row per mu."""
     horizon, dt = time_grid.horizon, time_grid.dt
     shift = time_grid.nodes() - horizon
     trap = np.full(time_grid.steps + 1, dt)
     trap[0] = trap[-1] = dt / 2.0
-    return shift, np.exp(mu * (shift**2 - horizon**2)), trap
+    return shift, np.exp(np.multiply.outer(mu, shift**2 - horizon**2)), trap
 
 
-def block_terms(coefficients: np.ndarray, time_grid: TimeGrid, mu: float,
-                weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """Six inequality terms along each path of a block, (B, 6) = (term1, term2,
-    r1..r4) per path, with the weight scaled by e^{-mu T^2}.
+def pairings(f: dict, g: dict) -> dict:
+    """(f, g) at each node, the sum of f conj(g) over the coordinates, as the
+    coefficients of the path monomials. f and g are fields affine in the path
+    scalars: they map "1", "v" or "dv" to the (r, ...) coordinates of that
+    scalar's factor, coordinates first, and the result maps each product of
+    two scalars ("1", "v", "v*v", "v*dv", ...) to its coefficient."""
+    out = {}
+    for (m, x), (n, y) in itertools.product(f.items(), g.items()):
+        value = np.add.reduce(x * np.conj(y), axis=0)
+        key = MONOMIAL_OF[m, n]
+        out[key] = out[key] + value if key in out else value
+    return out
 
-    `coefficients` is the (B, J, K+1, S) array of `additive_paths`: per path,
-    z, A1 z, B1 z and, unless B1 is self-adjoint (J = 3), B1* z, as
-    coordinates in an orthonormal system: Fourier coefficients, or the at most
-    2J of `image_coordinates`. Every spatial pairing is the sum of f conj(g)
-    over the S columns, and S = 0 gives six terms of +0.0. Each path goes
-    through the same elementwise operations, last-axis pairings and last-axis
-    node sums whatever else the block holds, so its terms have the same bytes
-    in any block. `weights` is `time_weights(time_grid, mu)`."""
+
+def node_coefficients(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
+                      time_grid: TimeGrid, mus: np.ndarray) -> tuple[np.ndarray, list]:
+    """The six terms of the cells of one horizon, one per entry of the (G,)
+    array `mus`, as polynomials in each path's scalars, the weight scaled by
+    e^{-mu T^2}: the (G, 6) path-free constants, and per term the (G, n, K+1)
+    coefficients at each node of its n monomials `TERM_MONOMIALS[i]` (zero
+    past the term's last node).
+
+    `initial` and `noise` are the (J, r) coordinates of the images of Y_0 and
+    g (`image_coordinates`), so image j of z at node k is u_k a_j + v_k b_j
+    with u = eta and v_k = eta_k w_k. Every field the terms pair is then
+    affine in v_k and dv_k = v_{k+1} - v_k with path-free vector factors,
+    which are formed first and then paired, as the fields themselves are.
+    A factor is held as (r, G or 1, nodes or 1) coordinates, so each pairing
+    sums over the leading axis and each mu's coefficients have the same
+    bytes whatever other mu are given."""
     dt, ks = time_grid.dt, slice(0, time_grid.steps)
-    shift, weight, trap = weights if weights is not None else time_weights(time_grid, mu)
-    coeffs, a1_z, b1_z = coefficients[:, 0], coefficients[:, 1], coefficients[:, 2]
-    work = np.empty((2,) + coeffs.shape, dtype=coeffs.dtype)
+    shift, weight, trap = time_weights(time_grid, mus)
+    mus = mus[:, None]
+    (a0, a1, a2), (b0, b1, b2) = initial[:3, :, None, None], noise[:3, :, None, None]
+    u, du = eta, eta[1:] - eta[:-1]
+    const = np.zeros((len(mus), 6))
+    table = [np.zeros((len(mus), len(m), time_grid.steps + 1)) for m in TERM_MONOMIALS]
 
-    def pair(f, g):
-        # spatial L2 pairing per node: the grid mean of f conj(g), by Parseval
-        # (vecdot conjugates its first argument)
-        return np.vecdot(g, f)
+    def fold(i, node_weight, part, f, g):  # term i's share of part((f, g))
+        for key, value in pairings(f, g).items():
+            if key == "1":
+                const[:, i] += np.add.reduce(node_weight * part(value), axis=-1)
+            else:
+                row = table[i][:, TERM_MONOMIALS[i].index(MONOMIALS.index(key))]
+                np.multiply(node_weight, part(value), out=row[:, :node_weight.shape[-1]])
 
-    def total(x):  # each path's sum over the nodes
-        return np.sum(x, axis=-1)
+    z = {"1": u * a0, "v": b0}
+    fold(0, trap * weight, np.real, z, z)
+    dz = {"1": du * a0, "dv": b0}
+    fold(4, -2.0 * shift[ks] * weight[:, ks], np.real, dz, dz)
+    fold(5, -2.0 / mus * weight[:, ks], np.real, dz, {"1": du * a2, "dv": b2})  # (dz, B1 dz)
+    # bracket = -i dz - dt A1 z - i dt B1 z; the comparison field is i * mixed,
+    # and Re (f, i g) = Im (f, g)
+    bracket = {"1": -1j * dz["1"] - u[ks] * (dt * a1 + 1j * dt * a2),
+               "dv": -1j * b0, "v": -(dt * b1 + 1j * dt * b2)}
+    if len(initial) == 4:  # else B1 is self-adjoint and the skew part B1 - B1* vanishes
+        fold(3, -2.0 / mus * weight[:, ks], np.imag, bracket,
+             {"1": u[ks] * (a2 - initial[3, :, None, None]), "v": b2 - noise[3, :, None, None]})
+    del z, dz  # before the (r, G, K+1) fields: an x-dependent cell's peak memory is here
+    ms = mus * shift
+    mixed = {"1": u * (ms * a0 - a2), "v": ms * b0 - b2}  # mu (t-T) z - B1 z
+    fold(1, trap * weight / mus, np.real, mixed, mixed)
+    fold(2, 4.0 / mus * weight[:, ks], np.imag, bracket, {k: x[..., ks] for k, x in mixed.items()})
+    return const, table
 
-    def mixed(rows):  # mu (t-T) z - B1 z at the nodes `rows`, in work[0]
-        out = np.multiply(mu * shift[rows, None], coeffs[:, rows], out=work[0][:, rows])
-        out -= b1_z[:, rows]
-        return out
 
-    norm2 = pair(coeffs, coeffs).real
-    term1 = total(trap * weight * norm2)
-    m = mixed(slice(None))
-    term2 = total(trap * weight * pair(m, m).real) / mu
+def path_scalars(eta: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (2, B, K+1) scalars v = eta w and dv (dv_k = v_{k+1} - v_k, zero at
+    node K) of B paths, from the window and the paths' (B, K+1) Brownian
+    values."""
+    scalars = np.empty((2,) + values.shape)
+    v, dv = scalars
+    np.multiply(eta, values, out=v)
+    np.subtract(v[:, 1:], v[:, :-1], out=dv[:, :-1])
+    dv[:, -1] = 0.0
+    return scalars
 
-    dz = np.subtract(coeffs[:, 1:], coeffs[:, :-1], out=work[1][:, ks])
-    qv = pair(dz, dz).real
-    r3 = -2.0 * total(shift[ks] * weight[ks] * qv)
-    b1_dz = np.subtract(b1_z[:, 1:], b1_z[:, :-1], out=work[0][:, ks])
-    r4 = -2.0 / mu * total(weight[ks] * pair(dz, b1_dz).real)
 
-    # bracket = -i dz - dt A1 z - i dt B1 z, in dz's place
-    bracket = np.multiply(-1j, dz, out=dz)
-    bracket -= np.multiply(a1_z[:, ks], dt, out=work[0][:, ks])
-    bracket -= np.multiply(b1_z[:, ks], 1j * dt, out=work[0][:, ks])
-    # the comparison field is i * mixed, and Re (f, i g) = Im (f, g)
-    r1 = 4.0 / mu * total(weight[ks] * pair(bracket, mixed(ks)).imag)
-    if coefficients.shape[1] == 3:
-        r2 = np.zeros_like(r1)  # self-adjoint: the skew part B1 - B1* vanishes identically
-    else:
-        skew = np.subtract(b1_z[:, ks], coefficients[:, 3, ks], out=work[0][:, ks])
-        r2 = -2.0 / mu * total(weight[ks] * pair(bracket, skew).imag)
+def monomial_terms(scalars: np.ndarray, const: np.ndarray, table: Sequence[np.ndarray]
+                   ) -> np.ndarray:
+    """The (B, 6) terms of B paths from their `path_scalars` and one cell's
+    constants and coefficients (`node_coefficients` at one mu): per path and
+    term, the constant plus the sum over the nodes of the term's monomials
+    times their coefficients, in Horner form: v (c_v + c_vv v) for term1 and
+    term2, v (c_v + c_vv v + c_vdv dv) + c_dv dv for r1 and r2, and
+    dv (c_dv + c_dvdv dv) for r3 and r4. Each path goes through the same
+    elementwise operations and last-axis sums whatever else the block holds,
+    so its terms have the same bytes in any block."""
+    v, dv = scalars
+    terms = np.empty((len(v), 6))
+    node_sum, product = np.empty_like(v), np.empty_like(v)  # reused: no allocation per term
+    for i, c in enumerate(table):
+        lead = dv if MONOMIALS[TERM_MONOMIALS[i][0]] == "dv" else v
+        np.multiply(c[1], lead, out=node_sum)
+        if len(c) == 4:
+            node_sum += np.multiply(c[2], dv, out=product)
+        node_sum += c[0]
+        node_sum *= lead
+        if len(c) == 4:
+            node_sum += np.multiply(c[3], dv, out=product)
+        terms[:, i] = np.add.reduce(node_sum, axis=-1)
+    terms += const
     # + 0.0 turns the -0.0 of a negative factor times an empty or zero sum
     # into +0.0, and leaves every other value's bytes as they are
-    return np.stack([term1, term2, r1, r2, r3, r4], axis=-1) + 0.0
+    return terms + 0.0
 
 
-def path_terms(z: Semimartingale, mu: float,
-               weights: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """The (6,) terms of one path: `block_terms` of the block that holds only
-    z, whose `coefficients` are one path's (J, K+1, S) stack."""
-    return block_terms(z.coefficients[None], z.time_grid, mu, weights)[0]
+def horizon_terms(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
+                  time_grid: TimeGrid, mus: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """The (G, B, 6) terms of the cells of one horizon, one per entry of `mus`,
+    along the B paths of (B, K) standard `normals`: the cells' coefficients
+    once, the paths' scalars once, then each cell's terms. Nothing of one
+    horizon outlives the call, so horizons do not add to a block's memory."""
+    const, table = node_coefficients(initial, noise, eta, time_grid, mus)
+    scalars = path_scalars(eta, brownian_values(normals, time_grid.dt))
+    return np.stack([monomial_terms(scalars, const[g], [t[g] for t in table])
+                     for g in range(len(mus))])
 
 
 def aggregate(config: CarlemanConfig, terms: np.ndarray) -> CarlemanReport:
@@ -378,11 +455,11 @@ def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], di
 
     Once for all cells: A1, B1 and B1* apply to the generators (Y_0, g) and
     the images become coordinates in an orthonormal basis of their span. Then
-    for each block of at most `BLOCK_ENTRIES` complex entries of paths: each
-    path draws its K standard normals, and once per horizon the block's
-    Brownian values, z and its images are built in one cumulative sum and the
-    six terms of every mu of that horizon taken on them. A path's terms do not
-    depend on the block it is in, and memory on P only through the terms."""
+    for each block of at most `BLOCK_ENTRIES` normals: each path draws its K
+    standard normals, and once per horizon the block's scalars v and dv and
+    the coefficients of every mu of that horizon are built, and each cell's
+    terms taken from them. A path's terms do not depend on the block it is
+    in, and memory on P only through the terms."""
     base = cells[0]
     grid = base.torus()
     a1 = resolve_operator_family(base.a1, grid)
@@ -390,26 +467,23 @@ def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], di
     initial, noise = image_coordinates(
         generator_images(resolve_process(base.process, grid), a1, b1))
     window = resolve_window(base.window)
-    horizons = []  # (time grid, window, cell indices, weights) per run of one horizon
+    horizons = []  # (time grid, window, cell indices, mus) per run of one horizon
     for _, group in itertools.groupby(range(len(cells)), key=lambda i: cells[i].horizon):
         group = list(group)
         tg = cells[group[0]].time_grid()
         horizons.append((tg, pinned_window(window(tg), tg), group,
-                         [time_weights(tg, cells[i].mu) for i in group]))
-    images, width = initial.shape
-    block = max(1, BLOCK_ENTRIES // (images * (base.steps + 1) * max(width, 1)))
+                         np.array([cells[i].mu for i in group])))
+    block = max(1, BLOCK_ENTRIES // base.steps)
     work = {"paths": 0, "path_builds": 0, "brownian_draws": 0,
-            "operator_applies": images - 1, "path_blocks": 0}
+            "operator_applies": len(initial) - 1, "path_blocks": 0}
 
     terms = np.empty((len(cells), base.paths, 6))
     for start in range(0, base.paths, block):
         rows = range(start, min(start + block, base.paths))
         normals = np.stack([brownian_normals(base.seed, p, base.steps) for p in rows])
         work["brownian_draws"] += len(rows)
-        for tg, eta, group, weights in horizons:
-            z = additive_paths(initial, noise, eta, brownian_values(normals, tg.dt))
-            for i, w in zip(group, weights):
-                terms[i, start:rows.stop] = block_terms(z, tg, cells[i].mu, w)
+        for tg, eta, group, mus in horizons:
+            terms[group, start:rows.stop] = horizon_terms(initial, noise, eta, tg, mus, normals)
             work["path_blocks"] += 1
             work["path_builds"] += len(rows)
             work["paths"] += len(rows) * len(group)

@@ -1,14 +1,14 @@
-"""Driving Brownian motion, adapted path access, and windowed additive-noise
-processes.
+"""Driving Brownian motion, adapted path access, and the windows of the
+windowed additive-noise processes z = eta (Y_0 + g w).
 
 Randomness discipline: every stream is derived from a single 64-bit seed and a
 tuple of integer keys via numpy's SeedSequence spawn keys, so Monte Carlo
-results do not depend on scheduling order. Every simulated process is additive
-noise, dY = g dw from Y_0, windowed by eta(t): z = eta (Y_0 + g w), held as
-coordinates of Y_0 and g in an orthonormal system, on exactly the columns it is
-given: Fourier coefficients, or a basis of the generators' span. A linear map A
-takes z to eta (A Y_0 + w A g), so stacked generators build z and its images
-under frozen operators in one cumulative sum.
+results do not depend on scheduling order. Path p draws its K standard
+normals once (`brownian_normals`); `brownian_values` scales them to the
+Brownian values on any grid of K steps, for one path or a stack of paths.
+A process itself is never built here: a linear map A takes z to
+eta (A Y_0 + w A g), so every Carleman pairing is a polynomial in the path
+scalars eta w with path-free coefficients (`carleman.node_coefficients`).
 """
 
 from __future__ import annotations
@@ -123,26 +123,6 @@ def sample_brownian(seed: int, path_index: int, time_grid: TimeGrid) -> Brownian
     return BrownianPath(time_grid, values, int(seed), int(path_index))
 
 
-@dataclass
-class Semimartingale:
-    """A simulated L2-valued process along one path. `coefficients` stacks its
-    coordinates at every time node as one (K+1, S) array, or as (J, K+1, S)
-    for J processes driven by one path. The S columns are coordinates in an
-    orthonormal system, so the L2 pairing of two snapshots is the sum of
-    f conj(g) over them (Parseval)."""
-
-    time_grid: TimeGrid
-    coefficients: np.ndarray
-    path: BrownianPath
-
-    def __post_init__(self):
-        if self.coefficients.ndim < 2 or \
-                self.coefficients.shape[-2] != self.time_grid.steps + 1:
-            raise ValueError(
-                f"coefficient array shape {self.coefficients.shape} does not hold "
-                f"{self.time_grid.steps + 1} time nodes")
-
-
 def sine_window(time_grid: TimeGrid) -> np.ndarray:
     return np.sin(np.pi * time_grid.nodes() / time_grid.horizon)
 
@@ -153,7 +133,7 @@ def parabolic_window(time_grid: TimeGrid) -> np.ndarray:
 
 
 def pinned_window(eta: np.ndarray, time_grid: TimeGrid) -> np.ndarray:
-    """A window eta for `additive_process`: one value per node, vanishing at both
+    """A window eta for z = eta (Y_0 + g w): one value per node, vanishing at both
     endpoints (tolerance 1e-14). The endpoint values are clamped to exactly
     zero, so that z(0) = z(T) = 0 holds exactly."""
     eta = np.array(eta, dtype=float)
@@ -165,38 +145,3 @@ def pinned_window(eta: np.ndarray, time_grid: TimeGrid) -> np.ndarray:
         raise WindowError(f"window endpoints must vanish, got {eta[0]} and {eta[-1]}")
     eta[0] = eta[-1] = 0.0
     return eta
-
-
-def additive_paths(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
-                   values: np.ndarray) -> np.ndarray:
-    """The windowed additive-noise process z_k = eta_k Y_k with dY = g dw from
-    Y_0 along B paths at once: the (B, J, K+1, S) array whose [b, j] is the
-    process of (Y_0[j], g[j]) along path b, given (J, S) stacks of the
-    coordinates of Y_0 (`initial`) and g (`noise`), a window from
-    `pinned_window` and the paths' (B, K+1) node values. Stacking (A Y_0, A g)
-    for a linear A gives A z without applying A.
-
-    Y_k = Y_0 + sum_{j<k} dw_j g is one cumulative sum along the node axis,
-    which adds in the order of the Ito steps Y_{k+1} = Y_k + dw_k g, and z is
-    then one multiply by eta. Each path's entries are computed as they are
-    for that path alone, so a path's bytes do not depend on its block."""
-    dw = values[:, 1:] - values[:, :-1]
-    coeffs = np.empty((len(values), len(initial), values.shape[-1], initial.shape[-1]),
-                      dtype=np.complex128)
-    coeffs[:, :, 0] = initial
-    np.multiply(dw[:, None, :, None], noise[:, None], out=coeffs[:, :, 1:])
-    np.add.accumulate(coeffs, axis=2, out=coeffs)
-    coeffs *= eta[:, None]
-    return coeffs
-
-
-def additive_process(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
-                     path: BrownianPath) -> Semimartingale:
-    """`additive_paths` along one path. `initial` and `noise` are the (S,)
-    coordinates of Y_0 and g, or (J, S) stacks of generators; row j of the
-    result is then the process of (Y_0[j], g[j]). The process holds exactly
-    those S columns."""
-    single = initial.ndim == 1
-    coeffs = additive_paths(np.atleast_2d(initial), np.atleast_2d(noise), eta,
-                            path.values[None])[0]
-    return Semimartingale(path.time_grid, coeffs[0] if single else coeffs, path)

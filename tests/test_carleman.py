@@ -1,20 +1,28 @@
-"""Weighted energy inequality: per-term assembly, aggregation, and the scan."""
+"""Weighted energy inequality: per-term assembly, aggregation, and the scan.
+
+`run_cells` takes each path's six terms as polynomials in its scalars
+v = eta w and dv (the scalar route). The field route of `field_route`, which
+builds z and its images per path and pairs them, is the oracle it is checked
+against path by path; the tests of the field route's own layout stay on it.
+"""
 
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import band_coefficients
+from field_route import Semimartingale, additive_paths, additive_process, block_terms, path_terms
 from spdolab import (CarlemanConfig, NonFiniteError, TorusGrid, mode_coefficients, scan,
                      verify_inequality)
 from spdolab import carleman, catalog
 from spdolab.cli import main
-from spdolab.carleman import (generator_images, image_coordinates, path_terms,
-                              resolve_operator_family, resolve_process, resolve_window)
+from spdolab.carleman import (generator_images, image_coordinates, resolve_operator_family,
+                              resolve_process, resolve_window)
 from spdolab.operators import SpdoOperator, quantize
-from spdolab.paths import (Semimartingale, TimeGrid, additive_process, pinned_window,
-                           sample_brownian)
+from spdolab.paths import TimeGrid, pinned_window, sample_brownian, sine_window
 
 T = 0.25
 MU = 64.0 / T**2
@@ -46,6 +54,22 @@ def process(selector, window, grid, seed, path_index, tg, a1, b1):
     generators = image_coordinates(generator_images(resolve_process(selector, grid), a1, b1))
     eta = pinned_window(resolve_window(window)(tg), tg)
     return additive_process(*generators, eta, sample_brownian(seed, path_index, tg))
+
+
+def scalar_terms(initial, noise, eta, tg, mu, values):
+    """The (B, 6) terms of the paths of (B, K+1) Brownian `values` on the
+    scalar route, for the (J, r) image coordinates `initial` and `noise`."""
+    const, table = carleman.node_coefficients(initial, noise, eta, tg, np.array([mu]))
+    scalars = carleman.path_scalars(eta, values)
+    return carleman.monomial_terms(scalars, const[0], [t[0] for t in table])
+
+
+def scalar_path_terms(selector, window, grid, seed, path_index, tg, a1, b1, mu):
+    """Path `path_index`'s six terms as `verify_inequality` takes them."""
+    initial, noise = image_coordinates(generator_images(resolve_process(selector, grid), a1, b1))
+    eta = pinned_window(resolve_window(window)(tg), tg)
+    return scalar_terms(initial, noise, eta, tg, mu,
+                        sample_brownian(seed, path_index, tg).values[None])[0]
 
 
 def with_images(z, a1, b1):
@@ -194,6 +218,17 @@ class TestEqualityAndStructure:
         terms = path_terms(z, MU)
         assert np.all(terms == 0.0) and not np.any(np.signbit(terms))
 
+    @pytest.mark.parametrize("images", [3, 4])
+    def test_zero_width_scalar_terms_are_positive_zeros(self, images):
+        # the zero process has no basis column: (J, 0) image coordinates give
+        # zero coefficients, and every path's six terms are +0.0
+        tg = TimeGrid(T, 64)
+        empty = np.zeros((images, 0), complex)
+        values = np.stack([sample_brownian(0, p, tg).values for p in range(3)])
+        terms = scalar_terms(empty, empty, pinned_window(sine_window(tg), tg), tg, MU, values)
+        assert terms.shape == (3, 6)
+        assert np.all(terms == 0.0) and not np.any(np.signbit(terms))
+
     def test_self_adjoint_family_kills_skew_term(self):
         det = verify_inequality(cfg(process="deterministic-mode:1", paths=1))
         assert abs(det.term_means[3]) <= 1e-12
@@ -252,10 +287,10 @@ class TestStochasticAggregation:
             return real(config, terms)
 
         monkeypatch.setattr(carleman, "aggregate", record)
-        per_path = 4 * (BASE["steps"] + 1) * 4  # c-dx and mod:1: J = 4 images on 4 columns
         rows = []
         for paths, block in ((1, 16), (8, 16), (16, 16), (16, 16), (16, 3), (16, 1)):
-            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", block * per_path)
+            # a block holds BLOCK_ENTRIES // K paths
+            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", block * BASE["steps"])
             result = scan(cfg(b1="mod:1", paths=paths), mu_list=(MU,), T_list=(T,))
             assert result.work["path_blocks"] == -(-paths // block)
             rows.append(result.rows[0])
@@ -271,10 +306,10 @@ class TestStochasticAggregation:
     def test_set_up_once_per_scan_and_paths_once_per_horizon(self, monkeypatch, b1, applies):
         # the selector is parsed, each family applied (to the two generators),
         # the images' basis taken and each path's normals drawn once for the
-        # scan; the window is checked and the paths built once per horizon,
-        # for every mu of it
+        # scan; the window is checked, the paths' scalars built and the
+        # coefficients taken once per horizon, for every mu of it
         names = ("resolve_process", "image_coordinates", "brownian_normals", "pinned_window",
-                 "additive_paths")
+                 "path_scalars", "node_coefficients")
         for paths in (6, 12):
             monkeypatch.setattr(carleman, "BLOCK_ENTRIES", 1 << 20)  # one block per horizon
             calls = dict.fromkeys(names + ("apply_coefficients",), 0)
@@ -288,25 +323,26 @@ class TestStochasticAggregation:
 
                 monkeypatch.setattr(carleman, name, counted)
             real_apply = SpdoOperator.apply_coefficients
-            real_build = carleman.additive_paths
+            real_build = carleman.path_scalars
 
             def counted_apply(self, rows, out=None, _real=real_apply):
                 calls["apply_coefficients"] += 1
                 assert rows.shape == (2, 32)  # (Y_0, g), never a path
                 return _real(self, rows, out)
 
-            def build(initial, noise, eta, values, _real=real_build):
+            def build(eta, values, _real=real_build):
                 built.append(values.shape)
-                return _real(initial, noise, eta, values)
+                return _real(eta, values)
 
             monkeypatch.setattr(SpdoOperator, "apply_coefficients", counted_apply)
-            monkeypatch.setattr(carleman, "additive_paths", build)
+            monkeypatch.setattr(carleman, "path_scalars", build)
             result = scan(cfg(b1=b1, paths=paths), T_list=(0.125, 0.25),
                           kappa_list=(16.0, 64.0, 256.0))
             monkeypatch.undo()
             assert calls == {"resolve_process": 1, "image_coordinates": 1,
                              "brownian_normals": paths, "pinned_window": 2,
-                             "additive_paths": 2, "apply_coefficients": applies}
+                             "path_scalars": 2, "node_coefficients": 2,
+                             "apply_coefficients": applies}
             assert built == [(paths, BASE["steps"] + 1)] * 2
             assert len(result.rows) == 6
 
@@ -314,10 +350,11 @@ class TestStochasticAggregation:
     def test_scan_work_counts(self, monkeypatch, budget_paths, blocks):
         # closed forms: paths = P x cells, path_builds = P x horizons,
         # brownian_draws = P, operator_applies = J - 1 (B1 self-adjoint: 2),
-        # path_blocks = horizons x ceil(P / B)
+        # path_blocks = horizons x ceil(P / B), B = BLOCK_ENTRIES // K paths:
+        # 128 at K = 64 by default
         base = cfg(paths=5, steps=64, grid_points=16)
-        if budget_paths is not None:  # J = 3 images on one column
-            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", budget_paths * 3 * 65)
+        if budget_paths is not None:
+            monkeypatch.setattr(carleman, "BLOCK_ENTRIES", budget_paths * 64)
         result = scan(base, T_list=(0.125, 0.25), kappa_list=(16.0, 64.0, 256.0))
         assert result.work == {"paths": 30, "path_builds": 10, "brownian_draws": 5,
                                "operator_applies": 2, "path_blocks": 2 * blocks}
@@ -339,14 +376,14 @@ class TestStochasticAggregation:
         # row b of a block built at horizon T is sample_brownian(seed, p, tg)
         # for the block's p-th path, byte for byte, across block boundaries
         seen = []
-        real = carleman.additive_paths
+        real = carleman.path_scalars
 
-        def build(initial, noise, eta, values):
+        def build(eta, values):
             seen.append(values.copy())
-            return real(initial, noise, eta, values)
+            return real(eta, values)
 
-        monkeypatch.setattr(carleman, "additive_paths", build)
-        monkeypatch.setattr(carleman, "BLOCK_ENTRIES", 3 * 3 * 65)
+        monkeypatch.setattr(carleman, "path_scalars", build)
+        monkeypatch.setattr(carleman, "BLOCK_ENTRIES", 3 * 64)
         base = cfg(paths=7, steps=64, seed=11)
         scan(base, T_list=(0.0625, 0.25), kappa_list=(16.0,))
         # block by block, each built at both horizons
@@ -541,20 +578,27 @@ class TestSupportRoute:
         ("trig-lambda:2,1,0,1", "lambda:1", 3),  # self-adjoint B1: J = 3
     ])
     def test_paths_hold_at_most_the_non_zero_images(self, monkeypatch, a1, b1, width):
-        # M = 128: an x-dependent path holds the cell's J non-zero generator
-        # images, not the 128 columns they touch (multipliers: one column,
-        # `test_multiplier_cell_holds_its_support_column`)
+        # M = 128: an x-dependent cell's coefficients are formed from the J
+        # non-zero generator images, not the 128 columns they touch
+        # (multipliers: one column, `test_multiplier_cell_holds_its_support_column`),
+        # and a path holds its two scalars per node whatever the width
         shapes = []
-        real = carleman.block_terms
+        real_coefficients, real_scalars = carleman.node_coefficients, carleman.path_scalars
 
-        def record(z, *args):
-            shapes.append(z.shape)
-            return real(z, *args)
+        def coefficients(initial, noise, *args):
+            shapes.extend([initial.shape, noise.shape])
+            return real_coefficients(initial, noise, *args)
 
-        monkeypatch.setattr(carleman, "block_terms", record)
+        def scalars(eta, values):
+            out = real_scalars(eta, values)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(carleman, "node_coefficients", coefficients)
+        monkeypatch.setattr(carleman, "path_scalars", scalars)
         verify_inequality(cfg(a1=a1, b1=b1, grid_points=128, steps=16, paths=2))
         images = 3 if b1 == "lambda:1" else 4
-        assert shapes == [(2, images, 17, width)]
+        assert shapes == [(images, width), (images, width), (2, 2, 17)]
 
     @pytest.mark.parametrize("a1, b1, dim, m", [
         ("trig-lambda:2,1,0,1", "trig-lambda:1,0,0.5,1", 1, 32),
@@ -573,35 +617,45 @@ class TestSupportRoute:
         z = process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg, fam_a1, fam_b1)
         assert np.count_nonzero(np.any(z.coefficients[0], axis=0)) == 1
         assert z.coefficients.shape[-1] > 1
-        got = path_terms(z, MU)
         ref = value_space_terms(fourier_process("brownian-mode:0.1,1", "sine", grid, 0, 1, tg),
                                 grid, a1, b1, MU)
         scale = np.max(np.abs(ref))
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
+        # the scalar route, as the scan takes it, and the field route
+        for got in (scalar_path_terms("brownian-mode:0.1,1", "sine", grid, 0, 1, tg,
+                                      fam_a1, fam_b1, MU),
+                    path_terms(z, MU)):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-3 * scale))
 
     def test_multiplier_cell_holds_its_support_column(self, monkeypatch):
-        # an n = 2, M = 128 multiplier cell: each path holds (3, K+1, 1)
-        # coefficients, not (K+1, 128^2) arrays with one column written, and
-        # its terms are the bytes of the sums over every Fourier column
-        checked = []
-        real = carleman.block_terms
+        # an n = 2, M = 128 multiplier cell: its coefficients come from (3, 1)
+        # image coordinates, not (K+1, 128^2) arrays with one column written.
+        # On the field route a path on that column has the bytes of the sums
+        # over every Fourier column; the scan's terms match them to rounding
+        shapes, recorded = [], []
+        real_coefficients, real_aggregate = carleman.node_coefficients, carleman.aggregate
         base = cfg(dim=2, grid_points=128, steps=16, paths=2)
         grid, tg = base.torus(), base.time_grid()
         fam_a1, fam_b1 = self.families(base.a1, base.b1, grid)
 
-        def record(z, time_grid, mu, weights):
-            terms = real(z, time_grid, mu, weights)
-            assert z.shape == (2, 3, 17, 1)
-            for p in range(2):
-                full = fourier_process(base.process, base.window, grid, base.seed, p, tg,
-                                       fam_a1, fam_b1)
-                alone = real(full.coefficients[None], time_grid, mu, weights)[0]
-                checked.append(terms[p].tobytes() == alone.tobytes())
-            return terms
+        def coefficients(initial, noise, *args):
+            shapes.extend([initial.shape, noise.shape])
+            return real_coefficients(initial, noise, *args)
 
-        monkeypatch.setattr(carleman, "block_terms", record)
+        def record(config, terms):
+            recorded.append(terms.copy())
+            return real_aggregate(config, terms)
+
+        monkeypatch.setattr(carleman, "node_coefficients", coefficients)
+        monkeypatch.setattr(carleman, "aggregate", record)
         verify_inequality(base)
-        assert checked == [True, True]
+        assert shapes == [(3, 1), (3, 1)]
+        for p in range(2):
+            support = process(base.process, base.window, grid, base.seed, p, tg, fam_a1, fam_b1)
+            full = fourier_process(base.process, base.window, grid, base.seed, p, tg,
+                                   fam_a1, fam_b1)
+            alone = path_terms(full, base.mu)
+            assert path_terms(support, base.mu).tobytes() == alone.tobytes()
+            assert np.all(np.abs(recorded[0][p] - alone) <= 1e-13 * np.max(np.abs(alone)))
 
     def test_self_adjoint_skew_term_is_positive_zero(self, tmp_path):
         # B1 = B1*: r2 is +0.0 on every path, never -0.0 from B1 z - B1 z, and
@@ -612,8 +666,9 @@ class TestSupportRoute:
         a1, b1 = resolve_operator_family("c-dx", grid), resolve_operator_family("lambda:1", grid)
         for process_selector in ("brownian-mode:0.1,1", "deterministic-mode:1"):
             z = process(process_selector, "sine", grid, 0, 0, tg, a1, b1)
-            terms = path_terms(z, MU)
-            assert terms[3] == 0.0 and not np.signbit(terms[3])
+            for terms in (scalar_path_terms(process_selector, "sine", grid, 0, 0, tg, a1, b1, MU),
+                          path_terms(z, MU)):
+                assert terms[3] == 0.0 and not np.signbit(terms[3])
             report = verify_inequality(cfg(process=process_selector, paths=4))
             assert report.term_means[3] == 0.0 and not np.signbit(report.term_means[3])
             assert not np.signbit(report.term_ses[3])
@@ -625,6 +680,83 @@ class TestSupportRoute:
                      "--out", str(out)]) == 0
         with open(out / "scan.csv") as fh:
             assert [row["term4"] for row in csv.DictReader(fh)] == ["0", "0"]
+
+
+class TestScalarRoute:
+    """`run_cells` takes each term as a polynomial in the path scalars
+    v = eta w and dv, with per-node coefficients from the image coordinates;
+    the field route is its oracle, path by path."""
+
+    @pytest.mark.parametrize("a1, b1", [("trig-lambda:2,1,0,1", "mod-xi:1"), ("c-dx", "mod:1"),
+                                        ("trig-lambda:0,50,0,1", "zero")])
+    @pytest.mark.parametrize("dim, m", [(1, 32), (2, 8)])
+    def test_matches_field_route_on_generic_processes(self, monkeypatch, a1, b1, dim, m):
+        # Y_0 and g are both non-zero band-limited profiles, so every monomial
+        # of every term is exercised; each path's terms agree with the field
+        # route's on the same image coordinates to 1e-13 of its largest |term|
+        grid = TorusGrid(dim, m)
+        rng = np.random.default_rng(7)
+        generators = (band_coefficients(grid, rng, 3), 0.3 * band_coefficients(grid, rng, 3))
+        monkeypatch.setattr(carleman, "resolve_process", lambda selector, grid: generators)
+        recorded = []
+        real = carleman.aggregate
+
+        def record(config, terms):
+            recorded.append(terms.copy())
+            return real(config, terms)
+
+        monkeypatch.setattr(carleman, "aggregate", record)
+        base = cfg(a1=a1, b1=b1, dim=dim, grid_points=m, steps=128, paths=3)
+        result = scan(base, T_list=(T,), kappa_list=(0.01, 1.0, 16.0, 256.0, 1024.0))
+        fam_a1, fam_b1 = resolve_operator_family(a1, grid), resolve_operator_family(b1, grid)
+        initial, noise = image_coordinates(generator_images(generators, fam_a1, fam_b1))
+        tg = base.time_grid()
+        values = np.stack([sample_brownian(base.seed, p, tg).values for p in range(base.paths)])
+        fields = additive_paths(initial, noise, pinned_window(sine_window(tg), tg), values)
+        assert len(recorded) == len(result.rows) == 5
+        for row, got in zip(result.rows, recorded):
+            ref = block_terms(fields, tg, row.mu)
+            assert np.all(ref[:, 3] != 0.0) == (b1 != "zero")  # the skew term where B1 != B1*
+            scale = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_block_scalars_match_single_paths(self):
+        # v = eta w and dv_k = v_{k+1} - v_k, zero at node K; a block's rows
+        # have the bytes of each path alone
+        tg = TimeGrid(T, 64)
+        eta = pinned_window(sine_window(tg), tg)
+        values = np.stack([sample_brownian(3, p, tg).values for p in range(5)])
+        block = carleman.path_scalars(eta, values)
+        assert block.shape == (2, 5, tg.steps + 1)
+        for p in range(5):
+            v, dv = carleman.path_scalars(eta, values[p:p + 1])[:, 0]
+            assert block[:, p].tobytes() == np.stack([v, dv]).tobytes()
+            assert v.tobytes() == (eta * values[p]).tobytes()
+            assert dv[:-1].tobytes() == np.diff(v).tobytes() and dv[-1] == 0.0
+
+    def test_x_dependent_scan_blocks_like_a_multiplier_scan(self):
+        # a block holds BLOCK_ENTRIES // K paths whatever the families' width,
+        # so at K = 512, M = 128 an x-dependent scan takes the blocks a
+        # multiplier scan of the same P takes
+        blocks = [scan(cfg(a1=a1, b1=b1, steps=512, grid_points=128, paths=20),
+                       T_list=(T,), kappa_list=(16.0,)).work["path_blocks"]
+                  for a1, b1 in (("c-dx", "lambda:1"), ("trig-lambda:2,1,0,1", "mod-xi:1"))]
+        assert blocks == [-(-20 // (carleman.BLOCK_ENTRIES // 512))] * 2 == [2, 2]
+
+    def test_traced_peak_grows_only_by_the_terms(self):
+        # one x-dependent cell: the peak traced allocation at P = 2048 is at
+        # most that at P = 64 plus the (P, 6) terms it adds, within 8 KiB
+        peaks = {}
+        for paths in (64, 2048):
+            cell = cfg(a1="trig-lambda:2,1,0,1", b1="mod-xi:1", steps=128, paths=paths)
+            carleman.run_cells([cell])  # warm the families' caches
+            tracemalloc.start()
+            try:
+                carleman.run_cells([cell])
+                peaks[paths] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] <= peaks[64] + (2048 - 64) * 6 * 8 + 8192
 
 
 class TestScan:

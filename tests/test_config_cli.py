@@ -375,8 +375,9 @@ class TestCliRuns:
 
 
     def test_scan_reports_its_work(self, tmp_path):
-        # closed forms on 2 horizons x 3 kappas at P = 5, one block per
-        # horizon; the report reruns byte for byte
+        # closed forms on 2 horizons x 3 kappas at P = 5: path_blocks =
+        # horizons x ceil(P / (2^13 // K)), one block per horizon at K = 64;
+        # the report reruns byte for byte
         text = ("command = carleman-scan\nK = 64\nP = 5\nM = 16\nb1 = mod:1\n"
                 "T-list = 0.125, 0.25\nkappa-list = 16, 64, 256\n")
         reports = []

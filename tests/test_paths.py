@@ -1,15 +1,16 @@
-"""Brownian paths, adapted access, windowed additive-noise processes."""
+"""Brownian paths, adapted access, and the windowed additive-noise processes
+of the field route (`field_route`), the Carleman terms' oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import l2_norm, values
-from spdolab import (AdaptednessError, TimeGrid, TorusGrid, WindowError,
-                     additive_process, derive_rng, mode_coefficients, parabolic_window,
-                     pinned_window, sample_brownian, sine_window)
-from spdolab.paths import (STREAM_BROWNIAN, Semimartingale, additive_paths, brownian_normals,
-                           brownian_values)
+from field_route import Semimartingale, additive_paths, additive_process
+from spdolab import (AdaptednessError, TimeGrid, TorusGrid, WindowError, derive_rng,
+                     mode_coefficients, parabolic_window, pinned_window, sample_brownian,
+                     sine_window)
+from spdolab.paths import STREAM_BROWNIAN, brownian_normals, brownian_values
 
 GRID = TorusGrid(1, 16)
 TG = TimeGrid(0.25, 128)
