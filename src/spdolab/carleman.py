@@ -37,12 +37,13 @@ these polynomials; expected ones (E v_k^2 = eta_k^2 t_k, ...) would give the
 exact expected terms from the same coefficients.
 
 Path p uses the same K standard normals in every cell, so a scan draws them
-once (`paths.brownian_normals`), a block of paths at a time. Per block and
-horizon the block's Brownian values and its scalars v and dv are built once
-(`path_scalars`) and the coefficients of every mu of that horizon taken once;
-each cell's terms are then elementwise products and last-axis sums along the
-block's leading path axis (`monomial_terms`). No per-path field array is
-built, and no pairing runs through BLAS. A block holds at most
+once (`paths.brownian_normals`), a block of paths at a time. The coefficients
+of every mu of a horizon are taken once per scan. Per block and horizon the
+block's Brownian values and its scalars v and dv are built once
+(`path_scalars`); each cell's terms are then elementwise products and
+last-axis sums along the block's leading path axis (`monomial_terms`), and
+one `aggregate` reduces the stacked terms of every cell. No per-path field
+array is built, and no pairing runs through BLAS. A block holds at most
 `BLOCK_ENTRIES` normals, so memory is bounded whatever P is, but for the
 (P, 6) terms of each cell. Each path goes through the same operations in any
 block, so no result depends on the blocking, and `verify_inequality` is the
@@ -400,52 +401,51 @@ def monomial_terms(scalars: np.ndarray, const: np.ndarray, table: Sequence[np.nd
     return terms + 0.0
 
 
-def horizon_terms(initial: np.ndarray, noise: np.ndarray, eta: np.ndarray,
-                  time_grid: TimeGrid, mus: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """The (G, B, 6) terms of the cells of one horizon, one per entry of `mus`,
-    along the B paths of (B, K) standard `normals`: the cells' coefficients
-    once, the paths' scalars once, then each cell's terms. Nothing of one
-    horizon outlives the call, so horizons do not add to a block's memory."""
-    const, table = node_coefficients(initial, noise, eta, time_grid, mus)
+def horizon_terms(coefficients: tuple[np.ndarray, list], eta: np.ndarray,
+                  time_grid: TimeGrid, normals: np.ndarray) -> np.ndarray:
+    """The (G, B, 6) terms of the cells of one horizon, from their
+    `node_coefficients`, along the B paths of (B, K) standard `normals`: the
+    paths' scalars once, then each cell's terms. The scalars do not outlive
+    the call, so horizons do not add to a block's memory."""
+    const, table = coefficients
     scalars = path_scalars(eta, brownian_values(normals, time_grid.dt))
     return np.stack([monomial_terms(scalars, const[g], [t[g] for t in table])
-                     for g in range(len(mus))])
+                     for g in range(len(const))])
 
 
-def aggregate(config: CarlemanConfig, terms: np.ndarray) -> CarlemanReport:
-    """The report of one cell from its (P, 6) per-path terms: term means and
-    standard errors, the two sides, the gap and the verdict."""
-    means = terms.mean(axis=0)
-    if config.paths > 1:
-        ses = terms.std(axis=0, ddof=1) / math.sqrt(config.paths)
+def aggregate(cells: Sequence[CarlemanConfig], terms: np.ndarray) -> list[CarlemanReport]:
+    """The reports of `cells` from their (C, P, 6) per-path terms: term means
+    and standard errors, the two sides, the gap and the verdict. Every
+    reduction runs along the path axis of the whole stack, and gives each
+    cell the bytes it would give that cell's (P, 6) terms alone. Raises for
+    the first cell with a non-finite figure."""
+    paths = terms.shape[1]
+    lhs = terms[..., 0] + terms[..., 1]
+    rhs = terms[..., 2:].sum(axis=-1)
+    sides = np.stack([lhs, rhs, rhs - lhs])  # (3, C, P)
+    means, side_means = terms.mean(axis=1), sides.mean(axis=-1)
+    if paths > 1:
+        ses = terms.std(axis=1, ddof=1) / math.sqrt(paths)
+        side_ses = sides.std(axis=-1, ddof=1) / math.sqrt(paths)
     else:
-        ses = np.zeros(6)
-    lhs = terms[:, 0] + terms[:, 1]
-    rhs = terms[:, 2:].sum(axis=1)
-    gap = rhs - lhs
-
-    def mean_se(x):
-        if config.paths > 1:
-            return float(x.mean()), float(x.std(ddof=1) / math.sqrt(config.paths))
-        return float(x.mean()), 0.0
-
-    lhs_mean, lhs_se = mean_se(lhs)
-    rhs_mean, rhs_se = mean_se(rhs)
-    gap_mean, gap_se = mean_se(gap)
-    aggregates = [*means, *ses, lhs_mean, lhs_se, rhs_mean, rhs_se, gap_mean, gap_se]
-    if not np.all(np.isfinite(aggregates)):
-        raise NonFiniteError(
-            f"non-finite Carleman term or gap at mu = {config.mu:g}, T = {config.horizon:g}")
-    labels = {"a1": config.a1, "b1": config.b1, "process": config.process,
-              "window": config.window, "seed": config.seed,
-              "grid_points": config.grid_points, "dim": config.dim}
-    return CarlemanReport(config.mu, config.horizon, config.steps, config.paths,
-                          config.mu * config.horizon**2,
-                          means, ses, lhs_mean, lhs_se, rhs_mean, rhs_se,
-                          gap_mean, gap_se,
-                          verdict=bool(gap_mean >= -3.0 * gap_se),
-                          borderline=bool(abs(gap_mean) <= 3.0 * gap_se),
-                          labels=labels)
+        ses, side_ses = np.zeros_like(means), np.zeros_like(side_means)
+    finite = (np.isfinite(means).all(axis=1) & np.isfinite(ses).all(axis=1)
+              & np.isfinite(side_means).all(axis=0) & np.isfinite(side_ses).all(axis=0))
+    reports = []
+    for config, c_means, c_ses, (lhs_mean, rhs_mean, gap_mean), (lhs_se, rhs_se, gap_se), ok in zip(
+            cells, means, ses, side_means.T.tolist(), side_ses.T.tolist(), finite.tolist()):
+        if not ok:
+            raise NonFiniteError(
+                f"non-finite Carleman term or gap at mu = {config.mu:g}, T = {config.horizon:g}")
+        labels = {"a1": config.a1, "b1": config.b1, "process": config.process,
+                  "window": config.window, "seed": config.seed,
+                  "grid_points": config.grid_points, "dim": config.dim}
+        reports.append(CarlemanReport(
+            config.mu, config.horizon, config.steps, config.paths,
+            config.mu * config.horizon**2, c_means, c_ses, lhs_mean, lhs_se, rhs_mean, rhs_se,
+            gap_mean, gap_se, verdict=bool(gap_mean >= -3.0 * gap_se),
+            borderline=bool(abs(gap_mean) <= 3.0 * gap_se), labels=labels))
+    return reports
 
 
 def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], dict]:
@@ -453,13 +453,13 @@ def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], di
     share every key but mu and the horizon; consecutive cells of one horizon
     share its paths.
 
-    Once for all cells: A1, B1 and B1* apply to the generators (Y_0, g) and
-    the images become coordinates in an orthonormal basis of their span. Then
-    for each block of at most `BLOCK_ENTRIES` normals: each path draws its K
-    standard normals, and once per horizon the block's scalars v and dv and
-    the coefficients of every mu of that horizon are built, and each cell's
-    terms taken from them. A path's terms do not depend on the block it is
-    in, and memory on P only through the terms."""
+    Once for all cells: A1, B1 and B1* apply to the generators (Y_0, g), the
+    images become coordinates in an orthonormal basis of their span, and the
+    coefficients of every mu of each horizon are taken. Then for each block
+    of at most `BLOCK_ENTRIES` normals: each path draws its K standard
+    normals, and once per horizon the block's scalars v and dv are built and
+    each cell's terms taken from them. A path's terms do not depend on the
+    block it is in, and memory on P only through the terms."""
     base = cells[0]
     grid = base.torus()
     a1 = resolve_operator_family(base.a1, grid)
@@ -467,12 +467,13 @@ def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], di
     initial, noise = image_coordinates(
         generator_images(resolve_process(base.process, grid), a1, b1))
     window = resolve_window(base.window)
-    horizons = []  # (time grid, window, cell indices, mus) per run of one horizon
+    horizons = []  # (time grid, window, cell indices, coefficients) per run of one horizon
     for _, group in itertools.groupby(range(len(cells)), key=lambda i: cells[i].horizon):
         group = list(group)
         tg = cells[group[0]].time_grid()
-        horizons.append((tg, pinned_window(window(tg), tg), group,
-                         np.array([cells[i].mu for i in group])))
+        eta = pinned_window(window(tg), tg)
+        mus = np.array([cells[i].mu for i in group])
+        horizons.append((tg, eta, group, node_coefficients(initial, noise, eta, tg, mus)))
     block = max(1, BLOCK_ENTRIES // base.steps)
     work = {"paths": 0, "path_builds": 0, "brownian_draws": 0,
             "operator_applies": len(initial) - 1, "path_blocks": 0}
@@ -482,12 +483,12 @@ def run_cells(cells: Sequence[CarlemanConfig]) -> tuple[list[CarlemanReport], di
         rows = range(start, min(start + block, base.paths))
         normals = np.stack([brownian_normals(base.seed, p, base.steps) for p in rows])
         work["brownian_draws"] += len(rows)
-        for tg, eta, group, mus in horizons:
-            terms[group, start:rows.stop] = horizon_terms(initial, noise, eta, tg, mus, normals)
+        for tg, eta, group, coefficients in horizons:
+            terms[group, start:rows.stop] = horizon_terms(coefficients, eta, tg, normals)
             work["path_blocks"] += 1
             work["path_builds"] += len(rows)
             work["paths"] += len(rows) * len(group)
-    return [aggregate(c, t) for c, t in zip(cells, terms)], work
+    return aggregate(cells, terms), work
 
 
 def verify_inequality(config: CarlemanConfig) -> CarlemanReport:

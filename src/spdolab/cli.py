@@ -4,7 +4,8 @@
 
 Exit status: 0 when every verdict passes, 1 when any verdict fails, 2 on
 configuration, module or any other error (recorded as a structured entry in
-report.json). Every run emits its data files, then report.json, then
+report.json). Every run first removes the files its out dir's previous
+manifest lists, then emits its data files, then report.json, then
 manifest.json with sha256 digests of everything else; the manifest is the
 only file carrying a timestamp, so reruns with the same config and seed are
 byte-identical elsewhere.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import traceback
 from pathlib import Path
@@ -23,7 +25,8 @@ from .config import COMMAND_ALIASES, COMMANDS, ExperimentConfig, parse_config
 from .errors import ConfigError, SpdoLabError
 from .grid import TorusGrid
 from .operators import boundedness_harness, parametrix, parametrix_residual_scan, quantize
-from .reports import environment_stamp, write_csv, write_json, write_manifest
+from .reports import (environment_stamp, format_number, remove_artifacts, write_csv, write_json,
+                      write_manifest)
 from .symbols import check_hypotheses, verify_symbol_order
 
 SLOPE_TARGET = -0.9
@@ -110,13 +113,21 @@ def run_reduce(cfg: ExperimentConfig, out: Path):
     ps = catalog.make_principal(cfg["principal"])
     table = reduction.reduction_table(ps, dim=cfg["n"], num_angles=cfg["num-angles"],
                                       num_x=cfg["num-x"], seed=cfg["seed"])
-    rows = table.rows
+    # each t, x and angle is formatted once, and each sample's resid and cond
+    # once; a row carries its joined "t,x,angle" and "resid,cond" cells as one
+    # string each
+    axes = [[format_number(v) for v in axis] for axis in (table.times, table.xs, table.angles)]
+    samples = [",".join(cells) for cells in itertools.product(*axes)]
+    tails = ["{:.17g},{:.17g}".format(*pair)
+             for pair in zip(table.resid.tolist(), table.cond.tolist())]
+    rows = [(sample, k, re, im, tail)
+            for sample, tail, res, ims in zip(samples, tails, table.roots.real.tolist(),
+                                              table.roots.imag.tolist())
+            for k, (re, im) in enumerate(zip(res, ims))]
     files = [write_csv(out / "reduce.csv",
                        ["t", "x", "angle", "branch", "re_lambda", "im_lambda", "resid",
-                        "cond"],
-                       [(r.t, r.x, r.angle, r.branch, r.re_lambda, r.im_lambda,
-                         r.resid, r.cond) for r in rows])]
-    max_resid = max((r.resid for r in rows), default=0.0)
+                        "cond"], rows)]
+    max_resid = max(table.resid.tolist(), default=0.0)
     ok = max_resid <= REDUCE_RESID_TOL
     results = {
         "principal": cfg["principal"],
@@ -184,6 +195,7 @@ def main(argv=None) -> int:
     subcommand = COMMAND_ALIASES.get(args.subcommand, args.subcommand)
     out = Path(args.out) if args.out is not None else Path("runs") / subcommand
     out.mkdir(parents=True, exist_ok=True)
+    remove_artifacts(out)
 
     cfg = None
     try:

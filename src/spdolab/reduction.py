@@ -16,6 +16,7 @@ companion symbols and diagonalizations carry a leading sample axis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -221,6 +222,30 @@ def _best_permutation(roots: np.ndarray, reference: np.ndarray,
     return np.argmin(cost, axis=-1)
 
 
+@functools.cache
+def _composition(m: int) -> np.ndarray:
+    """(m!, m!) table whose entry [a, b] indexes perms[a][perms[b]] in
+    `_permutations(m)`: reordering by b, then by a."""
+    perms = _permutations(m)
+    digits = m ** np.arange(m - 1, -1, -1)
+    # itertools.permutations is lexicographic, so the codes ascend
+    table = np.searchsorted(perms @ digits, perms[:, perms] @ digits)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _chain(choice: np.ndarray, m: int, axis: int) -> np.ndarray:
+    """Running composition along `axis` of orderings relative to the previous
+    entry: entry k becomes choice[k] o ... o choice[0], in log2(n) steps."""
+    compose = _composition(m)
+    out = np.moveaxis(choice, axis, -1).copy()
+    step = 1
+    while step < out.shape[-1]:
+        out[..., step:] = compose[out[..., step:], out[..., :-step]]
+        step *= 2
+    return np.moveaxis(out, -1, axis)
+
+
 def _min_distinct_gap(roots: np.ndarray) -> np.ndarray:
     """Smallest gap between distinct roots along the last axis (inf if none).
     Roots closer than COMPLEX_ROOT_REL_TOL (1 + max|root|) count as one."""
@@ -280,19 +305,22 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
             "matching ambiguous")
 
     # choice[it, ix, ia] indexes the permutation that orders that sample's
-    # roots by branch. The first direction of each (t, x) row continues from
-    # the row before it, along x, then t; each row then continues along angle,
-    # all rows in step.
-    choice = np.zeros((nt, nx, na), dtype=int)
-    for it in range(nt):
-        for ix in range(nx):
-            if it or ix:
-                prev = (it, ix - 1, 0) if ix else (it - 1, 0, 0)
-                reference = roots[prev][perms[choice[prev]]]
-                choice[it, ix, 0] = _best_permutation(roots[it, ix, 0], reference, perms)
-    for ia in range(1, na):
-        reference = np.take_along_axis(roots[:, :, ia - 1], perms[choice[:, :, ia - 1]], axis=-1)
-        choice[:, :, ia] = _best_permutation(roots[:, :, ia], reference, perms)
+    # sorted roots by branch. Each sample is matched once against its
+    # predecessor's sorted roots: along angle within each (t, x) row, and the
+    # first direction of each row against the row before it, along x, then
+    # t. Matching against the predecessor's branch order scores the same
+    # distances, so its best ordering is the relative one composed with the
+    # predecessor's, and the orderings are the relative ones composed along
+    # the chain. A tie goes to the earliest relative ordering.
+    choice = np.zeros((nt, nx, na), dtype=np.intp)
+    choice[:, :, 1:] = _best_permutation(roots[:, :, 1:], roots[:, :, :-1], perms)
+    first = roots[:, :, 0]
+    previous = first.copy()
+    previous[:, 1:], previous[1:, 0] = first[:, :-1], first[:-1, 0]
+    choice[:, :, 0] = _best_permutation(first, previous, perms)
+    choice[:, 0, 0] = _chain(choice[:, 0, 0], m, axis=0)
+    choice[:, :, 0] = _chain(choice[:, :, 0], m, axis=1)
+    choice = _chain(choice, m, axis=2)
     table = np.take_along_axis(roots, perms[choice], axis=-1)
 
     branches = []
@@ -469,35 +497,28 @@ def reduction_consistency_check(man: ManufacturedSolution, ps: PrincipalSymbol,
 
 
 @dataclass
-class ReductionRow:
-    t: float
-    x: float
-    angle: float
-    branch: int
-    re_lambda: float
-    im_lambda: float
-    resid: float
-    cond: float  # condition number of the sample's eigenvector matrix
-
-
-@dataclass
 class ReductionTable:
-    rows: list[ReductionRow]
+    """Per-sample columns of the tracked branches. Sample s is the s-th
+    (t, x, angle) of itertools.product(times, xs, angles); roots[s, k] is
+    its branch-k root."""
+
+    times: list[float]
+    xs: list[float]
+    angles: list[float]
+    roots: np.ndarray  # (S, m) branch-consistent roots
+    resid: np.ndarray  # (S,) relative residual of the diagonalization
+    cond: np.ndarray  # (S,) condition number of the eigenvector matrix
     root_samples_solved: int  # samples of the one stacked root solve
 
 
 def reduction_table(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
                     num_x: int = 8, seed: int = 0) -> ReductionTable:
-    """Per-sample eigenvalue/diagonalization rows for the tracked branches,
+    """Per-sample eigenvalue/diagonalization columns for the tracked branches,
     from one diagonalization of the split's root stack."""
     split = split_roots(ps, dim, num_angles=num_angles, num_x=num_x, seed=seed)
     diag = diagonalize(split.solve)
     xs = [float(np.asarray(x[0])) for x in split.positions]
     angles = [float(math.atan2(d[1] if dim == 2 else 0.0, d[0])) for d in split.directions]
-    samples = itertools.product(split.times, xs, angles)
-    re = split.table.real.reshape(-1, ps.m).tolist()
-    im = split.table.imag.reshape(-1, ps.m).tolist()
-    resid, cond = diag.residual.tolist(), diag.condition_number.tolist()
-    rows = [ReductionRow(float(t), x, angle, k, re[s][k], im[s][k], resid[s], cond[s])
-            for s, (t, x, angle) in enumerate(samples) for k in range(ps.m)]
-    return ReductionTable(rows, len(resid))
+    return ReductionTable([float(t) for t in split.times], xs, angles,
+                          split.table.reshape(-1, ps.m), diag.residual, diag.condition_number,
+                          len(diag.residual))

@@ -4,10 +4,15 @@ Numbers are written with 17 significant digits ('.' decimal point) and '\n'
 line endings so identical floating-point results produce identical bytes on
 every platform. The manifest is written last and lists a sha256 digest for
 every other emitted file; it is the only artifact carrying a timestamp.
+
+A run first removes the files its out dir's previous manifest lists, so it
+leaves no file of an earlier run, and each writer then creates its file anew
+and returns it with the digest of the bytes it wrote.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -37,13 +42,27 @@ def format_cell(value) -> str:
 
 
 # str.format fields that print a cell of exactly this type as format_cell does
-_CELL_FIELDS = {float: "{:.17g}", int: "{:d}"}
+_CELL_FIELDS = {float: "{:.17g}", int: "{:d}", str: "{}"}
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> Path:
+class Artifact(type(Path())):
+    """The path of a file a writer created, with the sha256 of its bytes. It
+    is a Path, so a caller reads the file's name or size as from any path."""
+
+    sha256: str
+
+
+def _write(path: str | Path, text: str) -> Artifact:
+    data = text.encode()
+    artifact = Artifact(path)
+    artifact.write_bytes(data)
+    artifact.sha256 = hashlib.sha256(data).hexdigest()
+    return artifact
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> Artifact:
     """One line per row, each through one template per tuple of cell types;
     cells of other types are first put through format_cell."""
-    path = Path(path)
     lines = [",".join(header)]
     templates: dict[tuple, tuple[str, list[int]]] = {}
     for row in rows:
@@ -57,8 +76,7 @@ def write_csv(path: str | Path, header: list[str], rows) -> Path:
             for i in other:
                 row[i] = format_cell(row[i])
         lines.append(template.format(*row))
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-    return path
+    return _write(path, "\n".join(lines) + "\n")
 
 
 def jsonable(value):
@@ -83,11 +101,9 @@ def jsonable(value):
     return value
 
 
-def write_json(path: str | Path, payload: dict) -> Path:
-    path = Path(path)
+def write_json(path: str | Path, payload: dict) -> Artifact:
     text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
-    path.write_text(text + "\n", newline="\n")
-    return path
+    return _write(path, text + "\n")
 
 
 def platform_name() -> str:
@@ -113,18 +129,30 @@ def environment_stamp() -> dict:
     }
 
 
-def sha256_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def remove_artifacts(out_dir: str | Path) -> None:
+    """Remove the files the manifest of `out_dir` lists, then the manifest.
+    Only plain file names in the out dir are removed; a file that cannot be
+    removed is rewritten in place."""
+    manifest = Path(out_dir) / "manifest.json"
+    try:
+        listed = json.loads(manifest.read_bytes()).get("files")
+    except (OSError, ValueError, AttributeError):
+        listed = None
+    names = [n for n in listed if isinstance(n, str)] if isinstance(listed, dict) else []
+    for name in names + [manifest.name]:
+        if name not in ("", "..") and Path(name).name == name:
+            with contextlib.suppress(OSError):
+                (manifest.parent / name).unlink()
 
 
 def write_manifest(out_dir: str | Path, command: str, seed: int,
-                   files: list[Path]) -> Path:
+                   files: list[Artifact]) -> Artifact:
     out_dir = Path(out_dir)
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "command": command,
         "seed": int(seed),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "files": {f.name: sha256_digest(f) for f in sorted(files)},
+        "files": {f.name: f.sha256 for f in sorted(files)},
     }
     return write_json(out_dir / "manifest.json", manifest)

@@ -7,6 +7,7 @@ against path by path; the tests of the field route's own layout stay on it.
 """
 
 import csv
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -282,9 +283,9 @@ class TestStochasticAggregation:
         recorded = []
         real = carleman.aggregate
 
-        def record(config, terms):
-            recorded.append(terms.tobytes())
-            return real(config, terms)
+        def record(cells, terms):
+            recorded.append(terms[0].tobytes())
+            return real(cells, terms)
 
         monkeypatch.setattr(carleman, "aggregate", record)
         rows = []
@@ -345,6 +346,54 @@ class TestStochasticAggregation:
                              "apply_coefficients": applies}
             assert built == [(paths, BASE["steps"] + 1)] * 2
             assert len(result.rows) == 6
+
+    def test_coefficients_once_per_horizon_across_blocks(self, monkeypatch):
+        # three blocks of two paths: each horizon's coefficients are built once
+        # for the scan, the block's scalars once per block and horizon
+        calls = {"node_coefficients": 0, "path_scalars": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(carleman, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(carleman, name, counted)
+        monkeypatch.setattr(carleman, "BLOCK_ENTRIES", 2 * 64)
+        result = scan(cfg(paths=5, steps=64, grid_points=16), T_list=(0.125, 0.25),
+                      kappa_list=(16.0, 64.0, 256.0))
+        assert calls == {"node_coefficients": 2, "path_scalars": 6}
+        assert result.work["path_blocks"] == 6
+
+    @pytest.mark.parametrize("paths", [1, 2, 3, 8, 9, 17, 128, 129, 1000])
+    def test_stacked_aggregate_matches_each_cell_alone(self, paths):
+        # one aggregate over the (C, P, 6) stack gives each cell the bytes of
+        # its (P, 6) terms reduced alone, one figure at a time
+        rng = np.random.default_rng(paths)
+        terms = rng.standard_normal((9, paths, 6)) * np.logspace(-3, 3, 6) + 0.5
+        cells = [cfg(paths=paths, mu=float(2**c)) for c in range(9)]
+        for cell, alone, report in zip(cells, terms, carleman.aggregate(cells, terms)):
+            lhs = alone[:, 0] + alone[:, 1]
+            rhs = alone[:, 2:].sum(axis=1)
+            if paths > 1:
+                root = math.sqrt(paths)
+                ses = alone.std(axis=0, ddof=1) / root
+                sides = [(float(x.mean()), float(x.std(ddof=1) / root))
+                         for x in (lhs, rhs, rhs - lhs)]
+            else:
+                ses, sides = np.zeros(6), [(float(x.mean()), 0.0) for x in (lhs, rhs, rhs - lhs)]
+            means = alone.mean(axis=0)
+            assert report.term_means.tobytes() == means.tobytes()
+            assert report.term_ses.tobytes() == ses.tobytes()
+            got = [(report.lhs_mean, report.lhs_se), (report.rhs_mean, report.rhs_se),
+                   (report.gap, report.gap_se)]
+            assert repr(got) == repr(sides)
+            assert (report.mu, report.paths) == (cell.mu, paths)
+
+    def test_aggregate_names_the_first_non_finite_cell(self):
+        terms = np.ones((3, 4, 6))
+        terms[1, 2, 3] = terms[2, 0, 0] = np.inf
+        cells = [cfg(paths=4, mu=mu) for mu in (1.0, 2.0, 3.0)]
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match="mu = 2,"):
+            carleman.aggregate(cells, terms)
 
     @pytest.mark.parametrize("budget_paths, blocks", [(None, 1), (2, 3)])
     def test_scan_work_counts(self, monkeypatch, budget_paths, blocks):
@@ -641,9 +690,9 @@ class TestSupportRoute:
             shapes.extend([initial.shape, noise.shape])
             return real_coefficients(initial, noise, *args)
 
-        def record(config, terms):
-            recorded.append(terms.copy())
-            return real_aggregate(config, terms)
+        def record(cells, terms):
+            recorded.append(terms[0].copy())
+            return real_aggregate(cells, terms)
 
         monkeypatch.setattr(carleman, "node_coefficients", coefficients)
         monkeypatch.setattr(carleman, "aggregate", record)
@@ -701,9 +750,9 @@ class TestScalarRoute:
         recorded = []
         real = carleman.aggregate
 
-        def record(config, terms):
-            recorded.append(terms.copy())
-            return real(config, terms)
+        def record(cells, terms):
+            recorded.extend(terms.copy())
+            return real(cells, terms)
 
         monkeypatch.setattr(carleman, "aggregate", record)
         base = cfg(a1=a1, b1=b1, dim=dim, grid_points=m, steps=128, paths=3)

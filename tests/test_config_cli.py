@@ -1,10 +1,12 @@
 """Config parsing, CLI exit codes, report formats, manifests, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import platform
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from spdolab import ConfigError, parse_config
 from spdolab import cli
 from spdolab.cli import main
 from spdolab.reports import (environment_stamp, format_cell, format_number, jsonable,
-                             sha256_digest, write_csv)
+                             remove_artifacts, write_csv)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -252,10 +256,10 @@ class TestCliRuns:
 
         real = mod.aggregate
 
-        def sabotage(config, terms):
-            r = real(config, terms)
-            r.verdict = False
-            return r
+        def sabotage(cells, terms):
+            reports = real(cells, terms)
+            reports[0].verdict = False
+            return reports
 
         monkeypatch.setattr("spdolab.cli.carleman.aggregate", sabotage)
         text = ("command = carleman-scan\nK = 64\nP = 2\nM = 16\n"
@@ -400,7 +404,7 @@ class TestManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) == {"hypotheses.json", "report.json"}
         for name, digest in manifest["files"].items():
-            assert sha256_digest(out / name) == digest
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_rerun_byte_identical_modulo_timestamp(self, tmp_path):
         text = "command = reduce\nprincipal = laplace\nnum-angles = 4\n"
@@ -417,3 +421,61 @@ class TestManifest:
         assert m0["files"] == m1["files"]
         m0.pop("timestamp"), m1.pop("timestamp")
         assert m0 == m1
+
+    def test_shipped_configs_rerun_into_the_same_out_dir(self, tmp_path):
+        # a rerun into the out dir of the last run removes that run's files
+        # and creates each anew: same exit code, names and bytes but for the
+        # manifest timestamp, and the manifest digests those bytes
+        for cfg in sorted(CONFIGS.glob("*.cfg")):
+            out = tmp_path / cfg.stem
+            runs = []
+            for _ in range(2):
+                code = main([parse_config(str(cfg)).command, "--config", str(cfg),
+                             "--out", str(out)])
+                files = {p.name: p.read_bytes() for p in out.iterdir()}
+                manifest = json.loads(files.pop("manifest.json"))
+                manifest.pop("timestamp")
+                assert manifest["files"] == {name: hashlib.sha256(data).hexdigest()
+                                             for name, data in files.items()}, cfg.name
+                runs.append((code, files, manifest))
+            assert runs[0][0] in (0, 1), cfg.name
+            assert runs[0] == runs[1], cfg.name
+
+    def test_error_run_leaves_no_file_of_an_earlier_run(self, tmp_path):
+        # a successful scan, then an exit-2 run into the same out dir: only
+        # its report and manifest remain, with a file the scan's manifest
+        # did not list
+        text = ("command = carleman-scan\nK = 64\nP = 2\nM = 16\n"
+                "T-list = 0.25\nkappa-list = 16\n")
+        out = tmp_path / "out"
+        assert main(["carleman-scan", "--config", write(tmp_path, text),
+                     "--out", str(out)]) in (0, 1)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "report.json",
+                                                         "scan.csv"]
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["carleman-scan", "--config", str(tmp_path / "missing.cfg"),
+                     "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt",
+                                                         "report.json"]
+        assert "error" in json.loads((out / "report.json").read_text())
+        assert list(json.loads((out / "manifest.json").read_text())["files"]) == ["report.json"]
+
+    @pytest.mark.parametrize("manifest", [
+        {"files": {"../outside.txt": "", "sub/inner.txt": "", "sub": "", "..": "", "": "",
+                   "data.csv": ""}},
+        {"files": ["data.csv"]}, {"files": "data.csv"}, ["data.csv"], "not json"])
+    def test_only_listed_plain_names_are_removed(self, tmp_path, manifest):
+        # names with a directory part, "..", "" and a directory are left, as is
+        # everything a malformed manifest names; the manifest itself goes
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        for path in (tmp_path / "outside.txt", out / "sub" / "inner.txt", out / "data.csv"):
+            path.write_text("x")
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        (out / "manifest.json").write_text(text)
+        remove_artifacts(out)
+        listed = isinstance(manifest, dict) and isinstance(manifest["files"], dict)
+        assert (out / "data.csv").exists() != listed
+        assert (tmp_path / "outside.txt").exists() and (out / "sub" / "inner.txt").exists()
+        assert not (out / "manifest.json").exists()
+        remove_artifacts(tmp_path / "absent")  # no manifest, no out dir: nothing to do

@@ -216,11 +216,11 @@ class TestConsistency:
 class TestReductionTable:
     def test_row_inventory_and_residuals(self):
         table = reduction_table(make_principal("mixed-cubic"), 1, num_angles=2)
-        rows = table.rows
-        # 3 times x 1 position x 2 directions x 3 branches
-        assert len(rows) == 18
+        # 3 times x 1 position x 2 directions, 3 branches each
+        assert (len(table.times), len(table.xs), len(table.angles)) == (3, 1, 2)
+        assert table.roots.shape == (6, 3)
+        assert table.resid.shape == table.cond.shape == (6,)
         assert table.root_samples_solved == 6
-        assert {r.branch for r in rows} == {0, 1, 2}
         # direction -1 is reported as the angle pi
-        assert {r.angle for r in rows} == {0.0, np.pi}
-        assert max(r.resid for r in rows) <= 1e-10
+        assert table.angles == [0.0, np.pi]
+        assert table.resid.max() <= 1e-10

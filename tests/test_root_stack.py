@@ -13,9 +13,9 @@ import math
 import numpy as np
 import pytest
 
-from spdolab import (BranchCrossingError, DegenerateDiagonalizationError, RootSolveError,
-                     branch_symbol, check_elliptic, check_hypotheses, reduction_table,
-                     split_roots, verify_symbol_order)
+from spdolab import (BranchCrossingError, DegenerateDiagonalizationError, PrincipalSymbol,
+                     RootSolveError, Symbol, branch_symbol, check_elliptic, check_hypotheses,
+                     reduction_table, split_roots, verify_symbol_order)
 from spdolab import reduction, symbols
 from spdolab.catalog import make_principal, make_symbol, random_principal
 from spdolab.reduction import BRANCH_AMBIGUITY_TOL
@@ -30,9 +30,25 @@ AUDITED_SYMBOLS = ["lambda:1", "xi", "c-dx", "abs-xi", "trig-lambda:2,1,0,1", "m
                    "brownian-lambda:5,1"]
 
 
+def swapping_principal():
+    """tau^2 - (sin x + i)^2 |xi|^2: its roots +-(sin x + i)|xi| stay 2 apart,
+    and their sorted order flips where sin x changes sign, so branch tracking
+    reorders them along x, never along angle."""
+
+    def squared(t, slc, x):  # (sin x + i)^2 in real arithmetic
+        s = np.sin(x[0])
+        return (s * s - 1.0) + 2j * s
+
+    name = "swap-along-x"
+    return PrincipalSymbol(name, 2, (
+        Symbol(f"c0[{name}]", 2.0, ((squared, lambda t, slc, xi: sum(c * c for c in xi)),)),
+        Symbol(f"c1[{name}]", 1.0, ((None, lambda t, slc, xi: np.zeros(np.shape(xi[0]))),))))
+
+
 def gallery():
     """(label, principal, dims) for every principal compared with the oracle."""
     out = [(sel, make_principal(sel), (1, 2)) for sel in ROOT_GALLERY]
+    out.append(("swap-along-x", swapping_principal(), (1, 2)))
     out.append(("from-roots:0,0.5,2", make_principal("from-roots:0,0.5,2"), (2,)))
     out.append(("from-roots:1,-1,2,0.5", make_principal("from-roots:1,-1,2,0.5"), (1, 2)))
     out.append(("random-trig-3", random_principal(3, np.random.default_rng(7), trig=True), (1, 2)))
@@ -127,6 +143,16 @@ def oracle_split_table(ps, dim, num_angles=32, num_x=8, seed=0, residual_tol=1e-
             table[it, ix, ia] = oracle_match(roots, table[it - 1, ix, ia])
     shape = tuple(k + 1 for k in max(table)) + (ps.m,)
     return np.array([table[k] for k in sorted(table)]).reshape(shape)
+
+
+def table_rows(table):
+    """The rows of a `ReductionTable`, (t, x, angle, branch, re, im, resid,
+    cond), as `oracle_reduction_rows` lists them."""
+    samples = itertools.product(table.times, table.xs, table.angles)
+    return [(t, x, angle, k, lam.real, lam.imag, resid, cond)
+            for (t, x, angle), roots, resid, cond in zip(
+                samples, table.roots.tolist(), table.resid.tolist(), table.cond.tolist())
+            for k, lam in enumerate(roots)]
 
 
 def oracle_diagonalization(ps, t, slc, x, xi):
@@ -333,7 +359,37 @@ def test_hypotheses_split_and_reduction_match_oracle(label, ps, dims):
         if isinstance(expected, Exception):
             assert same_error(got, expected), (got, expected)
         else:
-            assert [tuple(vars(r).values()) for r in got.rows] == expected
+            assert table_rows(got) == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_branch_order_composes_along_the_position_chain(dim):
+    # the swapping principal's sorted roots change order along x only: its
+    # tracked table reorders them at some positions, at every angle of those
+    # positions alike, and matches the per-sample oracle
+    ps = swapping_principal()
+    split = split_roots(ps, dim, num_angles=16, seed=4)
+    reordered = np.any(split.table != split.solve.roots.reshape(split.table.shape), axis=-1)
+    assert reordered.any() and not reordered.all()
+    assert np.array_equal(reordered, np.broadcast_to(reordered[:, :, :1], reordered.shape))
+    assert bitwise(split.table, oracle_split_table(ps, dim, num_angles=16, seed=4))
+
+
+@pytest.mark.parametrize("num_angles", [2, 16, 256])
+def test_split_matches_in_two_calls(monkeypatch, num_angles):
+    # every sample is matched against its predecessor in two stacked calls,
+    # whatever the number of angles: along angle, then the first directions
+    # along x and t
+    shapes = []
+    best = reduction._best_permutation
+
+    def counted(roots, reference, perms):
+        shapes.append(roots.shape)
+        return best(roots, reference, perms)
+
+    monkeypatch.setattr(reduction, "_best_permutation", counted)
+    split_roots(make_principal("variable-wave:2,0.5,0.3"), 2, num_angles=num_angles)
+    assert shapes == [(6, 8, num_angles - 1, 2), (6, 8, 2)]
 
 
 @pytest.mark.parametrize("selector,contexts", [
