@@ -432,8 +432,8 @@ def aggregate(cells: Sequence[CarlemanConfig], terms: np.ndarray) -> list[Carlem
     finite = (np.isfinite(means).all(axis=1) & np.isfinite(ses).all(axis=1)
               & np.isfinite(side_means).all(axis=0) & np.isfinite(side_ses).all(axis=0))
     reports = []
-    for config, c_means, c_ses, (lhs_mean, rhs_mean, gap_mean), (lhs_se, rhs_se, gap_se), ok in zip(
-            cells, means, ses, side_means.T.tolist(), side_ses.T.tolist(), finite.tolist()):
+    for config, c_means, c_ses, (lhs_mean, rhs_mean, gap_mean), (lhs_se, rhs_se, gap_se), ok \
+            in zip(cells, means, ses, side_means.T.tolist(), side_ses.T.tolist(), finite.tolist()):
         if not ok:
             raise NonFiniteError(
                 f"non-finite Carleman term or gap at mu = {config.mu:g}, T = {config.horizon:g}")
