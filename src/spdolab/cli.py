@@ -53,6 +53,7 @@ def run_symbol_verify(cfg: ExperimentConfig, out: Path):
         "declared_order": report.declared_order,
         "fitted_order": report.fitted_order(),
         "passed": report.passed,
+        "work": {"symbol_points": report.symbol_points},
     }
     return report.passed, files, results
 

@@ -79,31 +79,67 @@ def write_csv(path: str | Path, header: list[str], rows) -> Artifact:
     return _write(path, "\n".join(lines) + "\n")
 
 
-def jsonable(value):
-    """Plain-JSON coercion: numpy scalars unwrapped, non-finite floats as strings."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
+# the C-level string encoder that json.dumps itself uses for ASCII output
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str, out: list[str]) -> None:
+    """Append to `out` the JSON of `value` at nesting `indent`, in the layout
+    of json.dumps(..., indent=2, sort_keys=True), coercing as it goes: numpy
+    scalars and arrays unwrapped, tuples as lists, keys as str(key), and
+    non-finite floats as the strings "inf", "-inf" and "nan"."""
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-        return value
-    return value
+        if math.isfinite(value):
+            out.append(float.__repr__(value))
+        elif math.isnan(value):
+            out.append('"nan"')
+        else:
+            out.append('"inf"' if value > 0 else '"-inf"')
+    elif isinstance(value, str):
+        out.append(_json_string(value))
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in value.items()}
+        inner = indent + "  "
+        separator = "{\n" + inner
+        for key in sorted(items):
+            out += (separator, _json_string(key), ": ")
+            _json_text(items[key], inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[\n" + inner
+        for v in value:
+            out.append(separator)
+            _json_text(v, inner, out)
+            separator = ",\n" + inner
+        out.append("\n" + indent + "]")
+    elif value is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, payload: dict) -> Artifact:
-    text = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
-    return _write(path, text + "\n")
+    """`payload` as indented JSON with sorted keys (see _json_text), built in
+    one pass with the C-level leaf encoders."""
+    out: list[str] = []
+    _json_text(payload, "", out)
+    out.append("\n")
+    return _write(path, "".join(out))
 
 
 def platform_name() -> str:

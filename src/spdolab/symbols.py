@@ -12,6 +12,7 @@ arrays, one entry per axis, broadcastable against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -171,6 +172,14 @@ def _direction_rays(dim: int, num_angles: int, radii: np.ndarray) -> Coords:
                  for ax in range(dim))
 
 
+def audit_positions(dim: int, num_x: int, x_dependent: bool) -> list[Coords]:
+    """num_x sampled positions for a subject that depends on x; the origin
+    alone for one that does not, since every position gives its values."""
+    if x_dependent:
+        return sample_positions(dim, num_x)
+    return [tuple(np.array(0.0) for _ in range(dim))]
+
+
 def audit_samples(subject: Symbol | PrincipalSymbol, dim: int, num_x: int,
                   seed: int) -> tuple[list[Context], list[Coords]]:
     """The distinct (t, path) contexts and positions an audit evaluates.
@@ -181,38 +190,13 @@ def audit_samples(subject: Symbol | PrincipalSymbol, dim: int, num_x: int,
     other points of the grid repeat those values."""
     contexts = (sample_contexts(seed) if subject.requires_path
                 else [(SAMPLE_TIME_GRID.node(k), None) for k in _sample_nodes()])
-    positions = (sample_positions(dim, num_x) if subject.x_dependent
-                 else [tuple(np.array(0.0) for _ in range(dim))])
-    return contexts, positions
+    return contexts, audit_positions(dim, num_x, subject.x_dependent)
 
 
 # ---------------------------------------------------------------------------
 # symbol-class verification
 
-
-def _nested_fd(symbol: Symbol, t: float, slc: PathSlice | None, x: Coords, xi: Coords,
-               alpha: tuple[int, ...], beta: tuple[int, ...],
-               h_xi: np.ndarray, h_x: float) -> np.ndarray:
-    """Nested central differences for d^alpha_xi d^beta_x a at (x, xi)."""
-    for axis, order in enumerate(alpha):
-        if order > 0:
-            a_minus = tuple(order - 1 if ax == axis else o for ax, o in enumerate(alpha))
-
-            def shift(sign, axis=axis, a_minus=a_minus):
-                xs = tuple(xi[ax] + sign * h_xi if ax == axis else xi[ax] for ax in range(len(xi)))
-                return _nested_fd(symbol, t, slc, x, xs, a_minus, beta, h_xi, h_x)
-
-            return (shift(+1.0) - shift(-1.0)) / (2.0 * h_xi)
-    for axis, order in enumerate(beta):
-        if order > 0:
-            b_minus = tuple(order - 1 if ax == axis else o for ax, o in enumerate(beta))
-
-            def shift(sign, axis=axis, b_minus=b_minus):
-                xs = tuple(x[ax] + sign * h_x if ax == axis else x[ax] for ax in range(len(x)))
-                return _nested_fd(symbol, t, slc, xs, xi, alpha, b_minus, h_xi, h_x)
-
-            return (shift(+1.0) - shift(-1.0)) / (2.0 * h_x)
-    return symbol.evaluate(t, slc, x, xi)
+ORDER_H_X = 5e-3  # the spatial difference step
 
 
 def _multi_indices(dim: int, max_total: int = 2):
@@ -220,6 +204,61 @@ def _multi_indices(dim: int, max_total: int = 2):
     singles = [idx for idx in itertools.product(range(max_total + 1), repeat=dim)
                if sum(idx) <= max_total]
     return [(a, b) for a in singles for b in singles if sum(a) + sum(b) <= max_total]
+
+
+@dataclass(frozen=True)
+class _OrderStencil:
+    """The central-difference points of every (alpha, beta) pair of an order
+    audit, stacked on one leading leaf axis, and the divisors that fold them.
+
+    d^alpha_xi d^beta_x takes k = |alpha| + |beta| nested differences: the xi
+    axes in order, then the x axes, each step shifting one coordinate by +-h
+    and dividing the difference by 2h. A pair's 2^k leaves are the
+    coordinates with those shifts added one at a time, outermost first; the
+    innermost shift is the fastest-varying bit, + before -. `x` holds
+    (leaf, 1, position, 1) and `xi` (leaf, direction, 1, radius) arrays per
+    axis. Each group holds the pairs with one k: their leaves, contiguous, and
+    per shift (outermost first) a (pair, 1, 1, 1, radius) array of 2h.
+    """
+
+    x: Coords
+    xi: Coords
+    groups: tuple[tuple[list[tuple], slice, tuple[np.ndarray, ...]], ...]
+
+
+@functools.cache
+def _order_stencil(dim: int, x_dependent: bool) -> _OrderStencil:
+    radii = np.geomspace(1.0, XI_MAX, NUM_XI)
+    positions = audit_positions(dim, ORDER_NUM_X, x_dependent)
+    xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
+    xi = _direction_rays(dim, 8, radii)
+    leaves: list[tuple[list, list]] = []
+    groups = []
+    pairs = _multi_indices(dim)
+    for k in range(3):
+        group = [(a, b) for a, b in pairs if sum(a) + sum(b) == k]
+        h_xi = (1e-3 if k <= 1 else 5e-3) * (1.0 + radii.reshape(1, -1))
+        start, divisors = len(leaves), []
+        for alpha, beta in group:
+            shifts = ([(True, ax) for ax, order in enumerate(alpha) for _ in range(order)]
+                      + [(False, ax) for ax, order in enumerate(beta) for _ in range(order)])
+            for signs in itertools.product((1.0, -1.0), repeat=k):
+                x, z = list(xs), list(xi)
+                for (on_xi, ax), sign in zip(shifts, signs):
+                    if on_xi:
+                        z[ax] = z[ax] + sign * h_xi
+                    else:
+                        x[ax] = x[ax] + sign * ORDER_H_X
+                leaves.append((x, z))
+            divisors.append([2.0 * h_xi if on_xi else np.full_like(h_xi, 2.0 * ORDER_H_X)
+                             for on_xi, _ in shifts])
+        per_shift = tuple(np.stack(d).reshape(len(group), 1, 1, 1, -1) for d in zip(*divisors))
+        groups.append((group, slice(start, len(leaves)), per_shift))
+    x = tuple(np.stack([leaf[0][ax] for leaf in leaves])[:, None] for ax in range(dim))
+    xi = tuple(np.stack([leaf[1][ax] for leaf in leaves]) for ax in range(dim))
+    for c in x + xi:
+        c.flags.writeable = False  # shared by every audit of this (dim, x_dependent)
+    return _OrderStencil(x, xi, tuple(groups))
 
 
 @dataclass
@@ -238,6 +277,7 @@ class SymbolOrderReport:
     declared_order: float
     tolerance: float
     entries: list[SymbolOrderEntry]
+    symbol_points: int  # (x, xi) points at which the symbol was evaluated
 
     @property
     def passed(self) -> bool:
@@ -260,31 +300,33 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
     Derivative magnitudes below a relative floor are reported as -inf and pass.
     A non-finite sampled value raises NonFiniteError, and magnitudes that clear
     the floor at fewer than two radii raise OrderFitError.
+
+    The symbol is evaluated once per sampled context, on every difference
+    point of every pair at once (`_order_stencil`).
     """
     radii = np.geomspace(1.0, XI_MAX, NUM_XI)
-    contexts, positions = audit_samples(symbol, dim, ORDER_NUM_X, seed)
-    xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
-    xi = _direction_rays(dim, 8, radii)
-
-    pairs = _multi_indices(dim)
-    curves: dict[tuple, np.ndarray] = {p: np.zeros(NUM_XI) for p in pairs}
-    base_scale = 0.0
+    contexts, _ = audit_samples(symbol, dim, ORDER_NUM_X, seed)
+    stencil = _order_stencil(dim, symbol.x_dependent)
+    maxima = [np.zeros((len(group), NUM_XI)) for group, _, _ in stencil.groups]
+    points = 0
     for t, slc in contexts:
-        for alpha, beta in pairs:
-            total = sum(alpha) + sum(beta)
-            h_rel = 1e-3 if total <= 1 else 5e-3
-            h_xi = h_rel * (1.0 + radii.reshape(1, -1))
-            vals = _nested_fd(symbol, t, slc, xs, xi, alpha, beta, h_xi, 5e-3)
-            mags = np.max(np.abs(vals), axis=1)  # (direction, radius)
-            np.maximum(curves[(alpha, beta)], mags.max(axis=0), out=curves[(alpha, beta)])
+        vals = symbol.evaluate(t, slc, stencil.x, stencil.xi)  # (leaf, direction, position, radius)
+        points += vals.size
+        for (group, leaves, divisors), curve in zip(stencil.groups, maxima):
+            d = vals[leaves].reshape(len(group), -1, *vals.shape[1:])
+            for divisor in reversed(divisors):  # the innermost difference first
+                d = d.reshape(len(group), -1, 2, *vals.shape[1:])
+                d = (d[:, :, 0] - d[:, :, 1]) / divisor
             # np.maximum keeps a NaN, which Python's max would drop
-            if total == 0:
-                base_scale = float(np.maximum(base_scale, mags.max()))
+            np.maximum(curve, np.abs(d).max(axis=(1, 2, 3)), out=curve)
+    curves = {pair: row for (group, _, _), curve in zip(stencil.groups, maxima)
+              for pair, row in zip(group, curve)}
 
-    floor = 1e-10 * (1.0 + base_scale)
+    zeroth = (0,) * dim
+    floor = 1e-10 * (1.0 + float(np.max(curves[(zeroth, zeroth)])))
     upper = radii >= math.sqrt(XI_MAX)
     entries = []
-    for alpha, beta in pairs:
+    for alpha, beta in _multi_indices(dim):
         mags = curves[(alpha, beta)]
         if not np.all(np.isfinite(mags)):
             raise NonFiniteError(
@@ -304,7 +346,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
         slope = float(np.polyfit(np.log1p(radii[sel]), np.log(mags[sel]), 1)[0])
         entries.append(SymbolOrderEntry(alpha, beta, slope, bound, float(np.max(mags)),
                                         slope <= bound + ORDER_TOLERANCE))
-    return SymbolOrderReport(symbol.name, symbol.order, ORDER_TOLERANCE, entries)
+    return SymbolOrderReport(symbol.name, symbol.order, ORDER_TOLERANCE, entries, points)
 
 
 # ---------------------------------------------------------------------------

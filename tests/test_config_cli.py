@@ -10,14 +10,54 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spdolab import ConfigError, parse_config
 from spdolab import cli
 from spdolab.cli import main
-from spdolab.reports import (environment_stamp, format_cell, format_number, jsonable,
-                             remove_artifacts, write_csv)
+from spdolab.reports import (environment_stamp, format_cell, format_number, remove_artifacts,
+                             write_csv, write_json)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def jsonable(value):
+    """Plain-JSON coercion: numpy scalars unwrapped, non-finite floats as
+    strings. With json.dumps(..., indent=2, sort_keys=True, allow_nan=False)
+    it is the oracle of write_json."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [jsonable(v) for v in value.tolist()]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return value
+    return value
+
+
+# report values: numpy scalars and arrays, non-finite floats, tuples,
+# non-ASCII strings, int and str keys, and empty containers at any depth
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(), st.text(),
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2**31, 2**31 - 1).map(np.int32), st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.integers(-9, 9)), inner, max_size=4)),
+    max_leaves=20)
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -158,11 +198,20 @@ class TestReportFormats:
             pytest.skip(f"processor {uname.processor!r} is part of platform.platform()")
         assert environment_stamp()["platform"] == platform.platform()
 
-    def test_jsonable_coercions(self):
-        out = jsonable({"a": np.float64(1.5), "b": np.int32(2), "c": math.inf,
-                        "d": np.array([1.0, 2.0]), "e": np.True_})
+    def test_jsonable_coercions(self, tmp_path):
+        path = write_json(tmp_path / "r.json", {"a": np.float64(1.5), "b": np.int32(2),
+                                                "c": math.inf, "d": np.array([1.0, 2.0]),
+                                                "e": np.True_})
+        out = json.loads(path.read_bytes())
         assert out == {"a": 1.5, "b": 2, "c": "inf", "d": [1.0, 2.0], "e": True}
-        json.dumps(out, allow_nan=False)
+
+    @given(payload=st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_json_writer_matches_json_dumps(self, tmp_path, payload):
+        expected = json.dumps(jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+        path = write_json(tmp_path / "r.json", payload)
+        assert path.read_bytes() == (expected + "\n").encode()
 
 
 class TestCliRuns:
@@ -197,6 +246,21 @@ class TestCliRuns:
         results = json.loads((out / "report.json").read_text())["results"]
         assert results["work"] == {"root_samples_solved": solved}
         assert results["samples"] == 2 * solved
+
+    # contexts x stencil leaves x directions x positions x radii: 3 sampled
+    # times, or 6 (t, path) contexts for a path-reading symbol; 17 leaves
+    # and 2 directions at n = 1, 49 and 8 at n = 2; 8 positions for an
+    # x-dependent symbol, else 1; 17 radii
+    @pytest.mark.parametrize("symbol,contexts,positions", [
+        ("lambda:1", 3, 1), ("trig-lambda:2,1,0,1", 3, 8), ("brownian-lambda:5,1", 6, 1)])
+    @pytest.mark.parametrize("n,leaves,directions", [(1, 17, 2), (2, 49, 8)])
+    def test_symbol_points(self, tmp_path, symbol, contexts, positions, n, leaves, directions):
+        text = f"command = symbol-verify\nsymbol = {symbol}\nn = {n}\n"
+        code, out = self.run(tmp_path, text, "symbol-verify")
+        assert code == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        points = contexts * leaves * directions * positions * 17
+        assert results["work"] == {"symbol_points": points}
 
     def test_misdeclared_symbol_exits_one(self, tmp_path):
         text = "command = symbol-verify\nsymbol = xi2\nl = 1\n"

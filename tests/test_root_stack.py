@@ -17,16 +17,25 @@ from spdolab import (BranchCrossingError, DegenerateDiagonalizationError, Princi
                      RootSolveError, Symbol, branch_symbol, check_elliptic, check_hypotheses,
                      reduction_table, split_roots, verify_symbol_order)
 from spdolab import reduction, symbols
-from spdolab.catalog import make_principal, make_symbol, random_principal
+from spdolab.catalog import make_principal, make_symbol, random_principal, with_declared_order
 from spdolab.reduction import BRANCH_AMBIGUITY_TOL
-from spdolab.symbols import (COMPLEX_ROOT_REL_TOL, _multi_indices, _nested_fd,
-                             characteristic_roots, sample_contexts, sample_directions,
-                             sample_grid, sample_positions, solve_roots)
+from spdolab.errors import NonFiniteError, OrderFitError
+from spdolab.paths import PathSlice
+from spdolab.symbols import (COMPLEX_ROOT_REL_TOL, Coords, _multi_indices, characteristic_roots,
+                             sample_contexts, sample_directions, sample_grid, sample_positions,
+                             solve_roots)
 
 ROOT_GALLERY = ["wave:1", "wave:2", "laplace", "mixed-cubic", "variable-wave:2,0.5,0",
                 "double-root", "from-roots:1,-1,2"]
 # brownian-lambda reads the path
 AUDITED_SYMBOLS = ["lambda:1", "xi", "c-dx", "abs-xi", "trig-lambda:2,1,0,1", "mod-xi:1",
+                   "brownian-lambda:5,1"]
+# every catalog entry: x-free, x-dependent (trig, mod) and path-reading
+# (affine-w, brownian-lambda) symbols of orders -1 to 3
+ORDER_SELECTORS = ["one", "zero", "const:2.5", "lambda:1", "lambda:-1", "lambda:0.5", "lambda:2",
+                   "xi", "c-dx", "c-dx:3", "xi-poly:1,0,2", "xi-poly:0,1,0,1", "abs-xi",
+                   "trig:1,1,0", "trig:1,0.5,0.5,2", "trig-lambda:2,1,0,1",
+                   "trig-lambda:1,0,0.5,1", "mod:1", "mod-xi:1", "mod-xi:2", "affine-w:0.5",
                    "brownian-lambda:5,1"]
 
 
@@ -202,9 +211,35 @@ def oracle_reduction_rows(ps, dim, num_angles=32, num_x=8, seed=0):
     return rows
 
 
+def _nested_fd(symbol: Symbol, t: float, slc: PathSlice | None, x: Coords, xi: Coords,
+               alpha: tuple[int, ...], beta: tuple[int, ...],
+               h_xi: np.ndarray, h_x: float) -> np.ndarray:
+    """Nested central differences for d^alpha_xi d^beta_x a at (x, xi)."""
+    for axis, order in enumerate(alpha):
+        if order > 0:
+            a_minus = tuple(order - 1 if ax == axis else o for ax, o in enumerate(alpha))
+
+            def shift(sign, axis=axis, a_minus=a_minus):
+                xs = tuple(xi[ax] + sign * h_xi if ax == axis else xi[ax] for ax in range(len(xi)))
+                return _nested_fd(symbol, t, slc, x, xs, a_minus, beta, h_xi, h_x)
+
+            return (shift(+1.0) - shift(-1.0)) / (2.0 * h_xi)
+    for axis, order in enumerate(beta):
+        if order > 0:
+            b_minus = tuple(order - 1 if ax == axis else o for ax, o in enumerate(beta))
+
+            def shift(sign, axis=axis, b_minus=b_minus):
+                xs = tuple(x[ax] + sign * h_x if ax == axis else x[ax] for ax in range(len(x)))
+                return _nested_fd(symbol, t, slc, xs, xi, alpha, b_minus, h_xi, h_x)
+
+            return (shift(+1.0) - shift(-1.0)) / (2.0 * h_x)
+    return symbol.evaluate(t, slc, x, xi)
+
+
 def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
                          tolerance=0.05):
-    """verify_symbol_order one direction at a time."""
+    """verify_symbol_order one direction and one (alpha, beta) pair at a time,
+    each derivative by the nested recursion."""
     radii = np.geomspace(1.0, xi_max, num_xi)
     positions = sample_positions(dim, num_x)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
@@ -227,6 +262,10 @@ def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
     entries = []
     for alpha, beta in pairs:
         mags = curves[(alpha, beta)]
+        if not np.all(np.isfinite(mags)):
+            raise NonFiniteError(
+                f"symbol {symbol.name}: non-finite d^{alpha}_xi d^{beta}_x sampled up to "
+                f"|xi| = {xi_max:g}")
         bound = symbol.order - sum(alpha)
         if np.max(mags) <= floor:
             entries.append((alpha, beta, -math.inf, bound, float(np.max(mags)), True))
@@ -234,6 +273,10 @@ def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
         sel = upper & (mags > floor)
         if np.count_nonzero(sel) < 2:
             sel = mags > floor
+        if np.count_nonzero(sel) < 2:
+            raise OrderFitError(
+                f"symbol {symbol.name}: d^{alpha}_xi d^{beta}_x clears the floor {floor:.3e} "
+                f"at one sampled radius only, too few to fit a growth order")
         slope = float(np.polyfit(np.log1p(radii[sel]), np.log(mags[sel]), 1)[0])
         entries.append((alpha, beta, slope, bound, float(np.max(mags)),
                         slope <= bound + tolerance))
@@ -427,25 +470,27 @@ def test_audits_solve_once_per_call(monkeypatch, selector, contexts):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_symbol_audits_evaluate_distinct_samples(monkeypatch, selector, contexts, order_x,
                                                  elliptic_x, dim):
-    # the order and ellipticity audits evaluate a symbol at each sampled time
-    # once, with no slice, unless it reads the path, and at one position
-    # unless it depends on x
+    # the order and ellipticity audits evaluate a symbol once per sampled
+    # time, with no slice, unless it reads the path, and at one position
+    # unless it depends on x; positions sit on the second-to-last axis (the
+    # order audit stacks its difference points on a leading axis)
     sym = make_symbol(selector)
     rule = sym.fn
-    seen = set()
+    calls = []
 
     def recorded(t, slc, x, xi):
         path = None if slc is None else (slc.underlying.path_index, slc.cutoff_index)
-        seen.add((t, path, np.shape(x[0])[0]))
+        calls.append((t, path, np.shape(x[0])[-2]))
         return rule(t, slc, x, xi)
 
     monkeypatch.setattr(sym, "fn", recorded)
     for audit, num_x in ((verify_symbol_order, order_x), (check_elliptic, elliptic_x)):
-        seen.clear()
+        calls.clear()
         audit(sym, dim=dim)
-        assert len({(t, path) for t, path, _ in seen}) == contexts, audit.__name__
-        assert all((path is None) == (contexts == 3) for _, path, _ in seen)
-        assert {n for _, _, n in seen} == {num_x}, audit.__name__
+        assert len({(t, path) for t, path, _ in calls}) == contexts, audit.__name__
+        assert len(calls) == contexts, audit.__name__
+        assert all((path is None) == (contexts == 3) for _, path, _ in calls)
+        assert {n for _, _, n in calls} == {num_x}, audit.__name__
 
 
 @pytest.mark.parametrize("selector,dim", [
@@ -527,7 +572,7 @@ def test_branch_symbol_matches_oracle(selector, dim):
 # symbol audits over every direction at once
 
 
-@pytest.mark.parametrize("selector", AUDITED_SYMBOLS)
+@pytest.mark.parametrize("selector", ORDER_SELECTORS)
 @pytest.mark.parametrize("dim", [1, 2])
 def test_order_audit_matches_direction_loop(selector, dim):
     sym = make_symbol(selector)
@@ -535,6 +580,21 @@ def test_order_audit_matches_direction_loop(selector, dim):
     got = [(e.alpha, e.beta, e.fitted_exponent, e.bound, e.max_magnitude, e.passed)
            for e in report.entries]
     assert got == oracle_order_entries(sym, dim, seed=1)
+
+
+@pytest.mark.parametrize("selector,order,error", [
+    ("lambda:103", None, NonFiniteError), ("lambda:60", 32.0, OrderFitError)])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_order_audit_errors_match_direction_loop(selector, order, error, dim):
+    # both name the first (alpha, beta) pair that fails, in pair order
+    sym = make_symbol(selector)
+    if order is not None:
+        sym = with_declared_order(sym, order)
+    with np.errstate(all="ignore"):
+        expected = raised(oracle_order_entries, sym, dim, seed=1)
+        got = raised(verify_symbol_order, sym, dim, seed=1)
+    assert isinstance(expected, error)
+    assert same_error(got, expected)
 
 
 @pytest.mark.parametrize("selector", AUDITED_SYMBOLS + ["trig:1,1,0", "one"])
