@@ -7,8 +7,7 @@ Every entry, and every tau-coefficient of a principal symbol, is a short sum
 of separated terms f_r(t, w, x) g_r(t, w, xi) (`Symbol.separated`), from
 which its evaluation rule is derived; quantization applies each term by FFT,
 and the combinators below only combine terms. Derivatives are numerical:
-order verification differentiates the rule, and asymptotic composition the
-factors.
+order verification differentiates the rule.
 
 Entries are addressable by selector strings of the form `name` or
 `name:arg1,arg2,...` (all arguments numeric); see CATALOG_SYMBOLS and
@@ -304,18 +303,6 @@ def from_roots_principal(unit_roots: Sequence[complex], name: str | None = None,
 
     label = name or f"from-roots[{','.join(str(z) for z in mu)}]"
     return PrincipalSymbol(label, m, _tau_coefficients(label, *(term(k) for k in range(m))))
-
-
-def random_principal(m: int, rng: np.random.Generator, *, min_separation: float = 0.6,
-                     trig: bool = False) -> PrincipalSymbol:
-    """Random catalog-style principal symbol with well-separated unit-scale roots."""
-    while True:
-        mu = rng.uniform(-2.0, 2.0, m) + 1j * rng.uniform(-2.0, 2.0, m)
-        d = [abs(a - b) for i, a in enumerate(mu) for b in mu[i + 1:]]
-        if not d or min(d) >= min_separation:
-            break
-    eps = rng.uniform(-0.2, 0.2, m) if trig else None
-    return from_roots_principal(mu, name=f"random[m={m}]", trig_eps=eps)
 
 
 CATALOG_PRINCIPALS: dict[str, tuple[Callable[..., PrincipalSymbol], str]] = {

@@ -37,10 +37,6 @@ class BranchCrossingError(SpdoLabError):
     """Nearest-neighbor root continuation became ambiguous between samples."""
 
 
-class StencilError(SpdoLabError):
-    """Not enough time nodes for the requested finite-difference stencil."""
-
-
 class NonFiniteError(SpdoLabError):
     """Arithmetic produced a non-finite value where the method guarantees a finite one."""
 

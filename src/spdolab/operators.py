@@ -12,9 +12,8 @@ m = sum_r g_r: one diagonal multiply in coefficients.
 An adjoint is the same operator with a flag, never a dense matrix. The dense
 value-basis matrix evaluates e^{i x.xi} a(x, xi) pointwise from the symbol's
 rule, so it stays an oracle independent of the FFT route; it is refused above
-DENSE_CAP points. `SpdoOperator` is the only operator type: asymptotic
-composition is the quantization of `composition_symbol(a, b, dim)`, and the
-exact composition of two operators is the product of their dense matrices.
+DENSE_CAP points. `SpdoOperator` is the only operator type: the exact
+composition of two operators is the product of their dense matrices.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import DenseCapError, EllipticityError
 from .grid import TorusGrid, mode_coefficients, sobolev_norm
 from .paths import PathSlice, derive_rng, STREAM_TRIAL_FIELDS
-from .symbols import EllipticityReport, Symbol, check_elliptic, magnitude
+from .symbols import EllipticityReport, Symbol, check_elliptic
 from . import catalog
 
 DENSE_CAP = 4096
@@ -111,15 +110,15 @@ class SpdoOperator:
         m = terms[0][1]
         return np.conj(m) if self.adjointed else m
 
-    def _forward(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def _forward(self, hat: np.ndarray) -> np.ndarray:
         """Values of Op(a) applied to every row of an (n, size) coefficient
-        array, written to `out` when it is given."""
-        for r, (f, g) in enumerate(self._terms()):
-            term = _transform(self.grid, np.multiply(hat, g, out=out if r == 0 else None),
-                              inverse=True)
+        array."""
+        out = None
+        for f, g in self._terms():
+            term = _transform(self.grid, hat * g, inverse=True)
             if f is not None:
                 term *= f
-            if r == 0:
+            if out is None:
                 out = term
             else:
                 out += term
@@ -151,21 +150,16 @@ class SpdoOperator:
             return _transform(self.grid, self._backward(rows), inverse=True).T
         return self._forward(_transform(self.grid, rows)).T
 
-    def apply_coefficients(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply_coefficients(self, rows: np.ndarray) -> np.ndarray:
         """Apply to every row of an (n, size) array of flattened Fourier
-        coefficients, writing to `out` (C-contiguous complex) when it is given."""
+        coefficients."""
         m = self.multiplier()
         if m is not None:
-            return np.multiply(rows, m, out=out)
+            return rows * m
         if not self.adjointed:
-            return _transform(self.grid, self._forward(rows, out))
-        values = np.empty(rows.shape, dtype=complex) if out is None else out
-        values[...] = rows
-        result = self._backward(_transform(self.grid, values, inverse=True))
-        if out is not None and result is not out:
-            out[...] = result  # several terms accumulate outside `out`
-            return out
-        return result
+            return _transform(self.grid, self._forward(rows))
+        values = np.array(rows, dtype=complex, order="C")
+        return self._backward(_transform(self.grid, values, inverse=True))
 
     def adjoint(self) -> "SpdoOperator":
         m = self.multiplier()
@@ -197,48 +191,6 @@ class SpdoOperator:
 def quantize(symbol: Symbol, grid: TorusGrid, t: float = 0.0,
              slc: PathSlice | None = None) -> SpdoOperator:
     return SpdoOperator(symbol, grid, t, slc)
-
-
-# ---------------------------------------------------------------------------
-# composition
-
-
-def _stencil(p, axis: int, kind: str):
-    """First derivative of the factor rule p(t, slc, coords) along one xi or x
-    axis, by the fourth-order central stencil
-    (8 (p(+h) - p(-h)) - (p(+2h) - p(-2h))) / 12h, with h = 1e-3 (1 + |xi|)
-    in xi and h = 1e-3 in x."""
-
-    def dp(t, slc, c):
-        h = 1e-3 * (1.0 + magnitude(c)) if kind == "xi" else 1e-3
-
-        def at(step):
-            return p(t, slc, tuple(v + step if ax == axis else v for ax, v in enumerate(c)))
-
-        return (8.0 * (at(h) - at(-h)) - (at(2.0 * h) - at(-2.0 * h))) / (12.0 * h)
-
-    return dp
-
-
-def composition_symbol(a: Symbol, b: Symbol, dim: int) -> Symbol:
-    """One-term asymptotic composition: a.b + sum_axis d_xi a . D_x b, with
-    D_x = -i d_x. The derivatives fall on the factors,
-    d_xi (f g) = f d_xi g and D_x (f g) = (D_x f) g, so the result stays
-    separated; a term of b with no x-factor adds nothing to D_x b."""
-    total = catalog.symbol_product(a, b)
-    for axis in range(dim):
-        dx_b = tuple((_stencil(f, axis, "x"), g) for f, g in b.separated if f is not None)
-        if not dx_b:
-            continue
-        dxi_a = Symbol(f"dxi{axis}[{a.name}]", a.order - 1.0,
-                       tuple((f, _stencil(g, axis, "xi")) for f, g in a.separated),
-                       a.requires_path)
-        d_x_b = catalog.symbol_scale(-1j, Symbol(f"dx{axis}[{b.name}]", b.order, dx_b,
-                                                 b.requires_path))
-        total = catalog.symbol_sum(total, catalog.symbol_product(dxi_a, d_x_b))
-    total.name = f"comp1[{a.name};{b.name}]"
-    total.order = a.order + b.order
-    return total
 
 
 # ---------------------------------------------------------------------------

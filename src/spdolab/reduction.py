@@ -24,11 +24,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (BranchCrossingError, DegenerateDiagonalizationError, StencilError)
+from .errors import BranchCrossingError, DegenerateDiagonalizationError
 from .grid import TorusGrid
 from .paths import PathSlice, TimeGrid
 from .symbols import (COMPLEX_ROOT_REL_TOL, Coords, PrincipalSymbol, RootStack, Symbol,
-                      _cmul, _cpow, audit_roots, pairwise_distances, solve_roots)
+                      _cmul, _cpow, audit_roots, pairwise_distances)
 from .catalog import lambda_symbol, symbol_product
 from .operators import SpdoOperator
 
@@ -94,25 +94,6 @@ def _bracket_multiplier(grid: TorusGrid, s: float) -> np.ndarray:
     return (1.0 + grid.frequency_magnitude() ** 2) ** (s / 2.0)
 
 
-def build_companion_state(u: np.ndarray, grid: TorusGrid, m: int,
-                          time_grid: TimeGrid) -> np.ndarray:
-    """Companion state from the (K+1, *grid.shape) coefficient stack of u; D_t
-    realized by second-order finite differences (central inside, one-sided at
-    the ends)."""
-    if len(u) != time_grid.steps + 1:
-        raise ValueError("need one snapshot per time node (steps + 1)")
-    if m >= 2 and len(u) < 2 * m + 1:
-        raise StencilError(
-            f"need at least {2 * m + 1} time nodes for {m - 1} derivatives, got {len(u)}")
-    stacks = []
-    for j in range(1, m + 1):
-        comp = u * _bracket_multiplier(grid, m - j)
-        for _ in range(j - 1):
-            comp = -1j * np.gradient(comp, time_grid.dt, axis=0, edge_order=2)
-        stacks.append(comp)
-    return np.stack(stacks)
-
-
 def exact_companion_state(man: ManufacturedSolution, m: int,
                           time_grid: TimeGrid) -> np.ndarray:
     """Companion state with closed-form time derivatives (no stencil error)."""
@@ -165,7 +146,6 @@ class Diagonalization:
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    vectors_inverse: np.ndarray
     residual: np.ndarray
     condition_number: np.ndarray
 
@@ -196,8 +176,7 @@ def diagonalize(solved: RootStack) -> Diagonalization:
     eig[:, np.arange(m), np.arange(m)] = roots
     residual = (_norm((mat @ vectors - vectors @ eig).reshape(n, -1))
                 / np.maximum(_norm(mat.reshape(n, -1)), 1e-300))
-    return Diagonalization(roots, vectors, np.linalg.inv(vectors), residual,
-                           np.linalg.cond(vectors))
+    return Diagonalization(roots, vectors, residual, np.linalg.cond(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +321,8 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
 def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
     """Order-1 operator symbol from a tracked branch by homogeneous extension:
     value at xi is |xi| times the branch root at the nearest sampled direction
-    (exact for the two directions of dim 1). The zero frequency is routed to 0.
+    (exact for the two directions of dim 1), read from the split's table at
+    its first sample time. The zero frequency is routed to 0.
 
     Requires x- and path-independent tau-coefficients; the extension would
     misrepresent anything else.
@@ -353,7 +333,7 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
     if part not in ("re", "im", "full"):
         raise ValueError("part must be 're', 'im', or 'full'")
     unit_dirs = np.array(split.directions)
-    perms = _permutations(ps.m)
+    roots = split.table[0, 0, :, branch]
 
     def g(t, slc, xi):
         r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in xi))
@@ -365,16 +345,10 @@ def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:
                          for c in flat_xi], axis=-1)
         live = r > 0
         uniq, inv = np.unique(np.round(dirs[live], 12), axis=0, return_inverse=True)
-        # one root solve over the distinct directions, each at its nearest sampled one
+        # the nearest sampled direction of each distinct direction
         diff = uniq[:, None, :] - unit_dirs[None, :, :]
         nearest = np.argmin(np.sqrt(np.vecdot(diff, diff)), axis=1)
-        x0 = tuple(np.zeros(len(uniq)) for _ in range(split.dim))
-        xi_unit = tuple(unit_dirs[nearest, ax] for ax in range(split.dim))
-        roots = solve_roots(ps, [(t, slc)], x0, xi_unit).checked().roots
-        reference = split.table[0, 0, nearest]
-        matched = np.take_along_axis(
-            roots, perms[_best_permutation(roots, reference, perms)], axis=-1)
-        out[live] = matched[inv, branch] * r[live]
+        out[live] = roots[nearest][inv] * r[live]
         if part == "re":
             out = out.real.astype(complex)
         elif part == "im":

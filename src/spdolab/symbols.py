@@ -93,7 +93,7 @@ class Symbol:
     The evaluation rule `fn` is derived from the terms, so the two cannot
     disagree, and `x_dependent` says whether any f_r is present. A symbol
     carries no derivatives: order verification differentiates `fn`
-    numerically, and asymptotic composition differentiates the factors.
+    numerically.
     """
 
     name: str
@@ -159,11 +159,6 @@ def sample_grid(positions: Sequence[Coords],
     return x, xi
 
 
-def one_sample(v) -> Coords:
-    """One sample point as (1,) arrays per axis."""
-    return tuple(c.reshape(1) for c in as_coords(v))
-
-
 def _direction_rays(dim: int, num_angles: int, radii: np.ndarray) -> Coords:
     """xi = r * direction for every sampled direction and radius at once, as
     (direction, 1, radius) arrays that broadcast against (num_x, 1) positions."""
@@ -219,6 +214,9 @@ class _OrderStencil:
     (leaf, 1, position, 1) and `xi` (leaf, direction, 1, radius) arrays per
     axis. Each group holds the pairs with one k: their leaves, contiguous, and
     per shift (outermost first) a (pair, 1, 1, 1, radius) array of 2h.
+
+    For a symbol that does not depend on x, every pair with beta != 0 is
+    left out: its x-differences of finite values are exactly 0.
     """
 
     x: Coords
@@ -236,7 +234,8 @@ def _order_stencil(dim: int, x_dependent: bool) -> _OrderStencil:
     groups = []
     pairs = _multi_indices(dim)
     for k in range(3):
-        group = [(a, b) for a, b in pairs if sum(a) + sum(b) == k]
+        group = [(a, b) for a, b in pairs
+                 if sum(a) + sum(b) == k and (x_dependent or not any(b))]
         h_xi = (1e-3 if k <= 1 else 5e-3) * (1.0 + radii.reshape(1, -1))
         start, divisors = len(leaves), []
         for alpha, beta in group:
@@ -302,7 +301,8 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
     the floor at fewer than two radii raise OrderFitError.
 
     The symbol is evaluated once per sampled context, on every difference
-    point of every pair at once (`_order_stencil`).
+    point of every pair at once (`_order_stencil`). A pair the stencil leaves
+    out, an x-derivative of a symbol free of x, reads a zero curve.
     """
     radii = np.geomspace(1.0, XI_MAX, NUM_XI)
     contexts, _ = audit_samples(symbol, dim, ORDER_NUM_X, seed)
@@ -327,7 +327,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
     upper = radii >= math.sqrt(XI_MAX)
     entries = []
     for alpha, beta in _multi_indices(dim):
-        mags = curves[(alpha, beta)]
+        mags = curves.get((alpha, beta), np.zeros(NUM_XI))
         if not np.all(np.isfinite(mags)):
             raise NonFiniteError(
                 f"symbol {symbol.name}: non-finite d^{alpha}_xi d^{beta}_x sampled up to "
@@ -560,15 +560,6 @@ def solve_roots(ps: PrincipalSymbol, contexts: Sequence[Context], x: Coords, xi:
     limit = residual_tol * np.float_power(1.0 + np.abs(roots).max(axis=1), m)
     order = np.lexsort((roots.imag, roots.real), axis=-1)
     return RootStack(ps.name, xi, c, np.take_along_axis(roots, order, axis=-1), residual, limit)
-
-
-def characteristic_roots(ps: PrincipalSymbol, t: float, slc: PathSlice | None, x, xi,
-                         residual_tol: float | None = None) -> np.ndarray:
-    """All m roots of p(tau) = 0 at one sample point, Newton-polished and
-    sorted: `solve_roots` on one sample. Raises RootSolveError when the final
-    residual misses its target."""
-    stack = solve_roots(ps, [(t, slc)], one_sample(x), one_sample(xi), residual_tol)
-    return stack.checked().roots[0]
 
 
 def pairwise_distances(roots: np.ndarray) -> np.ndarray:

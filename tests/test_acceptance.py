@@ -12,17 +12,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import band_coefficients, l2_norm
+from conftest import band_coefficients, l2_norm, random_principal, roots_at
 from spdolab import (CarlemanConfig, ManufacturedSolution, TimeGrid, TorusGrid,
                      boundedness_harness, check_hypotheses, diagonalize,
                      mode_coefficients, parametrix, parametrix_residual_scan,
                      quantize, reduction_consistency_check, scan, solve_roots,
                      verify_inequality, verify_symbol_order)
-from spdolab.catalog import (lambda_symbol, make_principal, make_symbol,
-                             random_principal, with_declared_order)
+from spdolab.catalog import lambda_symbol, make_principal, make_symbol, with_declared_order
 from spdolab.cli import main
 from spdolab.reduction import sine_profile
-from spdolab.symbols import characteristic_roots, pairwise_distances
+from spdolab.symbols import pairwise_distances
 
 HORIZON = 0.25
 
@@ -121,11 +120,11 @@ def test_criterion_06_diagonalization_on_random_samples():
         xi = (np.array([rng.uniform(1.0, 12.0) * rng.choice([-1.0, 1.0])]),)
         unit = (np.sign(xi[0]),)
         margin = float(pairwise_distances(
-            characteristic_roots(ps, 0.0, None, x, unit)).min())
+            roots_at(ps, 0.0, None, x, unit)).min())
         min_margin = min(min_margin, margin)
         diag = diagonalize(solve_roots(ps, [(0.0, None)], x, xi).checked())
         worst_resid = max(worst_resid, float(diag.residual[0]))
-        roots = characteristic_roots(ps, 0.0, None, x, xi)
+        roots = roots_at(ps, 0.0, None, x, xi)
         for lam in diag.eigenvalues[0]:
             worst_match = max(worst_match, min(abs(lam - r) for r in roots))
     assert min_margin >= 0.1

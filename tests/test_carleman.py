@@ -18,7 +18,7 @@ from conftest import band_coefficients
 from field_route import Semimartingale, additive_paths, additive_process, block_terms, path_terms
 from spdolab import (CarlemanConfig, NonFiniteError, TorusGrid, mode_coefficients, scan,
                      verify_inequality)
-from spdolab import carleman, catalog
+from spdolab import carleman, catalog, reduction, symbols
 from spdolab.cli import main
 from spdolab.carleman import (generator_images, image_coordinates, resolve_operator_family,
                               resolve_process, resolve_window)
@@ -175,6 +175,26 @@ class TestFamilies:
         ratio = out[0, k % 16] / rows[0, k % 16]
         assert abs(abs(ratio) - abs(k)) <= 1e-9 or abs(ratio) <= 1e-9
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reduction_branch_family_solves_no_roots(self, monkeypatch, dim):
+        # the branch symbol reads its roots from the split's table: once the
+        # split is taken, evaluating the family solves no roots
+        def no_solve(c):
+            raise AssertionError("root solve after split_roots")
+
+        split_roots = reduction.split_roots
+
+        def split_then_forbid(*args, **kwargs):
+            split = split_roots(*args, **kwargs)
+            monkeypatch.setattr(symbols, "_poly_roots_monic", no_solve)
+            return split
+
+        monkeypatch.setattr(reduction, "split_roots", split_then_forbid)
+        grid = TorusGrid(dim, 16)
+        fam = resolve_operator_family("reduction-im:mixed-cubic:1", grid)
+        rows = mode_coefficients(grid, (3,) + (1,) * (dim - 1)).reshape(1, -1)
+        assert np.all(np.isfinite(fam.apply_coefficients(rows)))
+
     def test_path_dependent_family_rejected(self):
         with pytest.raises(ValueError):
             resolve_operator_family("affine-w:0.5", TorusGrid(1, 16))
@@ -326,10 +346,10 @@ class TestStochasticAggregation:
             real_apply = SpdoOperator.apply_coefficients
             real_build = carleman.path_scalars
 
-            def counted_apply(self, rows, out=None, _real=real_apply):
+            def counted_apply(self, rows, _real=real_apply):
                 calls["apply_coefficients"] += 1
                 assert rows.shape == (2, 32)  # (Y_0, g), never a path
-                return _real(self, rows, out)
+                return _real(self, rows)
 
             def build(eta, values, _real=real_build):
                 built.append(values.shape)

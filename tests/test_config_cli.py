@@ -248,18 +248,22 @@ class TestCliRuns:
         assert results["samples"] == 2 * solved
 
     # contexts x stencil leaves x directions x positions x radii: 3 sampled
-    # times, or 6 (t, path) contexts for a path-reading symbol; 17 leaves
-    # and 2 directions at n = 1, 49 and 8 at n = 2; 8 positions for an
-    # x-dependent symbol, else 1; 17 radii
-    @pytest.mark.parametrize("symbol,contexts,positions", [
-        ("lambda:1", 3, 1), ("trig-lambda:2,1,0,1", 3, 8), ("brownian-lambda:5,1", 6, 1)])
-    @pytest.mark.parametrize("n,leaves,directions", [(1, 17, 2), (2, 49, 8)])
-    def test_symbol_points(self, tmp_path, symbol, contexts, positions, n, leaves, directions):
+    # times, or 6 (t, path) contexts for a path-reading symbol; 2 directions
+    # at n = 1, 8 at n = 2; for an x-dependent symbol 8 positions and every
+    # leaf, 17 at n = 1 and 49 at n = 2; else 1 position and the leaves of
+    # the xi-derivatives only, 7 at n = 1 and 17 at n = 2; 17 radii
+    @pytest.mark.parametrize("symbol,contexts,x_dependent", [
+        ("lambda:1", 3, False), ("trig-lambda:2,1,0,1", 3, True),
+        ("brownian-lambda:5,1", 6, False)])
+    @pytest.mark.parametrize("n,leaves,xi_leaves,directions", [(1, 17, 7, 2), (2, 49, 17, 8)])
+    def test_symbol_points(self, tmp_path, symbol, contexts, x_dependent, n, leaves, xi_leaves,
+                           directions):
         text = f"command = symbol-verify\nsymbol = {symbol}\nn = {n}\n"
         code, out = self.run(tmp_path, text, "symbol-verify")
         assert code == 0
         results = json.loads((out / "report.json").read_text())["results"]
-        points = contexts * leaves * directions * positions * 17
+        per_context = leaves * 8 if x_dependent else xi_leaves
+        points = contexts * per_context * directions * 17
         assert results["work"] == {"symbol_points": points}
 
     def test_misdeclared_symbol_exits_one(self, tmp_path):

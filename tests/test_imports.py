@@ -1,6 +1,7 @@
 """Imports: every module-level import in the package is used by its module,
-only `grid.py` names `SpectralField`, and a CLI run loads no module it does
-not need (`numpy.ma`, `subprocess`).
+only `grid.py` names `SpectralField`, every top-level definition is reached
+from a run, and a CLI run loads no module it does not need (`numpy.ma`,
+`subprocess`).
 
 No linter ships with the project, so the first checks parse each module with
 `ast`: a name bound by a top-level `import` or `from ... import` must appear
@@ -46,11 +47,12 @@ def test_no_unused_module_imports(module):
     assert unused_imports(module.read_text()) == []
 
 
-def named(source: str) -> set[str]:
-    """Every identifier a module names: variables, attributes, imported names
-    and defined classes."""
+def named(*trees: ast.AST, strings: bool = False) -> set[str]:
+    """Every identifier the trees name: variables, attributes, imported names
+    and defined classes; with `strings`, string constants that are
+    identifiers too (the benchmark's tracer patches functions by name)."""
     names = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in (node for tree in trees for node in ast.walk(tree)):
         if isinstance(node, ast.ClassDef):
             names.add(node.name)
         elif isinstance(node, ast.Name):
@@ -60,19 +62,72 @@ def named(source: str) -> set[str]:
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
             names.add(node.asname)
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            names.add(node.value)
     return names
 
 
 def test_detects_a_named_class():
-    assert "SpectralField" in named("from .grid import SpectralField as F\n")
-    assert "SpectralField" in named("from . import grid\nf = grid.SpectralField\n")
-    assert "SpectralField" not in named('"""A SpectralField in a docstring."""\n')
+    assert "SpectralField" in named(ast.parse("from .grid import SpectralField as F\n"))
+    assert "SpectralField" in named(ast.parse("from . import grid\nf = grid.SpectralField\n"))
+    assert "SpectralField" not in named(ast.parse('"""A SpectralField in a docstring."""\n'))
 
 
 @pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_grid_names_spectral_field(module):
     # every other module holds a field as its coefficient array
-    assert ("SpectralField" in named(module.read_text())) == (module.name == "grid.py")
+    assert ("SpectralField" in named(ast.parse(module.read_text()))) == (module.name == "grid.py")
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# The manufactured-solution check of the companion reduction (ROADMAP item
+# 10). Only tests reach it, until `reduce` runs it or it is deleted.
+ITEM_10_SCAFFOLD = {"ManufacturedSolution", "sine_profile", "exponential_profile",
+                    "exact_companion_state", "companion_symbol", "reduction_consistency_check"}
+
+
+def reached(sources: list[str], roots: set[str]) -> tuple[set[str], set[str]]:
+    """(top-level definitions of the modules, those reached from `roots` or
+    from their module-level statements). Imports are not uses, and a
+    definition is matched by name alone, so a name shared by two modules
+    reaches both."""
+    trees = [ast.parse(source) for source in sources]
+    defs: dict[str, list[ast.AST]] = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defs.setdefault(node.name, []).append(node)
+    statements = [node for tree in trees for node in tree.body
+                  if not isinstance(node, DEFINITIONS + (ast.Import, ast.ImportFrom))]
+    seen: set[str] = set()
+    todo = [name for name in roots | named(*statements) if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(n for n in named(*defs[name]) if n in defs and n not in seen)
+    return set(defs), seen
+
+
+def test_detects_an_unreached_definition():
+    registry = "def used():\n    return helper()\n\ndef helper():\n    pass\n\nRUN = {'x': used}\n"
+    entry = "from .a import orphan\n\ndef main():\n    pass\n\ndef orphan():\n    pass\n"
+    defs, seen = reached([registry, entry], {"main"})
+    assert defs - seen == {"orphan"}
+
+
+def test_every_definition_is_reached_from_a_run():
+    # runs start at the CLI's main, the package's module-level statements
+    # (the runner and catalog registries), scripts/ and perfbench/
+    package = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    outside = [ast.parse(p.read_text()) for folder in ("scripts", "perfbench")
+               for p in sorted((ROOT / folder).glob("*.py"))]
+    defs, seen = reached(package, {"main"} | named(*outside, strings=True))
+    assert not ITEM_10_SCAFFOLD & seen, "a run reaches item 10's scaffold: shrink the list"
+    _, scaffold = reached(package, ITEM_10_SCAFFOLD)
+    assert sorted(defs - seen - scaffold) == []
 
 
 # every shipped config through the CLI in one fresh interpreter, which then

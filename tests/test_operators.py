@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from composition import composition_symbol
 from conftest import band_coefficients, l2_norm, values
 from spdolab import (DenseCapError, EllipticityError, SpdoOperator, TimeGrid, TorusGrid,
-                     boundedness_harness, composition_symbol, mode_coefficients, parametrix,
+                     boundedness_harness, mode_coefficients, parametrix,
                      parametrix_residual_scan, quantize, sample_brownian)
-from spdolab import operators
 from spdolab.catalog import CATALOG_SYMBOLS, make_principal, make_symbol, symbol_scale
 from spdolab.reduction import branch_symbol, split_roots
 
@@ -320,7 +320,7 @@ class TestCompositionSymbol:
                 forms.items(), repeat=2):
             expected = a(x, xi) * b(x, xi) - 1j * sum(
                 dxi_a(x, xi, j) * dx_b(x, xi, j) for j in range(dim))
-            sigma = operators.composition_symbol(make_symbol(sel_a), make_symbol(sel_b), dim)
+            sigma = composition_symbol(make_symbol(sel_a), make_symbol(sel_b), dim)
             got = sigma.evaluate(self.t, self.slc, x, xi)
             err = np.max(np.abs(got - expected))
             assert err <= 1e-10 * np.max(np.abs(expected)), (sel_a, sel_b, err)

@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import random_principal, roots_at
 from spdolab import (BranchCrossingError, DegenerateDiagonalizationError,
-                     ManufacturedSolution, StencilError, TimeGrid, TorusGrid,
-                     branch_symbol, build_companion_state, companion_symbol, diagonalize,
-                     exact_companion_state, reduction_consistency_check, reduction_table,
-                     sample_brownian, solve_roots, split_roots, verify_symbol_order)
-from spdolab.catalog import (from_roots_principal, make_principal, make_symbol,
-                             random_principal)
+                     ManufacturedSolution, TimeGrid, TorusGrid, branch_symbol,
+                     companion_symbol, diagonalize, exact_companion_state,
+                     reduction_consistency_check, reduction_table, sample_brownian,
+                     solve_roots, split_roots, verify_symbol_order)
+from spdolab.catalog import from_roots_principal, make_principal, make_symbol
 from spdolab.reduction import sine_profile
-from spdolab.symbols import characteristic_roots
 
 GRID = TorusGrid(1, 16)
 
@@ -43,29 +42,6 @@ class TestCompanionState:
         assert abs(state[1, 7, k] - (-3j) * math.cos(3.0 * t)) <= 1e-12
         others = np.delete(state, k, axis=-1)
         assert not np.any(others)
-
-    def test_finite_difference_second_order(self):
-        man = detuned_solution()
-        gaps = []
-        for steps in (64, 128, 256):
-            tg = TimeGrid(0.25, steps)
-            fd = build_companion_state(man.dt(0, tg.nodes()), GRID, 2, tg)
-            ex = exact_companion_state(man, 2, tg)
-            gaps.append(np.max(np.abs(fd[1] - ex[1])))
-        rates = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
-        assert np.all(rates > 1.8)
-
-    def test_stencil_guard(self):
-        man = detuned_solution()
-        tg = TimeGrid(0.25, 4)
-        with pytest.raises(StencilError):
-            build_companion_state(man.dt(0, tg.nodes()), GRID, 3, tg)
-
-    def test_snapshot_count_guard(self):
-        man = detuned_solution()
-        tg = TimeGrid(0.25, 16)
-        with pytest.raises(ValueError):
-            build_companion_state(man.dt(0, tg.nodes()[:-1]), GRID, 2, tg)
 
     @pytest.mark.parametrize("mode", [8, -9, (2, 1)], ids=["above", "below", "wrong-dim"])
     def test_out_of_band_mode_rejected(self, mode):
@@ -100,7 +76,7 @@ class TestPrincipalMatrix:
         x, xi = samples([0.4, 0.4, 2.0]), samples([5.0, -3.0, 0.5])
         mats = companion_symbol(ps, 0.0, None, x, xi)
         for i, mat in enumerate(mats):
-            roots = characteristic_roots(ps, 0.0, None, (x[0][i],), (xi[0][i],))
+            roots = roots_at(ps, 0.0, None, (x[0][i],), (xi[0][i],))
             for e in np.linalg.eigvals(mat):
                 assert min(abs(e - r) for r in roots) <= 1e-10
 
@@ -116,7 +92,8 @@ class TestDiagonalization:
         diag = diagonalize(solve_roots(ps, [(0.0, None)], x, xi).checked())
         assert diag.residual[0] <= 1e-10
         assert np.isfinite(diag.condition_number[0])
-        recon = diag.vectors[0] @ np.diag(diag.eigenvalues[0]) @ diag.vectors_inverse[0]
+        vectors = diag.vectors[0]
+        recon = vectors @ np.diag(diag.eigenvalues[0]) @ np.linalg.inv(vectors)
         mat = companion_symbol(ps, 0.0, None, x, xi)[0]
         assert np.max(np.abs(recon - mat)) <= 1e-8 * max(1.0, np.max(np.abs(mat)))
 

@@ -13,17 +13,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_principal, roots_at
 from spdolab import (BranchCrossingError, DegenerateDiagonalizationError, PrincipalSymbol,
                      RootSolveError, Symbol, branch_symbol, check_elliptic, check_hypotheses,
                      reduction_table, split_roots, verify_symbol_order)
 from spdolab import reduction, symbols
-from spdolab.catalog import make_principal, make_symbol, random_principal, with_declared_order
+from spdolab.catalog import make_principal, make_symbol, with_declared_order
 from spdolab.reduction import BRANCH_AMBIGUITY_TOL
 from spdolab.errors import NonFiniteError, OrderFitError
 from spdolab.paths import PathSlice
-from spdolab.symbols import (COMPLEX_ROOT_REL_TOL, Coords, _multi_indices, characteristic_roots,
-                             sample_contexts, sample_directions, sample_grid, sample_positions,
-                             solve_roots)
+from spdolab.symbols import (COMPLEX_ROOT_REL_TOL, Coords, _multi_indices, sample_contexts,
+                             sample_directions, sample_grid, sample_positions, solve_roots)
 
 ROOT_GALLERY = ["wave:1", "wave:2", "laplace", "mixed-cubic", "variable-wave:2,0.5,0",
                 "double-root", "from-roots:1,-1,2"]
@@ -329,7 +329,7 @@ def test_zero_coefficient_samples_deflate():
 def test_one_sample_view_matches_oracle():
     ps = random_principal(3, np.random.default_rng(3), trig=True)
     x, xi = (np.array(0.7),), (np.array(-1.0),)
-    assert bitwise(characteristic_roots(ps, 0.0, None, x, xi),
+    assert bitwise(roots_at(ps, 0.0, None, x, xi),
                    oracle_roots(ps, 0.0, None, x, xi)[0])
 
 
@@ -352,7 +352,7 @@ def test_first_failed_sample_named():
     assert str(info.value) == message
     assert info.value.residual == res
     with pytest.raises(RootSolveError) as info:
-        characteristic_roots(ps, 0.0, None, positions[0], xi_first, residual_tol=-1.0)
+        roots_at(ps, 0.0, None, positions[0], xi_first, residual_tol=-1.0)
     assert f"at xi={xi_first}:" in str(info.value)
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from composition import composition_symbol
 from conftest import band_coefficients, values
-from spdolab import SpdoOperator, TorusGrid, composition_symbol, parametrix, quantize
+from spdolab import SpdoOperator, TorusGrid, parametrix, quantize
 from spdolab.catalog import (make_symbol, symbol_conjugate, symbol_product, symbol_scale,
                              symbol_sum)
 from spdolab.operators import frequency_taper, parametrix_symbol
@@ -103,18 +104,6 @@ class TestSeparatedRoute:
         values = random_columns(grid, 3, dim)
         for op in operators_under_test(grid):
             check_against_dense(op, grid, values)
-
-    def test_writes_into_out(self):
-        grid = TorusGrid(1, 64)
-        rows = transform(grid, random_columns(grid, 5, 4).T.copy())
-        ops = [quantize(make_symbol(sel), grid) for sel in ("lambda:1", "trig-lambda:2,1,0,1")]
-        ops += [quantize(combined()[1], grid)]
-        for op in ops:
-            for side in (op, op.adjoint()):
-                out = np.empty_like(rows)
-                got = side.apply_coefficients(rows, out=out)
-                assert np.shares_memory(got, out)
-                assert np.array_equal(out, side.apply_coefficients(rows)), side.symbol.name
 
     def test_no_table_work_at_64_squared(self, monkeypatch):
         def no_dense(self):

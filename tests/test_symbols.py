@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import roots_at
 from spdolab import check_elliptic, check_hypotheses, verify_symbol_order
 from spdolab.catalog import (lambda_symbol, make_principal, make_symbol,
                              with_declared_order)
-from spdolab.symbols import (_poly_roots_monic, characteristic_roots,
-                             is_complex_root, pairwise_distances)
+from spdolab.symbols import _poly_roots_monic, is_complex_root, pairwise_distances
 
 
 class TestOrderVerification:
@@ -65,20 +65,20 @@ class TestCharacteristicRoots:
     def test_wave_closed_form(self):
         ps = make_principal("wave:2")
         xi = (np.array(3.0),)
-        roots = characteristic_roots(ps, 0.0, None, (np.array(0.0),), xi)
+        roots = roots_at(ps, 0.0, None, (np.array(0.0),), xi)
         assert np.allclose(sorted(r.real for r in roots), [-6.0, 6.0], atol=1e-12)
         assert np.allclose([r.imag for r in roots], 0.0, atol=1e-12)
 
     def test_laplace_closed_form(self):
         ps = make_principal("laplace")
-        roots = characteristic_roots(ps, 0.0, None, (np.array(0.0),), (np.array(2.0),))
+        roots = roots_at(ps, 0.0, None, (np.array(0.0),), (np.array(2.0),))
         assert np.allclose(sorted(r.imag for r in roots), [-2.0, 2.0], atol=1e-12)
         assert all(is_complex_root(r) for r in roots)
 
     def test_mixed_cubic_closed_form(self):
         # (tau - xi)(tau^2 + |xi|^2): one real root xi, conjugate pair +-i|xi|
         ps = make_principal("mixed-cubic")
-        roots = characteristic_roots(ps, 0.0, None, (np.array(0.0),), (np.array(2.0),))
+        roots = roots_at(ps, 0.0, None, (np.array(0.0),), (np.array(2.0),))
         expected = {2.0 + 0j, 2j, -2j}
         for r in roots:
             assert min(abs(r - e) for e in expected) < 1e-10
@@ -89,8 +89,8 @@ class TestCharacteristicRoots:
         # lambda(s xi) = s lambda(xi) for degree-one roots, matched as multisets
         ps = make_principal(name)
         x = (np.array(0.0),)
-        base = characteristic_roots(ps, 0.0, None, x, (np.array(1.5),))
-        scaled = characteristic_roots(ps, 0.0, None, x, (np.array(1.5 * scale),))
+        base = roots_at(ps, 0.0, None, x, (np.array(1.5),))
+        scaled = roots_at(ps, 0.0, None, x, (np.array(1.5 * scale),))
         for r in scaled:
             assert min(abs(r - scale * b) for b in base) < 1e-10
 
