@@ -4,6 +4,7 @@
 from spdolab import check_hypotheses, split_roots
 from spdolab.errors import BranchCrossingError
 from spdolab.catalog import make_principal
+from spdolab.reduction import branch_flags
 
 GALLERY = [
     "wave:1",
@@ -26,7 +27,7 @@ def main():
         ps = make_principal(selector)
         report = check_hypotheses(ps)
         try:
-            flags = ",".join(b.flag for b in split_roots(ps, 1).branches)
+            flags = ",".join(branch_flags(split_roots(ps, 1).table))
         except BranchCrossingError:
             flags = "crossing"
         verdict = "ok " if report.all_pass else "FAIL"

@@ -130,38 +130,43 @@ def resolve_operator_family(selector: str, grid: TorusGrid) -> SpdoOperator:
 # process families
 
 
+WINDOWS: dict[str, Callable[[TimeGrid], np.ndarray]] = {
+    "sine": sine_window,
+    "parabolic": parabolic_window,
+}
+
+
 def resolve_window(selector: str) -> Callable[[TimeGrid], np.ndarray]:
-    if selector == "sine":
-        return sine_window
-    if selector == "parabolic":
-        return parabolic_window
-    raise ValueError(f"unknown window {selector!r}; choose sine or parabolic")
+    if selector not in WINDOWS:
+        raise ValueError(f"unknown window {selector!r}; choose sine or parabolic")
+    return WINDOWS[selector]
+
+
+def _deterministic_mode(k: float = 1, amp: float = 1.0) -> tuple[int, float, bool]:
+    return catalog.integer_mode(k), amp, False
+
+
+def _brownian_mode(amp: float, k: float) -> tuple[int, float, bool]:
+    return catalog.integer_mode(k), amp, True
+
+
+# name -> (factory of (mode k, amplitude, whether the mode drives the noise g
+# rather than Y_0), usage)
+PROCESSES: dict[str, tuple[Callable[..., tuple[int, float, bool]], str]] = {
+    "deterministic-mode": (_deterministic_mode,
+                           "deterministic-mode:k[,amp] -> z = eta(t) amp e^{ikx}"),
+    "brownian-mode": (_brownian_mode,
+                      "brownian-mode:amp,k -> z = eta(t) amp e^{ikx} w(t), dY = amp e^{ikx} dw"),
+}
 
 
 def resolve_process(selector: str, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Process selectors, as the coefficients of (Y_0, g) of z = eta (Y_0 + g w):
-    `deterministic-mode:k[,amp]` for z = eta(t) amp e^{ikx}, and
-    `brownian-mode:amp,k` for the windowed process with dY = amp e^{ikx} dw.
-    In two dimensions the mode runs along the first axis, e^{ikx_1}."""
-    name, _, argstr = selector.strip().partition(":")
-    args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
-
-    def mode(k, amp):
-        return mode_coefficients(grid, (int(k),) + (0,) * (grid.dim - 1), amp)
-
-    if name == "deterministic-mode":
-        k = args[0] if args else 1
-        amp = args[1] if len(args) > 1 else 1.0
-        initial = mode(k, amp)
-        return initial, np.zeros_like(initial)
-    if name == "brownian-mode":
-        if len(args) < 2:
-            raise ValueError("brownian-mode needs amplitude and mode: brownian-mode:amp,k")
-        amp, k = args[0], args[1]
-        noise = mode(k, amp)
-        return np.zeros_like(noise), noise
-    raise ValueError(
-        f"unknown process family {name!r}; choose deterministic-mode or brownian-mode")
+    """The coefficients of (Y_0, g) of z = eta (Y_0 + g w) for a PROCESSES
+    selector. In two dimensions the mode runs along the first axis, e^{ikx_1}."""
+    k, amp, noise = catalog.build_entry(selector, PROCESSES, "process family")
+    column = mode_coefficients(grid, (k,) + (0,) * (grid.dim - 1), amp)
+    zeros = np.zeros_like(column)
+    return (zeros, column) if noise else (column, zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +516,12 @@ class ScanResult:
         return all(r.verdict for r in self.rows)
 
 
-def scan(base: CarlemanConfig, mu_list: Sequence[float] | None = None,
-         T_list: Sequence[float] | None = None,
+def scan(base: CarlemanConfig, mu_list: Sequence[float] | None = None, *,
+         T_list: Sequence[float],
          kappa_list: Sequence[float] = (16.0, 64.0, 256.0)) -> ScanResult:
-    """One report per (mu, T) pair; mu defaults to kappa/T^2 so that the
-    large-weight and short-horizon limits move together."""
-    horizons = list(T_list) if T_list is not None else [base.horizon]
+    """One report per (mu, T) pair, T from T_list; mu defaults to kappa/T^2 so
+    that the large-weight and short-horizon limits move together."""
+    horizons = list(T_list)
     cells = [replace(base, mu=float(mu), horizon=float(T)) for T in horizons
              for mu in (list(mu_list) if mu_list is not None
                         else [k / (T * T) for k in kappa_list])]

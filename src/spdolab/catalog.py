@@ -10,14 +10,15 @@ and the combinators below only combine terms. Derivatives are numerical:
 order verification differentiates the rule.
 
 Entries are addressable by selector strings of the form `name` or
-`name:arg1,arg2,...` (all arguments numeric); see CATALOG_SYMBOLS and
-CATALOG_PRINCIPALS for the registry.
+`name:arg1,arg2,...` (all arguments numeric, Fourier modes integers); see
+CATALOG_SYMBOLS and CATALOG_PRINCIPALS for the registry, and `build_entry`
+for the one parser of such selectors.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -63,17 +64,18 @@ def lambda_symbol(s: float) -> Symbol:
     return _x_free(f"lambda[{s}]", s, lambda t, slc, xi: (1.0 + abs2(xi)) ** (s / 2.0))
 
 
-def xi_symbol(axis: int = 0) -> Symbol:
-    return _x_free(f"xi{axis}", 1.0, lambda t, slc, xi: xi[axis].astype(complex))
+def xi_symbol() -> Symbol:
+    """The first frequency coordinate xi_1, order 1."""
+    return _x_free("xi0", 1.0, lambda t, slc, xi: xi[0].astype(complex))
 
 
-def xi_power(degree: int, axis: int = 0) -> Symbol:
+def xi_power(degree: int) -> Symbol:
     if degree == 0:
         return one()
     if degree == 1:
-        return xi_symbol(axis)
-    return _x_free(f"xi{axis}^{degree}", float(degree),
-                   lambda t, slc, xi: xi[axis].astype(complex) ** degree)
+        return xi_symbol()
+    return _x_free(f"xi0^{degree}", float(degree),
+                   lambda t, slc, xi: xi[0].astype(complex) ** degree)
 
 
 def xi_magnitude() -> Symbol:
@@ -81,20 +83,31 @@ def xi_magnitude() -> Symbol:
     return _x_free("abs-xi", 1.0, lambda t, slc, xi: magnitude(xi).astype(complex))
 
 
-def trig_profile(c0: float, c_sin: float, c_cos: float, k: int = 1, axis: int = 0) -> Symbol:
-    """x-dependent order-0 factor c0 + c_sin*sin(kx) + c_cos*cos(kx)."""
+def integer_mode(k: float) -> int:
+    """A Fourier mode given as a number; a fractional or non-finite one, which
+    no periodic function on the torus has, raises ValueError."""
+    if not float(k).is_integer():
+        raise ValueError(f"mode {k!r} is not an integer")
+    return int(k)
+
+
+def trig_profile(c0: float, c_sin: float, c_cos: float, k: float = 1) -> Symbol:
+    """x-dependent order-0 factor c0 + c_sin*sin(kx) + c_cos*cos(kx), k an integer."""
+    integer_mode(k)
 
     def f(t, slc, x):
-        v = c0 + c_sin * np.sin(k * x[axis]) + c_cos * np.cos(k * x[axis])
+        v = c0 + c_sin * np.sin(k * x[0]) + c_cos * np.cos(k * x[0])
         return np.asarray(v, dtype=complex)
 
     return Symbol(f"trig[{c0},{c_sin},{c_cos};k={k}]", 0.0, separated=((f, _ones),))
 
 
-def modulation(k: int, axis: int = 0) -> Symbol:
-    """Complex modulation e^{i k x}; shifts Fourier modes by k under quantization."""
+def modulation(k: float) -> Symbol:
+    """Complex modulation e^{i k x}, k an integer; shifts Fourier modes by k
+    under quantization."""
+    k = integer_mode(k)
     return Symbol(f"mod[{k}]", 0.0,
-                  separated=((lambda t, slc, x: np.exp(1j * k * np.asarray(x[axis])), _ones),))
+                  separated=((lambda t, slc, x: np.exp(1j * k * np.asarray(x[0])), _ones),))
 
 
 def brownian_affine(gamma: float) -> Symbol:
@@ -166,7 +179,8 @@ def _trig_lambda(c0, c_sin, c_cos, s):
 
 
 def _mod_xi(k):
-    return symbol_product(modulation(int(k)), xi_symbol(), name=f"mod-xi[{int(k)}]")
+    k = integer_mode(k)
+    return symbol_product(modulation(k), xi_symbol(), name=f"mod-xi[{k}]")
 
 
 def _brownian_lambda(gamma, s):
@@ -197,7 +211,7 @@ CATALOG_SYMBOLS: dict[str, tuple[Callable[..., Symbol], str]] = {
     "trig": (trig_profile, "trig:c0,csin,ccos[,k] -> x-profile, order 0"),
     "trig-lambda": (_trig_lambda,
                     "trig-lambda:c0,csin,ccos,s -> (c0+csin sin x+ccos cos x)(1+|xi|^2)^(s/2)"),
-    "mod": (lambda k: modulation(int(k)), "mod:k -> e^{ikx}, order 0"),
+    "mod": (modulation, "mod:k -> e^{ikx}, order 0"),
     "mod-xi": (_mod_xi, "mod-xi:k -> e^{ikx} xi, order 1"),
     "affine-w": (brownian_affine, "affine-w:gamma -> 1+gamma w(t), order 0"),
     "brownian-lambda": (_brownian_lambda,
@@ -205,19 +219,27 @@ CATALOG_SYMBOLS: dict[str, tuple[Callable[..., Symbol], str]] = {
 }
 
 
-def make_symbol(selector: str) -> Symbol:
-    """Build a catalog symbol from `name` or `name:arg1,arg2,...`."""
-    name, _, argstr = selector.partition(":")
+def build_entry(selector: str, registry: dict[str, tuple[Callable, str]], kind: str):
+    """The entry of `registry` that `name` or `name:arg1,arg2,...` selects,
+    called with the numeric arguments. An unknown name, an argument that is
+    not a number, and arguments the entry refuses (a wrong count, a
+    fractional mode) raise ValueError."""
+    name, _, argstr = selector.strip().partition(":")
     name = name.strip()
-    if name not in CATALOG_SYMBOLS:
-        known = ", ".join(sorted(CATALOG_SYMBOLS))
-        raise ValueError(f"unknown symbol {name!r}; catalog has: {known}")
-    factory = CATALOG_SYMBOLS[name][0]
+    if name not in registry:
+        known = ", ".join(sorted(registry))
+        raise ValueError(f"unknown {kind} {name!r}; catalog has: {known}")
     args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
     try:
-        return factory(*args)
+        return registry[name][0](*args)
     except TypeError as exc:
-        raise ValueError(f"bad arguments for symbol {name!r}: {exc}") from exc
+        raise ValueError(f"bad arguments for {kind} {name!r} ({registry[name][1]}): "
+                         f"{exc}") from exc
+
+
+def make_symbol(selector: str) -> Symbol:
+    """Build a catalog symbol from `name` or `name:arg1,arg2,...`."""
+    return build_entry(selector, CATALOG_SYMBOLS, "symbol")
 
 
 # ---------------------------------------------------------------------------
@@ -279,29 +301,20 @@ def variable_wave_principal(c0: float = 2.0, c1: float = 0.5, gamma: float = 0.0
                                      Symbol(f"c1[{name}]", 1.0, ((None, _zeros),))))
 
 
-def from_roots_principal(unit_roots: Sequence[complex], name: str | None = None,
-                         trig_eps: Sequence[float] | None = None) -> PrincipalSymbol:
-    """Monic principal symbol with branch roots mu_k |xi| for xi on the ray.
-
-    Coefficients come from the root polynomial and are xi-homogeneous; optional
-    per-coefficient trig modulation (1 + eps_k sin x) adds x-dependence while
-    keeping root separation for small eps.
-    """
-    mu = np.asarray(list(unit_roots), dtype=complex)
+def from_roots_principal(*unit_roots: complex) -> PrincipalSymbol:
+    """Monic principal symbol with branch roots mu_k |xi| for xi on the ray;
+    its coefficients come from the root polynomial and are xi-homogeneous."""
+    mu = np.asarray(unit_roots, dtype=complex)
     m = len(mu)
     # numpy returns [1, p_{m-1}, ..., p_0] for tau^m + sum p_k tau^k
     poly = np.poly(mu)
     minus_c = -poly[1:][::-1]  # c_k for k = m-1 ... 0 reversed to k-ascending
-    eps = list(trig_eps) if trig_eps is not None else [0.0] * m
 
     def term(k):
-        ck, ek = complex(minus_c[k]), float(eps[k])
-        if ek:
-            return (lambda t, slc, x: ck * (1.0 + ek * np.sin(x[0])),
-                    lambda t, slc, xi: magnitude(xi) ** (m - k))
+        ck = complex(minus_c[k])
         return (None, lambda t, slc, xi: ck * magnitude(xi) ** (m - k))
 
-    label = name or f"from-roots[{','.join(str(z) for z in mu)}]"
+    label = f"from-roots[{','.join(str(z) for z in mu)}]"
     return PrincipalSymbol(label, m, _tau_coefficients(label, *(term(k) for k in range(m))))
 
 
@@ -312,21 +325,11 @@ CATALOG_PRINCIPALS: dict[str, tuple[Callable[..., PrincipalSymbol], str]] = {
     "mixed-cubic": (mixed_cubic_principal, "(tau - xi)(tau^2 + |xi|^2)"),
     "variable-wave": (variable_wave_principal,
                       "variable-wave:c0,c1,gamma -> tau^2 - (c0+c1 sin x+gamma w)^2|xi|^2"),
-    "from-roots": (lambda *mu: from_roots_principal([complex(v) for v in mu]),
+    "from-roots": (from_roots_principal,
                    "from-roots:mu1,mu2,... -> monic polynomial with roots mu_k|xi|"),
 }
 
 
 def make_principal(selector: str) -> PrincipalSymbol:
     """Build a catalog principal symbol from `name` or `name:arg1,...`."""
-    name, _, argstr = selector.partition(":")
-    name = name.strip()
-    if name not in CATALOG_PRINCIPALS:
-        known = ", ".join(sorted(CATALOG_PRINCIPALS))
-        raise ValueError(f"unknown principal symbol {name!r}; catalog has: {known}")
-    factory = CATALOG_PRINCIPALS[name][0]
-    args = [float(a) for a in argstr.split(",")] if argstr.strip() else []
-    try:
-        return factory(*args)
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for principal {name!r}: {exc}") from exc
+    return build_entry(selector, CATALOG_PRINCIPALS, "principal symbol")

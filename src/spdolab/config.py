@@ -123,7 +123,6 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 class ExperimentConfig:
     command: str
     values: dict[str, object]
-    lines: dict[str, int]
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -192,11 +191,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
     schema = SCHEMAS[command]
     values: dict[str, object] = {}
-    lines: dict[str, int] = {}
     for key, (raw, lineno) in pairs.items():
         if key == "command":
             values[key] = command
-            lines[key] = lineno
             continue
         if key not in schema:
             raise ConfigError(f"unknown key for command {command!r}", key=key, line=lineno)
@@ -207,7 +204,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             if problem:
                 raise ConfigError(problem, key=key, line=lineno)
         values[key] = value
-        lines[key] = lineno
 
     for key, spec in schema.items():
         if key in values:
@@ -217,4 +213,4 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         if spec.default is not None:
             values[key] = spec.default
 
-    return ExperimentConfig(command, values, lines)
+    return ExperimentConfig(command, values)

@@ -188,9 +188,8 @@ class SpdoOperator:
         return dense.conj().T if self.adjointed else dense
 
 
-def quantize(symbol: Symbol, grid: TorusGrid, t: float = 0.0,
-             slc: PathSlice | None = None) -> SpdoOperator:
-    return SpdoOperator(symbol, grid, t, slc)
+def quantize(symbol: Symbol, grid: TorusGrid) -> SpdoOperator:
+    return SpdoOperator(symbol, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +204,6 @@ class BoundednessRow:
 
 @dataclass
 class BoundednessReport:
-    symbol_name: str
-    order: float
-    s: float
     rows: list[BoundednessRow]
 
     @property
@@ -222,8 +218,7 @@ class BoundednessReport:
 
 
 def boundedness_harness(symbol: Symbol, s: float, *, cutoffs: Sequence[int] = (32, 64, 128),
-                        trials: int = 10, seed: int = 0, t: float = 0.0,
-                        slc: PathSlice | None = None) -> BoundednessReport:
+                        trials: int = 10, seed: int = 0) -> BoundednessReport:
     """Max ratio of output (s - l)-norm to input s-norm across grid cutoffs.
 
     Trial fields share one master band-limited spectrum (modes up to half the
@@ -241,7 +236,7 @@ def boundedness_harness(symbol: Symbol, s: float, *, cutoffs: Sequence[int] = (3
     rows = []
     for cutoff in cutoffs:
         grid = TorusGrid(1, 2 * cutoff)
-        op = SpdoOperator(symbol, grid, t, slc)
+        op = SpdoOperator(symbol, grid)
         fields = np.zeros((trials + 2, grid.size), dtype=complex)
         fields[:trials, np.arange(-band, band + 1) % grid.size] = master
         fields[trials] = mode_coefficients(grid, cutoff - 1)
@@ -259,7 +254,7 @@ def boundedness_harness(symbol: Symbol, s: float, *, cutoffs: Sequence[int] = (3
                 continue
             best = max(best, sobolev_norm(grid, au, s - l) / denom)
         rows.append(BoundednessRow(int(cutoff), float(best)))
-    return BoundednessReport(symbol.name, l, s, rows)
+    return BoundednessReport(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -342,22 +337,21 @@ class ResidualRow:
 class ParametrixScan:
     rows: list[ResidualRow]
     fitted_slope: float
-    side: str
 
 
 def parametrix_residual_scan(result: ParametrixResult, op: SpdoOperator,
-                             frequencies: Sequence[int] | None = None,
                              side: str = "left") -> ParametrixScan:
-    """Residual norms of the approximate inverse on pure modes, with log-log slope.
+    """Residual norms of the approximate inverse on pure modes e^{ikx_1}, k at
+    up to 7 log-spaced integers from 8 to half the frequency cutoff, with
+    log-log slope.
 
     Left side measures (B A - I) e^{ikx}; right side (A B - I) e^{ikx}. Slope is
     least squares over rows whose residual clears 1e-13 (exact-multiplier cases
     leave nothing to fit; the slope reports -inf).
     """
     grid = op.grid
-    if frequencies is None:
-        top = grid.frequency_cutoff // 2
-        frequencies = sorted(set(np.geomspace(8, top, 7).astype(int))) if top >= 8 else [top]
+    top = grid.frequency_cutoff // 2
+    frequencies = sorted(set(np.geomspace(8, top, 7).astype(int))) if top >= 8 else [top]
     modes = np.stack([np.fft.ifftn(mode_coefficients(grid, (int(k),) + (0,) * (grid.dim - 1)),
                                    norm="forward").ravel() for k in frequencies], axis=1)
     if side == "left":
@@ -373,4 +367,4 @@ def parametrix_residual_scan(result: ParametrixResult, op: SpdoOperator,
         slope = float(np.polyfit(np.log(ks[live]), np.log(rs[live]), 1)[0])
     else:
         slope = -math.inf
-    return ParametrixScan(rows, slope, side)
+    return ParametrixScan(rows, slope)

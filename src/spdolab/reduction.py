@@ -28,7 +28,7 @@ from .errors import BranchCrossingError, DegenerateDiagonalizationError
 from .grid import TorusGrid
 from .paths import PathSlice, TimeGrid
 from .symbols import (COMPLEX_ROOT_REL_TOL, Coords, PrincipalSymbol, RootStack, Symbol,
-                      _cmul, _cpow, audit_roots, pairwise_distances)
+                      _cmul, _cpow, audit_roots, is_complex_root, pairwise_distances)
 from .catalog import lambda_symbol, symbol_product
 from .operators import SpdoOperator
 
@@ -234,31 +234,18 @@ def _min_distinct_gap(roots: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SplitRoot:
-    """One tracked root branch split as lambda = a1 + i b1 over the samples."""
-
-    branch: int
-    values: np.ndarray  # (num_t, num_x, num_angles) complex
-    flag: str  # "zero" | "elliptic" | "mixed"
-
-
-@dataclass
 class SplitRootSet:
     ps: PrincipalSymbol
-    dim: int
     times: list[float]
-    slices: list[PathSlice | None]
     positions: list[tuple[np.ndarray, ...]]
     directions: list[np.ndarray]
     table: np.ndarray  # (num_t, num_x, num_angles, m) branch-consistent roots
-    branches: list[SplitRoot]
     solve: RootStack  # over sample_grid(positions, directions) in each context, sorted
 
 
 def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
                 num_x: int = 8, seed: int = 0) -> SplitRootSet:
-    """Track root branches over (t, x, angle) samples on the unit sphere and
-    split each branch into real and imaginary symbol parts.
+    """Track root branches over (t, x, angle) samples on the unit sphere.
 
     The samples are the distinct ones of `audit_roots`. Branches are labeled
     by sorting at the first sample and continued by minimum-distance matching
@@ -302,20 +289,14 @@ def split_roots(ps: PrincipalSymbol, dim: int = 1, *, num_angles: int = 64,
     choice = _chain(choice, m, axis=2)
     table = np.take_along_axis(roots, perms[choice], axis=-1)
 
-    branches = []
-    for k in range(m):
-        vals = table[..., k]
-        scale = 1.0 + np.abs(vals)
-        im = np.abs(vals.imag)
-        if np.all(im <= COMPLEX_ROOT_REL_TOL * scale):
-            flag = "zero"
-        elif np.all(im > COMPLEX_ROOT_REL_TOL * scale):
-            flag = "elliptic"
-        else:
-            flag = "mixed"
-        branches.append(SplitRoot(k, vals, flag))
-    return SplitRootSet(ps, dim, [t for t, _ in contexts], [s for _, s in contexts],
-                        positions, directions, table, branches, solve)
+    return SplitRootSet(ps, [t for t, _ in contexts], positions, directions, table, solve)
+
+
+def branch_flags(table: np.ndarray) -> list[str]:
+    """Per branch of a (..., m) root table: "zero" when every root is real,
+    "elliptic" when every root is complex (`is_complex_root`), else "mixed"."""
+    complex_roots = is_complex_root(table).reshape(-1, table.shape[-1])
+    return ["elliptic" if c.all() else "mixed" if c.any() else "zero" for c in complex_roots.T]
 
 
 def branch_symbol(split: SplitRootSet, branch: int, part: str = "im") -> Symbol:

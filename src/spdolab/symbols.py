@@ -50,13 +50,6 @@ ELLIPTIC_NUM_X = 16  # positions in an ellipticity estimate
 ELLIPTICITY_FLOOR = 1e-8  # a symbol is elliptic when its constant clears this
 
 
-def as_coords(v) -> Coords:
-    """Normalize a scalar/array or tuple of them to the tuple-per-axis form."""
-    if isinstance(v, tuple):
-        return tuple(np.asarray(c, dtype=float) for c in v)
-    return (np.asarray(v, dtype=float),)
-
-
 def abs2(xi: Coords) -> np.ndarray:
     return sum(c**2 for c in xi)
 
@@ -106,9 +99,6 @@ class Symbol:
     def __post_init__(self):
         self.fn = _separated_rule(self.separated)
         self.x_dependent = any(f is not None for f, _ in self.separated)
-
-    def evaluate(self, t: float, slc: PathSlice | None, x, xi) -> np.ndarray:
-        return np.asarray(self.fn(t, slc, as_coords(x), as_coords(xi)), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +262,7 @@ class SymbolOrderEntry:
 
 @dataclass
 class SymbolOrderReport:
-    symbol_name: str
     declared_order: float
-    tolerance: float
     entries: list[SymbolOrderEntry]
     symbol_points: int  # (x, xi) points at which the symbol was evaluated
 
@@ -310,7 +298,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
     maxima = [np.zeros((len(group), NUM_XI)) for group, _, _ in stencil.groups]
     points = 0
     for t, slc in contexts:
-        vals = symbol.evaluate(t, slc, stencil.x, stencil.xi)  # (leaf, direction, position, radius)
+        vals = symbol.fn(t, slc, stencil.x, stencil.xi)  # (leaf, direction, position, radius)
         points += vals.size
         for (group, leaves, divisors), curve in zip(stencil.groups, maxima):
             d = vals[leaves].reshape(len(group), -1, *vals.shape[1:])
@@ -346,7 +334,7 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
         slope = float(np.polyfit(np.log1p(radii[sel]), np.log(mags[sel]), 1)[0])
         entries.append(SymbolOrderEntry(alpha, beta, slope, bound, float(np.max(mags)),
                                         slope <= bound + ORDER_TOLERANCE))
-    return SymbolOrderReport(symbol.name, symbol.order, ORDER_TOLERANCE, entries, points)
+    return SymbolOrderReport(symbol.order, entries, points)
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +343,8 @@ def verify_symbol_order(symbol: Symbol, dim: int = 1, *, seed: int = 0) -> Symbo
 
 @dataclass
 class EllipticityReport:
-    symbol_name: str
-    order: float
-    lower_frequency_bound: float
     constant_estimate: float
     floor: float
-    num_samples: int
 
     @property
     def is_elliptic(self) -> bool:
@@ -377,13 +361,10 @@ def check_elliptic(symbol: Symbol, lower_frequency_bound: float = 1.0, dim: int 
 
     c_est = math.inf
     for t, slc in contexts:
-        vals = symbol.evaluate(t, slc, xs, xi)
+        vals = symbol.fn(t, slc, xs, xi)
         ratios = np.abs(vals) / (1.0 + radii.reshape(1, -1)) ** symbol.order
         c_est = float(np.minimum(c_est, ratios.min()))  # a NaN stays: not elliptic
-    num_samples = (SAMPLE_PATHS * len(_sample_nodes()) * ELLIPTIC_NUM_X
-                   * len(sample_directions(dim, 16)) * NUM_XI)
-    return EllipticityReport(symbol.name, symbol.order, lower_frequency_bound,
-                             c_est, ELLIPTICITY_FLOOR, num_samples)
+    return EllipticityReport(c_est, ELLIPTICITY_FLOOR)
 
 
 # ---------------------------------------------------------------------------

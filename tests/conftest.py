@@ -3,8 +3,7 @@ a principal symbol's roots at one sample come from one stacked solve."""
 
 import numpy as np
 
-from spdolab.catalog import from_roots_principal
-from spdolab.symbols import as_coords, solve_roots
+from spdolab.symbols import PrincipalSymbol, Symbol, magnitude, solve_roots
 
 
 def band_coefficients(grid, rng, max_frequency=None):
@@ -28,11 +27,38 @@ def l2_norm(coefficients):
     return float(np.sqrt(np.sum(np.abs(coefficients) ** 2)))
 
 
+def as_coords(v):
+    """A scalar, an array, or a tuple of them, as a tuple of float arrays, one
+    per axis."""
+    if isinstance(v, tuple):
+        return tuple(np.asarray(c, dtype=float) for c in v)
+    return (np.asarray(v, dtype=float),)
+
+
 def roots_at(ps, t, slc, x, xi, residual_tol=None):
     """The sorted, polished roots of `ps` at one sample point: `solve_roots`
     on one sample. Raises RootSolveError when the residual misses its target."""
     x, xi = (tuple(c.reshape(1) for c in as_coords(v)) for v in (x, xi))
     return solve_roots(ps, [(t, slc)], x, xi, residual_tol).checked().roots[0]
+
+
+def trig_roots_principal(unit_roots, trig_eps, name):
+    """Monic principal symbol whose coefficient c_k is that of the roots
+    mu_k |xi| times (1 + eps_k sin x): x-dependent where an eps_k is non-zero,
+    with roots kept apart for small eps."""
+    mu = np.asarray(list(unit_roots), dtype=complex)
+    m = len(mu)
+    minus_c = -np.poly(mu)[1:][::-1]  # c_0, ..., c_{m-1}
+
+    def term(k):
+        ck, ek = complex(minus_c[k]), float(trig_eps[k])
+        if ek:
+            return (lambda t, slc, x: ck * (1.0 + ek * np.sin(x[0])),
+                    lambda t, slc, xi: magnitude(xi) ** (m - k))
+        return (None, lambda t, slc, xi: ck * magnitude(xi) ** (m - k))
+
+    return PrincipalSymbol(name, m, tuple(Symbol(f"c{k}[{name}]", float(m - k), (term(k),))
+                                          for k in range(m)))
 
 
 def random_principal(m, rng, *, min_separation=0.6, trig=False):
@@ -42,5 +68,5 @@ def random_principal(m, rng, *, min_separation=0.6, trig=False):
         d = [abs(a - b) for i, a in enumerate(mu) for b in mu[i + 1:]]
         if not d or min(d) >= min_separation:
             break
-    eps = rng.uniform(-0.2, 0.2, m) if trig else None
-    return from_roots_principal(mu, name=f"random[m={m}]", trig_eps=eps)
+    eps = rng.uniform(-0.2, 0.2, m) if trig else np.zeros(m)
+    return trig_roots_principal(mu, eps, f"random[m={m}]")

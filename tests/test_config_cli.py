@@ -379,6 +379,36 @@ class TestCliRuns:
                                    "message": "mode 200 outside retained band [-64, 63]"}
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command, line", [
+        ("symbol-verify", "symbol = mod:1.5"),
+        ("symbol-verify", "symbol = mod-xi:2.5"),
+        ("symbol-verify", "symbol = trig:1,0.3,0,1.5"),
+        ("symbol-verify", "symbol = xi:0"),
+        ("carleman-scan", "process = brownian-mode:0.1,1.5"),
+        ("carleman-scan", "process = brownian-mode:0.1,1,7"),
+    ])
+    def test_bad_selector_arguments_exit_two(self, tmp_path, capsys, command, line):
+        # a fractional mode or an extra argument is refused, not rounded or dropped
+        sizes = "K = 64\nP = 2\nM = 16\n" if command == "carleman-scan" else ""
+        code, out = self.run(tmp_path, f"command = {command}\n{sizes}{line}\n", command)
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["error"]["type"] == "ValueError"
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector, name", [
+        ("trig:1,0.3,0,2", "trig[1.0,0.3,0.0;k=2.0]"),
+        ("trig:1,0.3,0", "trig[1.0,0.3,0.0;k=1]"),
+        ("mod:3", "mod[3]"),
+        ("mod-xi:-2", "mod-xi[-2]"),
+        ("xi", "xi0"),
+    ])
+    def test_integer_mode_selectors_keep_their_names(self, tmp_path, selector, name):
+        code, out = self.run(tmp_path, f"command = symbol-verify\nsymbol = {selector}\n",
+                             "symbol-verify")
+        assert code in (0, 1)
+        assert json.loads((out / "report.json").read_text())["results"]["symbol"] == name
+
     @pytest.mark.parametrize("text, error", [
         ("symbol = lambda:103\n", "NonFiniteError"),
         # only the top radius clears the magnitude floor: one point fits no slope

@@ -194,7 +194,7 @@ class TestXFreeDeclarations:
         u = values(band_coefficients(grid, np.random.default_rng(dim))).reshape(-1, 1)
         rows = np.fft.fftn(u.reshape(grid.shape), norm="forward").reshape(1, -1)
         for sym in x_free_symbols(dim):
-            op = quantize(sym, grid, self.t, self.slc)
+            op = SpdoOperator(sym, grid, self.t, self.slc)
             assert op.multiplier() is not None, sym.name
             for side in (op, op.adjoint()):
                 ref_values = side.dense_matrix() @ u
@@ -207,7 +207,7 @@ class TestXFreeDeclarations:
 
 def asymptotic(a, b):
     """One-term asymptotic composition, quantized at a's context."""
-    return quantize(composition_symbol(a.symbol, b.symbol, a.grid.dim), a.grid, a.t, a.slc)
+    return SpdoOperator(composition_symbol(a.symbol, b.symbol, a.grid.dim), a.grid, a.t, a.slc)
 
 
 def composition_gap(exact, op, u):
@@ -321,7 +321,7 @@ class TestCompositionSymbol:
             expected = a(x, xi) * b(x, xi) - 1j * sum(
                 dxi_a(x, xi, j) * dx_b(x, xi, j) for j in range(dim))
             sigma = composition_symbol(make_symbol(sel_a), make_symbol(sel_b), dim)
-            got = sigma.evaluate(self.t, self.slc, x, xi)
+            got = sigma.fn(self.t, self.slc, x, xi)
             err = np.max(np.abs(got - expected))
             assert err <= 1e-10 * np.max(np.abs(expected)), (sel_a, sel_b, err)
 

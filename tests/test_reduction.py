@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_principal, roots_at
+from conftest import random_principal, roots_at, trig_roots_principal
 from spdolab import (BranchCrossingError, DegenerateDiagonalizationError,
                      ManufacturedSolution, TimeGrid, TorusGrid, branch_symbol,
                      companion_symbol, diagonalize, exact_companion_state,
                      reduction_consistency_check, reduction_table, sample_brownian,
                      solve_roots, split_roots, verify_symbol_order)
-from spdolab.catalog import from_roots_principal, make_principal, make_symbol
-from spdolab.reduction import sine_profile
+from spdolab.catalog import make_principal, make_symbol
+from spdolab.reduction import branch_flags, sine_profile
 
 GRID = TorusGrid(1, 16)
 
@@ -107,13 +107,18 @@ class TestDiagonalization:
 class TestBranchSplitting:
     def test_mixed_cubic_flags(self):
         split = split_roots(make_principal("mixed-cubic"), 1)
-        flags = sorted(b.flag for b in split.branches)
+        flags = sorted(branch_flags(split.table))
         assert flags == ["elliptic", "elliptic", "zero"]
 
     def test_wave_flags_real(self):
         split = split_roots(make_principal("wave:2"), 1)
-        assert all(b.flag == "zero" for b in split.branches)
+        assert all(flag == "zero" for flag in branch_flags(split.table))
         assert np.allclose(split.table.imag, 0.0, atol=1e-12)
+
+    def test_branch_flags(self):
+        # per branch column: real and complex roots, all complex, all real
+        table = np.array([[[1.0 + 0j, 1j, 2.0], [1j, -1j, 3.0]]])
+        assert branch_flags(table) == ["mixed", "elliptic", "zero"]
 
     def test_near_crossing_detected(self):
         # q(x) = c0 + sin x passes within 5e-8 of zero on the sample circle:
@@ -125,12 +130,12 @@ class TestBranchSplitting:
     def test_exact_collision_tolerated(self):
         # exactly coincident roots match under any permutation; no ambiguity
         split = split_roots(make_principal("variable-wave:0,1,0"), 1)
-        assert all(b.flag == "zero" for b in split.branches)
+        assert all(flag == "zero" for flag in branch_flags(split.table))
 
     def test_branch_symbol_matches_closed_form(self):
         # imaginary part of the upper branch of tau^2 = -|xi|^2 is |xi|
         split = split_roots(make_principal("laplace"), 1)
-        upper = max(range(2), key=lambda b: split.branches[b].values.imag.max())
+        upper = max(range(2), key=lambda b: split.table[..., b].imag.max())
         sym = branch_symbol(split, upper, part="im")
         xi = np.linspace(-12.0, 12.0, 49)
         vals = sym.fn(0.0, None, (np.zeros_like(xi),), (xi,))
@@ -139,12 +144,12 @@ class TestBranchSplitting:
 
     def test_branch_symbol_order_audit(self):
         split = split_roots(make_principal("laplace"), 1)
-        upper = max(range(2), key=lambda b: split.branches[b].values.imag.max())
+        upper = max(range(2), key=lambda b: split.table[..., b].imag.max())
         assert verify_symbol_order(branch_symbol(split, upper, "im")).passed
 
     def test_x_dependent_principal_rejected(self):
         for ps in (make_principal("variable-wave:2,0.5,0"),
-                   from_roots_principal([1, -1], trig_eps=[0.1, 0])):
+                   trig_roots_principal([1, -1], [0.1, 0], "trig-roots")):
             split = split_roots(ps, 1)
             with pytest.raises(ValueError):
                 branch_symbol(split, 0)

@@ -233,7 +233,7 @@ def _nested_fd(symbol: Symbol, t: float, slc: PathSlice | None, x: Coords, xi: C
                 return _nested_fd(symbol, t, slc, xs, xi, alpha, b_minus, h_xi, h_x)
 
             return (shift(+1.0) - shift(-1.0)) / (2.0 * h_x)
-    return symbol.evaluate(t, slc, x, xi)
+    return symbol.fn(t, slc, x, xi)
 
 
 def oracle_order_entries(symbol, dim, seed=0, num_xi=17, num_x=8, xi_max=1024.0,
@@ -604,12 +604,11 @@ def test_ellipticity_matches_direction_loop(selector, dim):
     radii = np.geomspace(1.0, 1024.0, 17)
     positions = sample_positions(dim, 16)
     xs = tuple(np.array([p[ax] for p in positions]).reshape(-1, 1) for ax in range(dim))
-    c_est, count = math.inf, 0
+    c_est = math.inf
     for t, slc in sample_contexts(0):
         for direction in sample_directions(dim, num_angles=16):
             xi = tuple((radii * direction[ax]).reshape(1, -1) for ax in range(dim))
-            ratios = np.abs(sym.evaluate(t, slc, xs, xi)) / (1.0 + radii.reshape(1, -1)) ** sym.order
+            ratios = np.abs(sym.fn(t, slc, xs, xi)) / (1.0 + radii.reshape(1, -1)) ** sym.order
             c_est = min(c_est, float(np.min(ratios)))
-            count += ratios.size
     report = check_elliptic(sym, 1.0, dim)
-    assert (report.constant_estimate, report.num_samples) == (c_est, count)
+    assert report.constant_estimate == c_est

@@ -78,7 +78,7 @@ class TestSeparatedRoute:
         poly = make_symbol("xi-poly:1,0,1")
 
         def ev(sym):
-            return sym.evaluate(0.0, None, x, xi)
+            return sym.fn(0.0, None, x, xi)
 
         chi = frequency_taper(np.abs(xi[0]), 4.0)
         cases = [(symbol_scale(2.0 - 1.0j, a), (2.0 - 1.0j) * ev(a)),
